@@ -4,16 +4,20 @@ A scenario (JSON, ``schema_version`` 1) describes one run: the road is a
 single axis with the robot at the merge gate, infrastructure cameras
 looking outward along the approaches, scripted vehicles, an optional
 roadworks RSU and windows during which a merging vehicle waits at the
-gate.  The engine advances in fixed ticks (default 0.05 s) and drives
-the full pipeline:
+gate.  The engine advances in fixed ticks (default 0.05 s) and logs
+every observable event.  Each tick runs the same stages in one order,
+which fixes the order of the log and so is part of the determinism
+contract:
 
-    trajectories -> camera detections -> perception/CPMs -> channel ->
-    robot fusion -> Zone-of-Danger decision -> actuation
+    flush (due radio events) -> world (trajectories, zone crossings) ->
+    sense (detections, perception, CPM) -> beacons (vehicle CAMs, robot
+    CAM, RSU DENMs) -> decide (fusion, decision and issued actuation,
+    every decision period) -> actuate (due completions) -> flush
 
-while logging every observable event.  All randomness (sensor draws,
-channel loss and jitter, CAM generation jitter) comes from streams
-spawned off one seed, so a given (scenario, seed) pair always produces a
-byte-identical event log.
+``collect_series`` adds one row per tick just before the last flush.
+All randomness (sensor draws, channel loss and jitter, CAM generation
+jitter) comes from streams spawned off one seed, so a given (scenario,
+seed) pair always produces a byte-identical event log.
 
 Scenario layout (see docs/scenario_schema.md for the field-by-field
 reference)::
@@ -51,7 +55,7 @@ from .calibration import CalibrationError, CalibrationModel, ReferenceLine
 from .channel import Channel, ChannelConfig
 from .decision import Action, DecisionState, Mode, ZodConfig, step
 from .fusion import FusedObject, FusionConfig, Source, fuse
-from .messages import (CamPayload, CpmPayload, DenmPayload, Message, MsgType,
+from .messages import (CamPayload, DenmPayload, Message, MsgType,
                        StationType, decode_message, encode_message)
 from .moderator import Moderator, ModeratorConfig, RobotPose
 from .perception import (CameraSetup, Detection, PerceptionConfig,
@@ -465,6 +469,7 @@ class SensorModel:
         self.ranges = [self._draw_range() for _ in range(n_entities)]
         self._near = {cam.camera_id: max(config.detect_near_m, cam.model.raw(0.0))
                       for cam in self.cameras}
+        self._far = {cam.camera_id: cam.model.raw(cam.line.s_max) for cam in self.cameras}
 
     def _draw_range(self) -> float:
         cfg = self.config
@@ -491,12 +496,11 @@ class SensorModel:
         """Detections for this tick, cameras in id order, entities in index order."""
         out = []
         for cam in self.cameras:
-            far_limit = cam.model.raw(cam.line.s_max)
             for idx, x in enumerate(positions):
                 dist = cam.direction_sign * (x - cam.road_position_m)
                 if dist < self._near[cam.camera_id] or dist > self.ranges[idx]:
                     continue
-                if dist > far_limit:
+                if dist > self._far[cam.camera_id]:
                     continue
                 s_true = self._invert(cam.model, cam.line.s_max, dist)
                 s_noisy = s_true
@@ -520,10 +524,10 @@ class EventLog:
     events: list[dict] = field(default_factory=list)
 
     def append(self, time_s: float, event_type: str, actor: str, **payload: Any) -> None:
-        assert event_type in EVENT_TYPES, event_type
-        if self.events:
-            assert time_s >= self.events[-1]["t"] - _TIME_EPS, (
-                f"event log time regression: {time_s} after {self.events[-1]['t']}")
+        if event_type not in EVENT_TYPES:
+            raise ValueError(f"unknown event type: {event_type!r}")
+        if self.events and not time_s >= self.events[-1]["t"] - _TIME_EPS:
+            raise ValueError(f"event log time regression: {time_s} after {self.events[-1]['t']}")
         self.events.append({"t": round(time_s, 9), "type": event_type,
                             "actor": actor, **payload})
 
@@ -560,14 +564,14 @@ class RunResult:
 
 
 class _Pending:
-    """Time-ordered queue of scheduled transmissions and deliveries."""
+    """Time-ordered queue of engine calls, each ``(method name, args)``."""
 
     def __init__(self):
         self._heap: list = []
         self._seq = 0
 
-    def push(self, time_s: float, kind: str, data: tuple) -> None:
-        heapq.heappush(self._heap, (time_s, self._seq, kind, data))
+    def push(self, time_s: float, method: str, args: tuple) -> None:
+        heapq.heappush(self._heap, (time_s, self._seq, method, args))
         self._seq += 1
 
     def pop_due(self, now_s: float):
@@ -575,160 +579,216 @@ class _Pending:
             yield heapq.heappop(self._heap)
 
 
-def run(scenario: Scenario, seed: int | None = None,
-        collect_series: bool = False) -> RunResult:
-    """Execute one scenario and return its event log.
+class _Engine:
+    """State of one run; ``run`` calls its stage methods once per tick, in order."""
 
-    ``seed`` overrides the scenario's rng_seed; the seed actually used is
-    echoed in the returned header.
-    """
-    eff_seed = scenario.rng_seed if seed is None else seed
-    ss = np.random.SeedSequence(eff_seed)
-    chan_ss, sensor_ss, jitter_ss = ss.spawn(3)
+    def __init__(self, scenario: Scenario, seed: int, collect_series: bool):
+        chan_ss, sensor_ss, jitter_ss = np.random.SeedSequence(seed).spawn(3)
+        self.scenario = scenario
+        self.robot = robot_cfg = scenario.robot
+        self.robot_id = robot_id = robot_cfg.moderator.station_id
+        self.pose = RobotPose(robot_cfg.position[0], robot_cfg.position[1], 0.0, 0.0)
+        self.channel = Channel(scenario.channel, chan_ss)
+        self.moderator = Moderator(robot_cfg.moderator, jitter_seed=jitter_ss)
+        self.perception = None
+        self.sensor = None
+        infra = scenario.infra
+        if infra is not None:
+            self.perception = PerceptionPipeline(infra.station_id, list(infra.cameras),
+                                                 infra.perception)
+            self.sensor = SensorModel(infra.sensor, infra.cameras, len(scenario.entities),
+                                      np.random.default_rng(sensor_ss))
 
-    robot_cfg = scenario.robot
-    robot_id = robot_cfg.moderator.station_id
-    channel = Channel(scenario.channel, chan_ss)
-    moderator = Moderator(robot_cfg.moderator, jitter_seed=jitter_ss)
-    perception = None
-    sensor = None
-    if scenario.infra is not None:
-        perception = PerceptionPipeline(scenario.infra.station_id,
-                                        list(scenario.infra.cameras),
-                                        scenario.infra.perception)
-        sensor = SensorModel(scenario.infra.sensor, scenario.infra.cameras,
-                             len(scenario.entities), np.random.default_rng(sensor_ss))
+        self.log = EventLog()
+        self.header = {
+            "log_format": LOG_FORMAT_VERSION,
+            "scenario": scenario.name,
+            "schema_version": SCHEMA_VERSION,
+            "seed": seed,
+            "tick_s": scenario.tick_s,
+            "duration_s": scenario.duration_s,
+        }
 
-    log = EventLog()
-    header = {
-        "log_format": LOG_FORMAT_VERSION,
-        "scenario": scenario.name,
-        "schema_version": SCHEMA_VERSION,
-        "seed": eff_seed,
-        "tick_s": scenario.tick_s,
-        "duration_s": scenario.duration_s,
-    }
+        # station labels and fixed radio positions; a vehicle's radio
+        # position is its current road position, found by entity index
+        self.labels: dict[int, str] = {robot_id: "robot"}
+        self.positions: dict[int, tuple[float, float]] = {robot_id: robot_cfg.position}
+        if infra:
+            self.labels[infra.station_id] = "infra"
+            self.positions[infra.station_id] = infra.position
+        if scenario.rsu:
+            self.labels[scenario.rsu.station_id] = "rsu"
+            self.positions[scenario.rsu.station_id] = scenario.rsu.position
+        self.veh_label = [f"veh{idx}" for idx in range(len(scenario.entities))]
+        self.vehicle_index = {ent.station_id: idx for idx, ent in enumerate(scenario.entities)
+                              if ent.v2x_equipped}
+        for sid, idx in self.vehicle_index.items():
+            self.labels[sid] = self.veh_label[idx]
+        self.listener_ids = [robot_id, *self.vehicle_index]
 
-    # station labels and radio positions
-    labels: dict[int, str] = {robot_id: "robot"}
-    positions: dict[int, tuple[float, float]] = {robot_id: robot_cfg.position}
-    if scenario.infra:
-        labels[scenario.infra.station_id] = "infra"
-        positions[scenario.infra.station_id] = scenario.infra.position
-    if scenario.rsu:
-        labels[scenario.rsu.station_id] = "rsu"
-        positions[scenario.rsu.station_id] = scenario.rsu.position
-    veh_label = {}
-    for idx, ent in enumerate(scenario.entities):
-        veh_label[idx] = f"veh{idx}"
-        if ent.v2x_equipped:
-            labels[ent.station_id] = veh_label[idx]
+        self.pending = _Pending()
+        self.cams: dict[int, Message] = {}  # last CAM the robot received per station
+        self.cpm: Message | None = None  # newest CPM the robot received
+        self.denm_seen: set[tuple[int, int, int]] = set()  # (receiver, origin, sequence)
 
-    listener_ids = [robot_id] + [e.station_id for e in scenario.entities if e.v2x_equipped]
+        self.state = DecisionState()
+        self.last_action: Action | None = None
+        n = len(scenario.entities)
+        self.entity_x = [0.0] * n
+        self.entity_v = [0.0] * n
+        self.in_zone = [False] * n
+        self.first_detected = [False] * n
+        self.classes = [e.object_class for e in scenario.entities]
+        self.merging = False
+        self.rsu_sent = 0
+        self.series: list[dict] | None = [] if collect_series else None
 
-    pending = _Pending()
-    cam_store: dict[int, CamPayload] = {}
-    cam_store_time: dict[int, float] = {}
-    cpm_store: tuple[float, CpmPayload] | None = None
-    denm_seen: dict[int, set[tuple[int, int]]] = {lid: set() for lid in listener_ids}
+        tick = scenario.tick_s
+        self.max_hops = robot_cfg.moderator.max_hops
+        self.n_ticks = int(round(scenario.duration_s / tick))
+        self.cpm_every = int(round(infra.perception.cpm_period_s / tick)) if infra else 0
+        self.decision_every = int(round(robot_cfg.decision_period_s / tick))
+        self.cam_every = {idx: int(round(ent.cam_period_s / tick))
+                          for idx, ent in enumerate(scenario.entities) if ent.v2x_equipped}
 
-    state = DecisionState()
-    last_action: Action | None = None
-    entity_x = [0.0] * len(scenario.entities)
-    entity_v = [0.0] * len(scenario.entities)
-    in_zone = [False] * len(scenario.entities)
-    first_detected = [False] * len(scenario.entities)
-    rsu_next_idx = 0
-    rsu_seq = 0
-    series: list[dict] | None = [] if collect_series else None
+    def station_pos(self, sid: int) -> tuple[float, float]:
+        if sid in self.positions:
+            return self.positions[sid]
+        return (self.entity_x[self.vehicle_index[sid]], 0.0)
 
-    max_hops = robot_cfg.moderator.max_hops
-    tick = scenario.tick_s
-    n_ticks = int(round(scenario.duration_s / tick))
-    cpm_every = (int(round(scenario.infra.perception.cpm_period_s / tick))
-                 if scenario.infra else 0)
-    decision_every = int(round(robot_cfg.decision_period_s / tick))
-    cam_every = {idx: int(round(ent.cam_period_s / tick))
-                 for idx, ent in enumerate(scenario.entities) if ent.v2x_equipped}
+    def transmit(self, msg: Message, tx_time: float) -> None:
+        """Send from ``msg.station_id``; all deliveries share one decoded copy."""
+        sender_id = msg.station_id
+        data = encode_message(msg, max_hops=self.max_hops)
+        self.log.append(tx_time, "msg_tx", self.labels[sender_id],
+                        msg_type=msg.msg_type.name, station_id=sender_id,
+                        timestamp_ms=msg.timestamp_ms, size_b=len(data))
+        receivers = [(rid, self.station_pos(rid))
+                     for rid in self.listener_ids if rid != sender_id]
+        deliveries = self.channel.broadcast(self.station_pos(sender_id), tx_time, receivers)
+        if deliveries:
+            received = decode_message(data, max_hops=self.max_hops)
+            for d in deliveries:
+                self.pending.push(d.delivery_time_s, "deliver", (d.receiver_id, received))
 
-    def entity_pos2d(idx: int) -> tuple[float, float]:
-        return (entity_x[idx], 0.0)
-
-    def station_pos(sid: int) -> tuple[float, float]:
-        if sid in positions:
-            return positions[sid]
-        for idx, ent in enumerate(scenario.entities):
-            if ent.v2x_equipped and ent.station_id == sid:
-                return entity_pos2d(idx)
-        raise KeyError(sid)
-
-    def transmit(msg: Message, sender_id: int, tx_time: float) -> None:
-        data = encode_message(msg, max_hops=max_hops)
-        log.append(tx_time, "msg_tx", labels.get(sender_id, str(sender_id)),
-                   msg_type=msg.msg_type.name, station_id=msg.station_id,
-                   timestamp_ms=msg.timestamp_ms, size_b=len(data))
-        receivers = [(rid, station_pos(rid)) for rid in listener_ids if rid != sender_id]
-        for d in channel.broadcast(station_pos(sender_id), tx_time, receivers):
-            pending.push(d.delivery_time_s, "rx", (d.receiver_id, sender_id, data))
-
-    def deliver(rx_time: float, receiver_id: int, sender_id: int, data: bytes) -> None:
-        msg = decode_message(data, max_hops=max_hops)
+    def deliver(self, receiver_id: int, msg: Message, rx_time: float) -> None:
         extra: dict[str, Any] = {}
         if msg.msg_type is MsgType.DENM:
-            key = (msg.payload.origin_station_id, msg.payload.sequence_number)
-            extra["origin"] = key[0]
-            extra["sequence"] = key[1]
-            extra["hop_count"] = msg.payload.hop_count
-            extra["duplicate"] = key in denm_seen[receiver_id]
-            denm_seen[receiver_id].add(key)
-        log.append(rx_time, "msg_rx", labels.get(receiver_id, str(receiver_id)),
-                   msg_type=msg.msg_type.name, from_station=msg.station_id,
-                   timestamp_ms=msg.timestamp_ms,
-                   latency_s=round(rx_time - msg.timestamp_ms / 1000.0, 9), **extra)
-        if receiver_id != robot_id:
+            p = msg.payload
+            seen = (receiver_id, p.origin_station_id, p.sequence_number)
+            extra = {"origin": p.origin_station_id, "sequence": p.sequence_number,
+                     "hop_count": p.hop_count, "duplicate": seen in self.denm_seen}
+            self.denm_seen.add(seen)
+        self.log.append(rx_time, "msg_rx", self.labels[receiver_id],
+                        msg_type=msg.msg_type.name, from_station=msg.station_id,
+                        timestamp_ms=msg.timestamp_ms,
+                        latency_s=round(rx_time - msg.timestamp_ms / 1000.0, 9), **extra)
+        if receiver_id != self.robot_id:
             return
-        nonlocal cpm_store
         if msg.msg_type is MsgType.CAM:
-            cam_store[msg.station_id] = msg.payload
-            cam_store_time[msg.station_id] = msg.timestamp_ms / 1000.0
+            self.cams[msg.station_id] = msg
         elif msg.msg_type is MsgType.CPM:
-            ts = msg.timestamp_ms / 1000.0
-            if cpm_store is None or ts >= cpm_store[0]:
-                cpm_store = (ts, msg.payload)
+            if self.cpm is None or msg.timestamp_ms >= self.cpm.timestamp_ms:
+                self.cpm = msg
         else:
-            relayed = moderator.relay_denm(msg)
+            relayed = self.moderator.relay_denm(msg)
             if relayed is not None:
-                log.append(rx_time, "denm_relay", "robot",
-                           origin=relayed.payload.origin_station_id,
-                           sequence=relayed.payload.sequence_number,
-                           hop_count=relayed.payload.hop_count)
-                transmit(relayed, robot_id, rx_time)
+                self.log.append(rx_time, "denm_relay", "robot",
+                                origin=relayed.payload.origin_station_id,
+                                sequence=relayed.payload.sequence_number,
+                                hop_count=relayed.payload.hop_count)
+                self.transmit(relayed, rx_time)
 
-    def flush(now_s: float) -> None:
-        for time_s, _, kind, data in pending.pop_due(now_s):
-            if kind == "tx":
-                msg, sender_id = data
-                transmit(msg, sender_id, time_s)
-            else:
-                deliver(time_s, *data)
+    def flush(self, now_s: float) -> None:
+        for time_s, _, method, args in self.pending.pop_due(now_s):
+            getattr(self, method)(*args, time_s)
 
-    def fused_inputs(now_s: float) -> tuple[list[FusedObject], list[FusedObject]]:
-        staleness = robot_cfg.zod.staleness_s
+    def world(self, now_s: float) -> None:
+        for idx, ent in enumerate(self.scenario.entities):
+            x, v = eval_trajectory(ent.trajectory, now_s)
+            self.entity_x[idx], self.entity_v[idx] = x, v
+            inside = self.robot.zod.contains(x)
+            if inside != self.in_zone[idx]:
+                self.log.append(now_s, "zod_enter" if inside else "zod_exit",
+                                self.veh_label[idx], station_id=ent.station_id,
+                                road_x_m=round(x, 6))
+            self.in_zone[idx] = inside
+        self.merging = self.scenario.merging_seen(now_s)
+
+    def sense(self, i: int, now_s: float) -> None:
+        if self.sensor is None:
+            return
+        for det in self.sensor.observe(now_s, self.entity_x, self.classes):
+            cam = self.perception.cameras[det.camera_id]
+            x = self.entity_x[det.track_id]
+            truth_dist = cam.direction_sign * (x - cam.road_position_m)
+            self.log.append(now_s, "detection", "infra",
+                            camera_id=det.camera_id, track_id=det.track_id,
+                            station_id=self.scenario.entities[det.track_id].station_id,
+                            cam_distance_m=round(truth_dist, 6), road_x_m=round(x, 6),
+                            first=not self.first_detected[det.track_id])
+            self.first_detected[det.track_id] = True
+            self.perception.ingest(det)
+        if i % self.cpm_every == 0:
+            cpm = self.perception.assemble_cpm(now_s)
+            self.log.append(now_s, "cpm_gen", "infra", timestamp_ms=cpm.timestamp_ms,
+                            n_objects=len(cpm.payload.objects))
+            self.pending.push(now_s + self.scenario.infra.cpm_processing_delay_s,
+                              "transmit", (cpm,))
+
+    def beacons(self, i: int, now_s: float) -> None:
+        # vehicle CAMs at their configured period, then the robot's own
+        # (ETSI-rule generation), then due roadworks notifications
+        for idx, every in self.cam_every.items():
+            if i % every == 0:
+                ent = self.scenario.entities[idx]
+                x, v = self.entity_x[idx], self.entity_v[idx]
+                cam_msg = Message(ent.station_id, int(round(now_s * 1000.0)), CamPayload(
+                    station_type=StationType.PASSENGER_CAR,
+                    pos_x_cm=int(round(x * 100.0)), pos_y_cm=0,
+                    speed_cms=int(round(abs(v) * 100.0)),
+                    heading_cdeg=0 if v >= 0 else 18000))
+                self.log.append(now_s, "cam_gen", self.veh_label[idx],
+                                station_id=ent.station_id, pos_x_m=round(x, 6),
+                                speed_mps=round(v, 6), timestamp_ms=cam_msg.timestamp_ms)
+                self.pending.push(now_s, "transmit", (cam_msg,))
+        robot_cam = self.moderator.cam_tick(now_s, self.pose)
+        if robot_cam is not None:
+            self.log.append(now_s, "cam_gen", "robot", station_id=self.robot_id,
+                            pos_x_m=round(self.pose.pos_x_m, 6), speed_mps=0.0,
+                            timestamp_ms=robot_cam.timestamp_ms)
+            self.pending.push(now_s, "transmit", (robot_cam,))
+        r = self.scenario.rsu
+        while r is not None:
+            sched = r.start_s + self.rsu_sent * r.period_s
+            if sched > min(r.end_s, self.scenario.duration_s) or sched > now_s + _TIME_EPS:
+                break
+            denm = Message(r.station_id, int(round(now_s * 1000.0)), DenmPayload(
+                cause_code=r.cause_code, sequence_number=self.rsu_sent % 65536,
+                event_pos_x_cm=int(round(r.position[0] * 100.0)),
+                event_pos_y_cm=int(round(r.position[1] * 100.0)),
+                validity_s=r.validity_s, hop_count=0, origin_station_id=r.station_id))
+            for rep in range(r.repeat_count):
+                self.pending.push(now_s + rep * r.repeat_gap_s, "transmit", (denm,))
+            self.rsu_sent += 1
+
+    def _fused_inputs(self, now_s: float) -> tuple[list[FusedObject], list[FusedObject]]:
+        staleness = self.robot.zod.staleness_s
         v2x = []
-        for sid in sorted(cam_store):
-            meas_t = cam_store_time[sid]
+        for sid, msg in sorted(self.cams.items()):
+            meas_t = msg.timestamp_ms / 1000.0
             if now_s - meas_t > staleness:
                 continue
-            p = cam_store[sid]
+            p = msg.payload
             heading_rad = math.radians(p.heading_cdeg / 100.0)
             v2x.append(FusedObject(
                 source=Source.V2X, ref_id=sid, road_x_m=p.pos_x_cm / 100.0,
                 speed_mps=(p.speed_cms / 100.0) * math.cos(heading_rad),
                 object_class=1, last_update_s=meas_t))
         cam_objs = []
-        if cpm_store is not None:
-            ts, payload = cpm_store
-            for obj in payload.objects:
+        if self.cpm is not None:
+            ts = self.cpm.timestamp_ms / 1000.0
+            for obj in self.cpm.payload.objects:
                 meas_t = ts - obj.meas_delta_ms / 1000.0
                 if now_s - meas_t > staleness:
                     continue
@@ -739,123 +799,62 @@ def run(scenario: Scenario, seed: int | None = None,
                     object_class=obj.object_class, last_update_s=meas_t))
         return v2x, cam_objs
 
-    for i in range(n_ticks + 1):
-        now = i * tick
-        flush(now)
+    def decide(self, i: int, now_s: float) -> None:
+        if i % self.decision_every:
+            return
+        v2x_objs, cam_objs = self._fused_inputs(now_s)
+        fused = fuse(v2x_objs, cam_objs, self.robot.fusion)
+        self.log.append(now_s, "fusion_out", "robot",
+                        n_v2x=len(v2x_objs), n_camera=len(cam_objs),
+                        objects=[{"src": o.source.value, "id": o.ref_id,
+                                  "x": round(o.road_x_m, 3), "v": round(o.speed_mps, 3)}
+                                 for o in fused])
+        self.state, action = step(self.state, fused, self.merging, now_s, self.robot.zod)
+        if action is not self.last_action and action in (Action.STOP, Action.PASS):
+            blocking = self.state.blocking_key
+            self.log.append(now_s, "decision", "robot", mode=self.state.mode.value,
+                            action=action.value, merging_seen=self.merging,
+                            blocking=list(blocking) if blocking else None)
+            for ev in self.moderator.actuate(action, now_s):
+                self.log.append(now_s, "actuation", "robot",
+                                phase=f"{action.value}_issued",
+                                completes_at=round(ev.due_s, 9))
+        self.last_action = action
 
-        # world truth and ground-truth zone bookkeeping
-        for idx, ent in enumerate(scenario.entities):
-            x, v = eval_trajectory(ent.trajectory, now)
-            entity_x[idx], entity_v[idx] = x, v
-            inside = robot_cfg.zod.contains(x)
-            if inside and not in_zone[idx]:
-                log.append(now, "zod_enter", veh_label[idx],
-                           station_id=ent.station_id, road_x_m=round(x, 6))
-            elif not inside and in_zone[idx]:
-                log.append(now, "zod_exit", veh_label[idx],
-                           station_id=ent.station_id, road_x_m=round(x, 6))
-            in_zone[idx] = inside
+    def actuate(self, now_s: float) -> None:
+        for ev in self.moderator.due_actuations(now_s):
+            self.log.append(now_s, "actuation", "robot", phase=ev.phase)
 
-        # infrastructure perception
-        if sensor is not None:
-            for det in sensor.observe(now, entity_x,
-                                      [e.object_class for e in scenario.entities]):
-                cam = perception.cameras[det.camera_id]
-                truth_dist = cam.direction_sign * (entity_x[det.track_id]
-                                                   - cam.road_position_m)
-                log.append(now, "detection", "infra",
-                           camera_id=det.camera_id, track_id=det.track_id,
-                           station_id=scenario.entities[det.track_id].station_id,
-                           cam_distance_m=round(truth_dist, 6),
-                           road_x_m=round(entity_x[det.track_id], 6),
-                           first=not first_detected[det.track_id])
-                first_detected[det.track_id] = True
-                perception.ingest(det)
-            if cpm_every and i % cpm_every == 0:
-                cpm = perception.assemble_cpm(now)
-                log.append(now, "cpm_gen", "infra",
-                           timestamp_ms=cpm.timestamp_ms,
-                           n_objects=len(cpm.payload.objects))
-                pending.push(now + scenario.infra.cpm_processing_delay_s, "tx",
-                             (cpm, scenario.infra.station_id))
+    def record(self, now_s: float) -> None:
+        if self.series is None:
+            return
+        row: dict[str, Any] = {"time_s": round(now_s, 9), "mode": self.state.mode.value,
+                               "merging": int(self.merging)}
+        for idx, label in enumerate(self.veh_label):
+            row[f"x_{label}"] = round(self.entity_x[idx], 6)
+            row[f"v_{label}"] = round(self.entity_v[idx], 6)
+        self.series.append(row)
 
-        # vehicle CAMs at their configured period
-        for idx, every in cam_every.items():
-            if i % every == 0:
-                ent = scenario.entities[idx]
-                v = entity_v[idx]
-                cam_msg = Message(ent.station_id, int(round(now * 1000.0)), CamPayload(
-                    station_type=StationType.PASSENGER_CAR,
-                    pos_x_cm=int(round(entity_x[idx] * 100.0)), pos_y_cm=0,
-                    speed_cms=int(round(abs(v) * 100.0)),
-                    heading_cdeg=0 if v >= 0 else 18000))
-                log.append(now, "cam_gen", veh_label[idx],
-                           station_id=ent.station_id, pos_x_m=round(entity_x[idx], 6),
-                           speed_mps=round(v, 6), timestamp_ms=cam_msg.timestamp_ms)
-                pending.push(now, "tx", (cam_msg, ent.station_id))
 
-        # robot CAM (ETSI-rule generation)
-        pose = RobotPose(robot_cfg.position[0], robot_cfg.position[1], 0.0, 0.0)
-        robot_cam = moderator.cam_tick(now, pose)
-        if robot_cam is not None:
-            log.append(now, "cam_gen", "robot", station_id=robot_id,
-                       pos_x_m=round(pose.pos_x_m, 6), speed_mps=0.0,
-                       timestamp_ms=robot_cam.timestamp_ms)
-            pending.push(now, "tx", (robot_cam, robot_id))
+def run(scenario: Scenario, seed: int | None = None,
+        collect_series: bool = False) -> RunResult:
+    """Execute one scenario and return its event log.
 
-        # RSU hazard notifications
-        if scenario.rsu is not None:
-            r = scenario.rsu
-            while True:
-                sched = r.start_s + rsu_next_idx * r.period_s
-                if sched > min(r.end_s, scenario.duration_s) or sched > now + _TIME_EPS:
-                    break
-                denm = Message(r.station_id, int(round(now * 1000.0)), DenmPayload(
-                    cause_code=r.cause_code, sequence_number=rsu_seq % 65536,
-                    event_pos_x_cm=int(round(r.position[0] * 100.0)),
-                    event_pos_y_cm=int(round(r.position[1] * 100.0)),
-                    validity_s=r.validity_s, hop_count=0,
-                    origin_station_id=r.station_id))
-                for rep in range(r.repeat_count):
-                    pending.push(now + rep * r.repeat_gap_s, "tx", (denm, r.station_id))
-                rsu_seq += 1
-                rsu_next_idx += 1
-
-        # fusion + decision
-        if i % decision_every == 0:
-            v2x_objs, cam_objs = fused_inputs(now)
-            fused = fuse(v2x_objs, cam_objs, robot_cfg.fusion)
-            log.append(now, "fusion_out", "robot",
-                       n_v2x=len(v2x_objs), n_camera=len(cam_objs),
-                       objects=[{"src": o.source.value, "id": o.ref_id,
-                                 "x": round(o.road_x_m, 3), "v": round(o.speed_mps, 3)}
-                                for o in fused])
-            merging = scenario.merging_seen(now)
-            state, action = step(state, fused, merging, now, robot_cfg.zod)
-            if action is not last_action and action in (Action.STOP, Action.PASS):
-                log.append(now, "decision", "robot", mode=state.mode.value,
-                           action=action.value, merging_seen=merging,
-                           blocking=list(state.blocking_key) if state.blocking_key else None)
-                for ev in moderator.actuate(action, now):
-                    log.append(now, "actuation", "robot",
-                               phase=f"{action.value}_issued", completes_at=round(ev.due_s, 9))
-            last_action = action
-
-        for ev in moderator.due_actuations(now):
-            log.append(now, "actuation", "robot", phase=ev.phase)
-
-        if series is not None:
-            row: dict[str, Any] = {"time_s": round(now, 9),
-                                   "mode": state.mode.value,
-                                   "merging": int(scenario.merging_seen(now))}
-            for idx in range(len(scenario.entities)):
-                row[f"x_{veh_label[idx]}"] = round(entity_x[idx], 6)
-                row[f"v_{veh_label[idx]}"] = round(entity_v[idx], 6)
-            series.append(row)
-
-        flush(now)
-
-    return RunResult(header=header, log=log, series=series)
+    ``seed`` overrides the scenario's rng_seed; the seed actually used is
+    echoed in the returned header.
+    """
+    engine = _Engine(scenario, scenario.rng_seed if seed is None else seed, collect_series)
+    for i in range(engine.n_ticks + 1):
+        now = i * scenario.tick_s
+        engine.flush(now)
+        engine.world(now)
+        engine.sense(i, now)
+        engine.beacons(i, now)
+        engine.decide(i, now)
+        engine.actuate(now)
+        engine.record(now)
+        engine.flush(now)
+    return RunResult(header=engine.header, log=engine.log, series=engine.series)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,21 @@
 """Scenario validation, trajectory math and end-to-end engine behaviour."""
 
 import copy
+import hashlib
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from mergeguard.sim import (EventLog, ParseError, TrajectorySegment,
-                            ValidationError, eval_trajectory, load_scenario,
-                            log_from_jsonl, make_pass_scenario, run,
-                            scenario_from_dict, trajectory_summary)
+from mergeguard import sim
+from mergeguard.sim import (LOG_FORMAT_VERSION, EventLog, ParseError,
+                            TrajectorySegment, ValidationError, eval_trajectory,
+                            load_scenario, log_from_jsonl, make_pass_scenario,
+                            run, scenario_from_dict, trajectory_summary)
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -362,14 +367,28 @@ class TestLogDiscipline:
 
     def test_append_rejects_unknown_type(self):
         log = EventLog()
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="unknown event type"):
             log.append(0.0, "lunch_break", "robot")
 
     def test_append_rejects_time_regression(self):
         log = EventLog()
         log.append(5.0, "decision", "robot")
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="time regression"):
             log.append(4.0, "decision", "robot")
+
+    def test_append_checks_survive_optimized_mode(self):
+        code = ("from mergeguard.sim import EventLog\n"
+                "log = EventLog()\n"
+                "log.append(5.0, 'decision', 'robot')\n"
+                "try:\n"
+                "    log.append(4.0, 'decision', 'robot')\n"
+                "except ValueError:\n"
+                "    print('rejected')\n")
+        src = str(pathlib.Path(sim.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "rejected"
 
 
 class TestDeterminism:
@@ -388,6 +407,73 @@ class TestDeterminism:
         header, events = log_from_jsonl(res.to_jsonl())
         assert header == res.header
         assert events == res.log.events
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of the logs at LOG_FORMAT_VERSION 1.  A change that alters any
+# logged byte must bump LOG_FORMAT_VERSION and record new digests.
+GOLDEN_LOG_FORMAT = 1
+GOLDEN_LOGS = {
+    ("rotterdam_run", None): "078889dd7b77a735be6d4962650af4b6445d72554b7e9bd278c7f82c1a4a47b8",
+    ("rotterdam_run", 1): "25db802644b776c0d6c1d4522ef9ad70a63c4afc2446626ecaf6c986155b18a3",
+    ("denm_repeater", None): "93d452461fe245cbe1c1a0eca83fdeaae38fce6dff3a0ea903aa4abb75ddbe72",
+    ("denm_repeater", 1): "1e580d63e5aa5b401b353175d6fcbe2e7d1b2b8e5635d880eb59b85cf7dd695e",
+}
+GOLDEN_PASS_LOG = "b363eed0b4a7611f6ae63f3472f7fdb299c02c49bf599d36d40e9ac59af2c69b"
+GOLDEN_PASS_SERIES = "8f4ba3a405450e3bd5478bb642b05dfa5daf61abad9be0545a8721d7bd442522"
+
+
+@pytest.mark.skipif(LOG_FORMAT_VERSION != GOLDEN_LOG_FORMAT,
+                    reason="log format changed; the golden digests pin format 1")
+class TestGoldenLogs:
+    @pytest.mark.parametrize("name,seed", list(GOLDEN_LOGS))
+    def test_shipped_scenario_log(self, name, seed):
+        sc = load_scenario(SCENARIO_DIR / f"{name}.json")
+        assert _sha256(run(sc, seed=seed).to_jsonl()) == GOLDEN_LOGS[(name, seed)]
+
+    def test_pass_scenario_log_and_series(self):
+        sc = scenario_from_dict(make_pass_scenario(3, v2x=True, merging_offset_s=3.0))
+        res = run(sc, collect_series=True)
+        assert _sha256(res.to_jsonl()) == GOLDEN_PASS_LOG
+        assert _sha256(json.dumps(res.series)) == GOLDEN_PASS_SERIES
+
+
+def v2x_cell():
+    """Six V2X vehicles and the robot, all within one radio cell."""
+    obj = minimal()
+    obj["duration_s"] = 3.0
+    obj["channel"] = {"comm_range_m": 400.0, "loss_prob": 0.1}
+    obj["entities"] = [
+        {"station_id": 10 + k, "v2x_equipped": True, "cam_period_s": 0.5,
+         "trajectory": [{"start_time_s": 0.0, "start_x_m": -60.0 + 20.0 * k,
+                         "speed_mps": 5.0, "accel_mps2": 0.0}]}
+        for k in range(6)]
+    return scenario_from_dict(obj)
+
+
+class TestRadio:
+    def test_each_broadcast_is_decoded_once(self, monkeypatch):
+        sc = v2x_cell()
+        plain = run(sc)
+        calls = {"encode": 0, "decode": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sim, "encode_message", counting("encode", sim.encode_message))
+        monkeypatch.setattr(sim, "decode_message", counting("decode", sim.decode_message))
+        counted = run(sc)
+        n_tx = len(counted.log.of_type("msg_tx"))
+        assert len(counted.log.of_type("msg_rx")) >= 3 * n_tx > 0
+        assert calls["encode"] == n_tx
+        assert calls["decode"] <= calls["encode"]
+        assert counted.to_jsonl() == plain.to_jsonl()
 
 
 class TestSeries:
