@@ -118,10 +118,10 @@ def _cmd_report(args) -> int:
         return _fail(str(exc), EXIT_IO)
     try:
         header, events = sim.log_from_jsonl(text)
-    except (ValueError, KeyError) as exc:
+        report = kpi.compute(events, subject_station=args.subject,
+                             end_time_s=header.get("duration_s"))
+    except (ValueError, KeyError, TypeError) as exc:
         return _fail(f"malformed log: {exc}", EXIT_INVALID)
-    report = kpi.compute(events, subject_station=args.subject,
-                         end_time_s=header.get("duration_s"))
     payload = dict(scenario=header.get("scenario"), seed=header.get("seed"),
                    **report.to_json_dict())
     try:

@@ -21,6 +21,15 @@ with negative meaning the object approaches the reporting camera.  The
 DENM carries the originating station explicitly so relayed copies can be
 de-duplicated by (origin_station_id, sequence_number).
 
+A field's valid range is the range of its wire type above, so each CPM
+list holds at most 255 entries and a value that is not an integer is
+invalid.  Six domain rules come on top of the widths:
+
+* CAM: ``station_type`` is 1, 5 or 15; ``heading_cdeg`` is below 36000;
+* CPM: every ``sensor_type`` is CAMERA; every ``object_class`` is 1, 2 or
+  3; object ids are unique within the message;
+* DENM: ``hop_count`` is at most ``max_hops``.
+
 ``decode_message`` is total: any byte string either decodes to a valid
 ``Message`` or raises one of the classified errors below, never anything
 else.  ``encode_message`` refuses to emit an invalid message.
@@ -29,36 +38,32 @@ else.  ``encode_message`` refuses to emit an invalid message.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import IntEnum
+from operator import attrgetter
 from typing import Union
 
 MAGIC = 0x56
 PROTOCOL_VERSION = 1
 
-HEADER_FORMAT = "!BBBIQH"
-HEADER_SIZE = struct.calcsize(HEADER_FORMAT)  # 17
+HEADER_FORMAT = struct.Struct("!BBBIQH")
+HEADER_SIZE = HEADER_FORMAT.size  # 17
 
-CAM_FORMAT = "!BiiHH"
-CAM_SIZE = struct.calcsize(CAM_FORMAT)  # 13
+CAM_FORMAT = struct.Struct("!BiiHH")
+CAM_SIZE = CAM_FORMAT.size  # 13
 
-SENSOR_FORMAT = "!BBH"
-SENSOR_SIZE = struct.calcsize(SENSOR_FORMAT)  # 4
+SENSOR_FORMAT = struct.Struct("!BBH")
+SENSOR_SIZE = SENSOR_FORMAT.size  # 4
 
-OBJECT_FORMAT = "!HBiihH"
-OBJECT_SIZE = struct.calcsize(OBJECT_FORMAT)  # 15
+OBJECT_FORMAT = struct.Struct("!HBiihH")
+OBJECT_SIZE = OBJECT_FORMAT.size  # 15
 
-DENM_FORMAT = "!BHiiHBI"
-DENM_SIZE = struct.calcsize(DENM_FORMAT)  # 18
+DENM_FORMAT = struct.Struct("!BHiiHBI")
+DENM_SIZE = DENM_FORMAT.size  # 18
+
+_COUNT_FORMAT = struct.Struct("!B")  # length prefix of each CPM list
 
 DEFAULT_MAX_HOPS = 1
-
-_U8 = 0xFF
-_U16 = 0xFFFF
-_U32 = 0xFFFFFFFF
-_U64 = 0xFFFFFFFFFFFFFFFF
-_I16_MIN, _I16_MAX = -(1 << 15), (1 << 15) - 1
-_I32_MIN, _I32_MAX = -(1 << 31), (1 << 31) - 1
 
 
 class CodecError(Exception):
@@ -174,128 +179,68 @@ class Message:
         return _PAYLOAD_TYPES[type(self.payload)]
 
 
-def _check(cond: bool, error: type[CodecError], detail: str) -> None:
-    if not cond:
-        raise error(detail)
+# Each fixed-size record's layout is its wire struct plus its dataclass's
+# field order, which is the wire order; every codec path derives from both.
+_FORMATS = {CamPayload: CAM_FORMAT, SensorInfo: SENSOR_FORMAT,
+            PerceivedObject: OBJECT_FORMAT, DenmPayload: DENM_FORMAT}
+_VALUES = {cls: attrgetter(*[f.name for f in fields(cls)]) for cls in _FORMATS}
+_FIXED = {MsgType.CAM: CamPayload, MsgType.DENM: DenmPayload}
 
 
-def _validate_cam(p: CamPayload, error: type[CodecError]) -> None:
-    _check(p.station_type in (1, 5, 15), error, f"station_type {p.station_type}")
-    _check(_I32_MIN <= p.pos_x_cm <= _I32_MAX, error, "pos_x_cm out of range")
-    _check(_I32_MIN <= p.pos_y_cm <= _I32_MAX, error, "pos_y_cm out of range")
-    _check(0 <= p.speed_cms <= _U16, error, "speed_cms out of range")
-    _check(0 <= p.heading_cdeg < 36000, error, f"heading_cdeg {p.heading_cdeg}")
-
-
-def _validate_cpm(p: CpmPayload, error: type[CodecError]) -> None:
-    _check(len(p.sensors) <= _U8, error, "too many sensors")
-    _check(len(p.objects) <= _U8, error, "too many objects")
-    for s in p.sensors:
-        _check(0 <= s.sensor_id <= _U8, error, "sensor_id out of range")
-        _check(s.sensor_type == SensorType.CAMERA, error, f"sensor_type {s.sensor_type}")
-        _check(0 <= s.range_dm <= _U16, error, "range_dm out of range")
-    seen: set[int] = set()
-    for o in p.objects:
-        _check(0 <= o.object_id <= _U16, error, "object_id out of range")
-        _check(o.object_id not in seen, error, f"duplicate object_id {o.object_id}")
-        seen.add(o.object_id)
-        _check(o.object_class in (1, 2, 3), error, f"object_class {o.object_class}")
-        _check(_I32_MIN <= o.pos_x_cm <= _I32_MAX, error, "pos_x_cm out of range")
-        _check(_I32_MIN <= o.pos_y_cm <= _I32_MAX, error, "pos_y_cm out of range")
-        _check(_I16_MIN <= o.speed_cms <= _I16_MAX, error, "speed_cms out of range")
-        _check(0 <= o.meas_delta_ms <= _U16, error, "meas_delta_ms out of range")
-
-
-def _validate_denm(p: DenmPayload, error: type[CodecError], max_hops: int) -> None:
-    _check(0 <= p.cause_code <= _U8, error, "cause_code out of range")
-    _check(0 <= p.sequence_number <= _U16, error, "sequence_number out of range")
-    _check(_I32_MIN <= p.event_pos_x_cm <= _I32_MAX, error, "event_pos_x_cm out of range")
-    _check(_I32_MIN <= p.event_pos_y_cm <= _I32_MAX, error, "event_pos_y_cm out of range")
-    _check(0 <= p.validity_s <= _U16, error, "validity_s out of range")
-    _check(0 <= p.hop_count <= max_hops, error, f"hop_count {p.hop_count} > max_hops {max_hops}")
-    _check(0 <= p.origin_station_id <= _U32, error, "origin_station_id out of range")
-
-
-def _validate_message(msg: Message, error: type[CodecError], max_hops: int) -> None:
-    _check(0 <= msg.station_id <= _U32, error, "station_id out of range")
-    _check(0 <= msg.timestamp_ms <= _U64, error, "timestamp_ms out of range")
+def _check_rules(msg: Message, error: type[CodecError], max_hops: int) -> None:
+    """Enforce the domain rules; every field already fits its wire type."""
     p = msg.payload
-    if isinstance(p, CamPayload):
-        _validate_cam(p, error)
-    elif isinstance(p, CpmPayload):
-        _validate_cpm(p, error)
-    elif isinstance(p, DenmPayload):
-        _validate_denm(p, error, max_hops)
-    else:  # pragma: no cover - unreachable through the public API
-        raise error(f"unknown payload type {type(p)!r}")
-
-
-def _encode_payload(p: Payload) -> bytes:
-    if isinstance(p, CamPayload):
-        return struct.pack(CAM_FORMAT, p.station_type, p.pos_x_cm, p.pos_y_cm,
-                           p.speed_cms, p.heading_cdeg)
-    if isinstance(p, CpmPayload):
-        parts = [struct.pack("!B", len(p.sensors))]
+    if type(p) is CamPayload:
+        if p.station_type not in (1, 5, 15):
+            raise error(f"station_type {p.station_type}")
+        if p.heading_cdeg >= 36000:
+            raise error(f"heading_cdeg {p.heading_cdeg}")
+    elif type(p) is CpmPayload:
         for s in p.sensors:
-            parts.append(struct.pack(SENSOR_FORMAT, s.sensor_id, s.sensor_type, s.range_dm))
-        parts.append(struct.pack("!B", len(p.objects)))
+            if s.sensor_type != SensorType.CAMERA:
+                raise error(f"sensor_type {s.sensor_type}")
         for o in p.objects:
-            parts.append(struct.pack(OBJECT_FORMAT, o.object_id, o.object_class,
-                                     o.pos_x_cm, o.pos_y_cm, o.speed_cms, o.meas_delta_ms))
-        return b"".join(parts)
-    return struct.pack(DENM_FORMAT, p.cause_code, p.sequence_number,
-                       p.event_pos_x_cm, p.event_pos_y_cm, p.validity_s,
-                       p.hop_count, p.origin_station_id)
+            if o.object_class not in (1, 2, 3):
+                raise error(f"object_class {o.object_class}")
+        if len({o.object_id for o in p.objects}) != len(p.objects):
+            raise error("duplicate object_id")
+    elif p.hop_count > max_hops:
+        raise error(f"hop_count {p.hop_count} > max_hops {max_hops}")
+
+
+def _pack_list(cls: type, records) -> bytes:
+    """A CPM list on the wire: its count byte, then each record."""
+    fmt, values = _FORMATS[cls], _VALUES[cls]
+    return _COUNT_FORMAT.pack(len(records)) + b"".join([fmt.pack(*values(r)) for r in records])
 
 
 def encode_message(msg: Message, *, max_hops: int = DEFAULT_MAX_HOPS) -> bytes:
     """Serialize to wire bytes; raises InvalidMessage on any bad field."""
-    _validate_message(msg, InvalidMessage, max_hops)
-    payload = _encode_payload(msg.payload)
-    header = struct.pack(HEADER_FORMAT, MAGIC, PROTOCOL_VERSION, int(msg.msg_type),
-                         msg.station_id, msg.timestamp_ms, len(payload))
+    p = msg.payload
+    mtype = _PAYLOAD_TYPES.get(type(p))
+    if mtype is None:
+        raise InvalidMessage(f"unknown payload type {type(p)!r}")
+    try:
+        if mtype is MsgType.CPM:
+            payload = _pack_list(SensorInfo, p.sensors) + _pack_list(PerceivedObject, p.objects)
+        else:
+            payload = _FORMATS[type(p)].pack(*_VALUES[type(p)](p))
+        header = HEADER_FORMAT.pack(MAGIC, PROTOCOL_VERSION, mtype,
+                                    msg.station_id, msg.timestamp_ms, len(payload))
+    except struct.error as exc:
+        raise InvalidMessage(f"{mtype.name} message does not fit the wire: {exc}") from None
+    _check_rules(msg, InvalidMessage, max_hops)
     return header + payload
 
 
-def _decode_cam(data: bytes) -> CamPayload:
-    if len(data) != CAM_SIZE:
-        raise (TruncatedPayload if len(data) < CAM_SIZE else InvariantViolation)(
-            f"CAM payload is {len(data)} bytes, expected {CAM_SIZE}")
-    return CamPayload(*struct.unpack(CAM_FORMAT, data))
-
-
-def _decode_cpm(data: bytes) -> CpmPayload:
-    off = 0
-    if len(data) < 1:
-        raise TruncatedPayload("CPM missing sensor count")
-    n_sensors = data[0]
-    off = 1
-    sensors = []
-    for _ in range(n_sensors):
-        if len(data) < off + SENSOR_SIZE:
-            raise TruncatedPayload("CPM sensor list truncated")
-        sensors.append(SensorInfo(*struct.unpack_from(SENSOR_FORMAT, data, off)))
-        off += SENSOR_SIZE
-    if len(data) < off + 1:
-        raise TruncatedPayload("CPM missing object count")
-    n_objects = data[off]
-    off += 1
-    objects = []
-    for _ in range(n_objects):
-        if len(data) < off + OBJECT_SIZE:
-            raise TruncatedPayload("CPM object list truncated")
-        objects.append(PerceivedObject(*struct.unpack_from(OBJECT_FORMAT, data, off)))
-        off += OBJECT_SIZE
-    if off != len(data):
-        raise InvariantViolation(f"{len(data) - off} trailing bytes in CPM payload")
-    return CpmPayload(tuple(sensors), tuple(objects))
-
-
-def _decode_denm(data: bytes) -> DenmPayload:
-    if len(data) != DENM_SIZE:
-        raise (TruncatedPayload if len(data) < DENM_SIZE else InvariantViolation)(
-            f"DENM payload is {len(data)} bytes, expected {DENM_SIZE}")
-    return DenmPayload(*struct.unpack(DENM_FORMAT, data))
+def _unpack_list(cls: type, data: bytes, off: int) -> tuple[tuple, int]:
+    """The count-prefixed CPM list starting at ``off``, and the offset after it."""
+    if len(data) <= off:
+        raise TruncatedPayload(f"CPM missing {cls.__name__} count")
+    end = off + 1 + data[off] * _FORMATS[cls].size
+    if len(data) < end:
+        raise TruncatedPayload(f"CPM {cls.__name__} list truncated")
+    return tuple(cls(*v) for v in _FORMATS[cls].iter_unpack(data[off + 1:end])), end
 
 
 def decode_message(data: bytes, *, max_hops: int = DEFAULT_MAX_HOPS) -> Message:
@@ -314,8 +259,7 @@ def decode_message(data: bytes, *, max_hops: int = DEFAULT_MAX_HOPS) -> Message:
         raise BadVersion(f"version {data[1]}")
     if len(data) < HEADER_SIZE:
         raise TruncatedPayload(f"header is {len(data)} bytes, expected {HEADER_SIZE}")
-    _, _, msg_type, station_id, timestamp_ms, payload_len = struct.unpack_from(
-        HEADER_FORMAT, data, 0)
+    _, _, msg_type, station_id, timestamp_ms, payload_len = HEADER_FORMAT.unpack_from(data)
     try:
         mtype = MsgType(msg_type)
     except ValueError:
@@ -327,61 +271,47 @@ def decode_message(data: bytes, *, max_hops: int = DEFAULT_MAX_HOPS) -> Message:
         raise InvariantViolation(
             f"{len(data) - HEADER_SIZE - payload_len} trailing bytes after payload")
     body = data[HEADER_SIZE:]
-    if mtype is MsgType.CAM:
-        payload: Payload = _decode_cam(body)
-    elif mtype is MsgType.CPM:
-        payload = _decode_cpm(body)
+    if mtype is MsgType.CPM:
+        sensors, off = _unpack_list(SensorInfo, body, 0)
+        objects, off = _unpack_list(PerceivedObject, body, off)
+        if off != len(body):
+            raise InvariantViolation(f"{len(body) - off} trailing bytes in CPM payload")
+        payload: Payload = CpmPayload(sensors, objects)
     else:
-        payload = _decode_denm(body)
+        fmt = _FORMATS[_FIXED[mtype]]
+        if len(body) != fmt.size:
+            raise (TruncatedPayload if len(body) < fmt.size else InvariantViolation)(
+                f"{mtype.name} payload is {len(body)} bytes, expected {fmt.size}")
+        payload = _FIXED[mtype](*fmt.unpack(body))
     msg = Message(station_id, timestamp_ms, payload)
-    _validate_message(msg, InvariantViolation, max_hops)
+    _check_rules(msg, InvariantViolation, max_hops)
     return msg
 
 
 def to_json_dict(msg: Message) -> dict:
     """Canonical JSON form; field names match the wire layout exactly."""
     p = msg.payload
-    if isinstance(p, CamPayload):
-        body = {"station_type": p.station_type, "pos_x_cm": p.pos_x_cm,
-                "pos_y_cm": p.pos_y_cm, "speed_cms": p.speed_cms,
-                "heading_cdeg": p.heading_cdeg}
-    elif isinstance(p, CpmPayload):
-        body = {
-            "sensors": [{"sensor_id": s.sensor_id, "sensor_type": s.sensor_type,
-                         "range_dm": s.range_dm} for s in p.sensors],
-            "objects": [{"object_id": o.object_id, "object_class": o.object_class,
-                         "pos_x_cm": o.pos_x_cm, "pos_y_cm": o.pos_y_cm,
-                         "speed_cms": o.speed_cms, "meas_delta_ms": o.meas_delta_ms}
-                        for o in p.objects],
-        }
+    if isinstance(p, CpmPayload):
+        body = {"sensors": [asdict(s) for s in p.sensors],
+                "objects": [asdict(o) for o in p.objects]}
     else:
-        body = {"cause_code": p.cause_code, "sequence_number": p.sequence_number,
-                "event_pos_x_cm": p.event_pos_x_cm, "event_pos_y_cm": p.event_pos_y_cm,
-                "validity_s": p.validity_s, "hop_count": p.hop_count,
-                "origin_station_id": p.origin_station_id}
+        body = asdict(p)
     return {"msg_type": msg.msg_type.name, "station_id": msg.station_id,
             "timestamp_ms": msg.timestamp_ms, "payload": body}
+
+
+def _from_json(cls: type, obj: dict):
+    return cls(*[obj[f.name] for f in fields(cls)])
 
 
 def from_json_dict(obj: dict) -> Message:
     """Inverse of to_json_dict."""
     mtype = MsgType[obj["msg_type"]]
     body = obj["payload"]
-    if mtype is MsgType.CAM:
-        payload: Payload = CamPayload(body["station_type"], body["pos_x_cm"],
-                                      body["pos_y_cm"], body["speed_cms"],
-                                      body["heading_cdeg"])
-    elif mtype is MsgType.CPM:
-        payload = CpmPayload(
-            tuple(SensorInfo(s["sensor_id"], s["sensor_type"], s["range_dm"])
-                  for s in body["sensors"]),
-            tuple(PerceivedObject(o["object_id"], o["object_class"], o["pos_x_cm"],
-                                  o["pos_y_cm"], o["speed_cms"], o["meas_delta_ms"])
-                  for o in body["objects"]),
-        )
+    if mtype is MsgType.CPM:
+        payload: Payload = CpmPayload(
+            tuple(_from_json(SensorInfo, s) for s in body["sensors"]),
+            tuple(_from_json(PerceivedObject, o) for o in body["objects"]))
     else:
-        payload = DenmPayload(body["cause_code"], body["sequence_number"],
-                              body["event_pos_x_cm"], body["event_pos_y_cm"],
-                              body["validity_s"], body["hop_count"],
-                              body["origin_station_id"])
+        payload = _from_json(_FIXED[mtype], body)
     return Message(obj["station_id"], obj["timestamp_ms"], payload)

@@ -52,7 +52,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .calibration import CalibrationError, CalibrationModel, ReferenceLine
-from .channel import Channel, ChannelConfig
+from .channel import Channel, ChannelConfig, ChannelError
 from .decision import Action, DecisionState, Mode, ZodConfig, step
 from .fusion import FusedObject, FusionConfig, Source, fuse
 from .messages import (CamPayload, DenmPayload, Message, MsgType,
@@ -71,6 +71,10 @@ EVENT_TYPES = frozenset({
 })
 
 _TIME_EPS = 1e-9
+
+# wire widths the scenario must fit (see the messages.py layout table)
+_STATION_ID_MAX = 0xFFFFFFFF  # u32 station_id
+_CAM_SPEED_CMS_MAX = 0xFFFF  # u16 CAM speed_cms
 
 
 class ScenarioError(Exception):
@@ -279,6 +283,20 @@ def _trajectory_from_list(raw: list, why: str) -> tuple[TrajectorySegment, ...]:
     return tuple(segs)
 
 
+def _cam_speed_fits(segs: Sequence[TrajectorySegment], duration_s: float) -> bool:
+    """Whether every CAM built from this trajectory can carry its speed.
+
+    Speed is linear inside a segment, so its extremes are at the ends.
+    """
+    for i, seg in enumerate(segs):
+        t_end = segs[i + 1].start_time_s if i + 1 < len(segs) else duration_s
+        for v in (seg.speed_mps, seg.speed_mps + seg.accel_mps2 * (t_end - seg.start_time_s)):
+            # the same expression as the CAM builder in _Engine.beacons
+            if not (math.isfinite(v) and int(round(abs(v) * 100.0)) <= _CAM_SPEED_CMS_MAX):
+                return False
+    return True
+
+
 def _camera_from_dict(raw: dict, idx: int) -> CameraSetup:
     why = f"infra.cameras[{idx}]"
     line_raw = _get(raw, "line", dict, f"{why}.line")
@@ -325,7 +343,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
 
     try:
         chan = ChannelConfig(**obj.get("channel", {}))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ChannelError) as exc:
         raise ValidationError(f"channel: {exc}") from None
 
     robot_raw = _get(obj, "robot", dict, "robot")
@@ -350,6 +368,10 @@ def scenario_from_dict(obj: dict) -> Scenario:
         try:
             perception = PerceptionConfig(**infra_raw.get("perception", {}))
             sensor = SensorConfig(**infra_raw.get("sensor", {}))
+            _require(sensor.detect_min_m <= sensor.detect_max_m,
+                     "infra.sensor.detect_min_m must not exceed detect_max_m")
+            _require(sensor.max_detect_std_m >= 0,
+                     "infra.sensor.max_detect_std_m must be non-negative")
         except TypeError as exc:
             raise ValidationError(f"infra: {exc}") from None
         cameras_raw = _get(infra_raw, "cameras", list, "infra.cameras")
@@ -376,16 +398,19 @@ def scenario_from_dict(obj: dict) -> Scenario:
         _require(not (v2x and station_id == 0),
                  f"{why}: v2x_equipped requires a non-zero station_id")
         cam_period = float(raw.get("cam_period_s", 0.5))
+        trajectory = _trajectory_from_list(
+            _get(raw, "trajectory", list, f"{why}.trajectory"), why)
         if v2x:
             _require(_divisible(cam_period, tick),
                      f"{why}: tick_s must divide cam_period_s")
+            _require(_cam_speed_fits(trajectory, duration),
+                     f"{why}: speed exceeds the CAM speed field (655.35 m/s)")
         entities.append(Entity(
             station_id=station_id,
             object_class=int(raw.get("object_class", 1)),
             v2x_equipped=v2x,
             cam_period_s=cam_period,
-            trajectory=_trajectory_from_list(
-                _get(raw, "trajectory", list, f"{why}.trajectory"), why),
+            trajectory=trajectory,
         ))
 
     rsu = None
@@ -417,13 +442,17 @@ def scenario_from_dict(obj: dict) -> Scenario:
         _require(w.distance_m >= 0, f"merging_windows[{i}]: distance must be non-negative")
         windows.append(w)
 
-    station_ids = [robot.moderator.station_id]
+    station_ids = {"robot.moderator.station_id": robot.moderator.station_id}
     if infra:
-        station_ids.append(infra.station_id)
+        station_ids["infra.station_id"] = infra.station_id
     if rsu:
-        station_ids.append(rsu.station_id)
-    station_ids += [e.station_id for e in entities if e.station_id != 0]
-    _require(len(set(station_ids)) == len(station_ids),
+        station_ids["rsu.station_id"] = rsu.station_id
+    station_ids.update((f"entities[{i}].station_id", e.station_id)
+                       for i, e in enumerate(entities) if e.station_id != 0)
+    for why, sid in station_ids.items():
+        _require(isinstance(sid, int) and 0 <= sid <= _STATION_ID_MAX,
+                 f"{why} must be an integer in [0, {_STATION_ID_MAX}]")
+    _require(len(set(station_ids.values())) == len(station_ids),
              "station ids must be unique across robot, infra, rsu and entities")
 
     return Scenario(name=name, duration_s=duration, tick_s=tick, rng_seed=seed,
@@ -546,6 +575,8 @@ def log_from_jsonl(text: str) -> tuple[dict, list[dict]]:
     if not lines:
         raise ValueError("empty log")
     header = json.loads(lines[0])
+    if not isinstance(header, dict):
+        raise ValueError("log header is not a JSON object")
     return header, [json.loads(ln) for ln in lines[1:]]
 
 

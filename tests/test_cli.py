@@ -146,6 +146,17 @@ class TestReport:
     def test_missing_log(self, tmp_path):
         assert main(["report", str(tmp_path / "none.jsonl")]) == EXIT_IO
 
+    @pytest.mark.parametrize("text", [
+        '{"scenario": "x"}\n{"t": 0.0, "actor": "robot"}\n',
+        '{"scenario": "x"}\n[1, 2]\n',
+        '[1, 2]\n',
+    ], ids=["event without type", "non-object event", "non-object header"])
+    def test_malformed_event(self, tmp_path, capsys, text):
+        bad = tmp_path / "log.jsonl"
+        bad.write_text(text)
+        assert main(["report", str(bad)]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: malformed log")
+
 
 class TestBatch:
     def test_runs_every_scenario(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Wire codec: reference bytes, invariants, error taxonomy, round-trips."""
 
+import dataclasses
 import json
 import struct
 
@@ -171,6 +172,88 @@ class TestEncodeErrors:
     def test_station_id_overflows_u32(self):
         with pytest.raises(InvalidMessage):
             encode_message(Message(2**32, 0, make_cam()))
+
+    @pytest.mark.parametrize("msg", [
+        Message(7, 0, make_cam(pos_x_cm=-8280.0)),
+        Message(7, 0, make_cam(heading_cdeg=None)),
+        Message("7", 0, make_cam()),
+    ], ids=["float pos_x_cm", "None heading_cdeg", "str station_id"])
+    def test_non_integer_field(self, msg):
+        with pytest.raises(InvalidMessage):
+            encode_message(msg)
+
+    def test_cpm_lists_hold_at_most_255(self):
+        sensors = tuple(SensorInfo(i, SensorType.CAMERA, 0) for i in range(256))
+        objects = tuple(PerceivedObject(i, ObjectClass.CAR, 0, 0, 0, 0) for i in range(256))
+        full = Message(5, 0, CpmPayload(sensors[:255], objects[:255]))
+        assert decode_message(encode_message(full)) == full
+        for payload in (CpmPayload(sensors, ()), CpmPayload((), objects)):
+            with pytest.raises(InvalidMessage):
+                encode_message(Message(5, 0, payload))
+
+
+# Every settable field's valid range, written out from the layout table in
+# the module docstring (and narrowed where a domain rule says so), so the
+# ranges that struct enforces are checked against an independent statement.
+U8, U16, U32, U64 = (0, 2**8 - 1), (0, 2**16 - 1), (0, 2**32 - 1), (0, 2**64 - 1)
+I16, I32 = (-2**15, 2**15 - 1), (-2**31, 2**31 - 1)
+FIELD_RANGES = [
+    ("header", "station_id", U32),
+    ("header", "timestamp_ms", U64),
+    ("cam", "station_type", (1, 15)),  # u8; StationType is 1, 5 or 15
+    ("cam", "pos_x_cm", I32),
+    ("cam", "pos_y_cm", I32),
+    ("cam", "speed_cms", U16),
+    ("cam", "heading_cdeg", (0, 35999)),  # u16; below 36000
+    ("sensor", "sensor_id", U8),
+    ("sensor", "sensor_type", (1, 1)),  # u8; CAMERA only
+    ("sensor", "range_dm", U16),
+    ("object", "object_id", U16),
+    ("object", "object_class", (1, 3)),  # u8; ObjectClass is 1, 2 or 3
+    ("object", "pos_x_cm", I32),
+    ("object", "pos_y_cm", I32),
+    ("object", "speed_cms", I16),
+    ("object", "meas_delta_ms", U16),
+    ("denm", "cause_code", U8),
+    ("denm", "sequence_number", U16),
+    ("denm", "event_pos_x_cm", I32),
+    ("denm", "event_pos_y_cm", I32),
+    ("denm", "validity_s", U16),
+    ("denm", "hop_count", U8),  # up to max_hops, raised here past the width
+    ("denm", "origin_station_id", U32),
+]
+WIDE_HOPS = 1000
+
+
+def with_field(record, field, value):
+    """A valid message whose ``record`` has ``field`` set to ``value``."""
+    sensor = SensorInfo(0, SensorType.CAMERA, 1500)
+    obj = PerceivedObject(3, ObjectClass.CAR, -7000, 0, -950, 120)
+    if record == "header":
+        return dataclasses.replace(REFERENCE_CAM, **{field: value})
+    if record == "cam":
+        return Message(7, 0, make_cam(**{field: value}))
+    if record == "sensor":
+        return Message(100, 0, CpmPayload((dataclasses.replace(sensor, **{field: value}),),
+                                          (obj,)))
+    if record == "object":
+        return Message(100, 0, CpmPayload((sensor,),
+                                          (dataclasses.replace(obj, **{field: value}),)))
+    denm = DenmPayload(3, 17, 13430, 0, 60, 0, 200)
+    return Message(200, 0, dataclasses.replace(denm, **{field: value}))
+
+
+@pytest.mark.parametrize("record,field,bounds", FIELD_RANGES,
+                         ids=[f"{r}.{f}" for r, f, _ in FIELD_RANGES])
+def test_field_range(record, field, bounds):
+    lo, hi = bounds
+    for value in (lo, hi):
+        msg = with_field(record, field, value)
+        assert decode_message(encode_message(msg, max_hops=WIDE_HOPS),
+                              max_hops=WIDE_HOPS) == msg
+    for value in (lo - 1, hi + 1):
+        with pytest.raises(InvalidMessage):
+            encode_message(with_field(record, field, value), max_hops=WIDE_HOPS)
 
 
 # --- round-trip properties --------------------------------------------------

@@ -224,6 +224,60 @@ class TestValidation:
         obj["merging_windows"] = [{"start_s": 5.0, "end_s": 5.0}]
         self.check(obj, "precede")
 
+    def test_channel_loss_prob_out_of_range(self):
+        self.check({**minimal(), "channel": {"loss_prob": 2}}, "loss_prob")
+
+    def test_detect_min_must_not_exceed_max(self):
+        obj = with_infra(minimal())
+        obj["infra"]["sensor"] = {"detect_min_m": 140.0, "detect_max_m": 130.0}
+        self.check(obj, "detect_min_m")
+
+    def test_detect_std_non_negative(self):
+        obj = with_infra(minimal())
+        obj["infra"]["sensor"] = {"max_detect_std_m": -1.0}
+        self.check(obj, "max_detect_std_m")
+
+    def test_detect_bounds_must_be_numbers(self):
+        obj = with_infra(minimal())
+        obj["infra"]["sensor"] = {"detect_min_m": "80"}
+        self.check(obj, "infra")
+
+    def every_station(self, where, sid):
+        obj = with_infra(minimal())
+        obj["rsu"] = {"station_id": 200, "position": [10.0, 0.0]}
+        obj["entities"] = [{"station_id": 7, "trajectory": [self.seg(0.0, -50.0, 10.0)]}]
+        if where == "robot":
+            obj["robot"]["moderator"] = {"station_id": sid}
+        elif where == "entities[0]":
+            obj["entities"][0]["station_id"] = sid
+        else:
+            obj[where]["station_id"] = sid
+        return obj
+
+    @pytest.mark.parametrize("where", ["robot", "infra", "rsu", "entities[0]"])
+    @pytest.mark.parametrize("sid", [-1, 2**32])
+    def test_station_id_must_fit_u32(self, where, sid):
+        self.check(self.every_station(where, sid), r"station_id must be an integer")
+        scenario_from_dict(self.every_station(where, 2**32 - 1))
+
+    @pytest.mark.parametrize("segments", [
+        [{"start_time_s": 0.0, "start_x_m": 0.0, "speed_mps": 700.0, "accel_mps2": 0.0}],
+        [{"start_time_s": 0.0, "start_x_m": 0.0, "speed_mps": -655.36, "accel_mps2": 0.0}],
+        [{"start_time_s": 0.0, "start_x_m": 0.0, "speed_mps": 600.0, "accel_mps2": 50.0}],
+    ], ids=["start", "negative", "end of last segment"])
+    def test_v2x_speed_must_fit_cam_field(self, segments):
+        obj = minimal()
+        obj["entities"] = [{"station_id": 7, "trajectory": segments}]
+        self.check(obj, "CAM speed")
+        obj["entities"][0]["v2x_equipped"] = False
+        obj["entities"][0]["station_id"] = 0
+        scenario_from_dict(obj)
+
+    def test_cam_speed_limit_is_inclusive(self):
+        obj = minimal()
+        obj["entities"] = [{"station_id": 7, "trajectory": [self.seg(0.0, 0.0, -655.35)]}]
+        assert run(scenario_from_dict(obj)).log.of_type("cam_gen")
+
 
 class TestLoadScenario:
     def test_shipped_scenarios_load(self):
