@@ -29,8 +29,8 @@ def main() -> None:
     rsu = scenario.rsu
     rsu_x = rsu.position[0]
     print(f"scenario '{scenario.name}': RSU at x = {rsu_x} m, "
-          f"DENM period {rsu.period_s} s, "
-          f"{rsu.repeat_count} copies per notification")
+          f"DENM period {rsu.denm.period_s} s, "
+          f"{rsu.denm.repeat_count} copies per notification")
 
     for t in (0.0, 19.0, 30.0):
         x, v = eval_trajectory(scenario.entities[0].trajectory, t)
@@ -75,7 +75,7 @@ def main() -> None:
 
     report = compute(result.log.events, end_time_s=scenario.duration_s)
     print(f"measured RSU inter-packet gap at the robot: "
-          f"{report.rsu_ipg_s:.4f} s (configured period {rsu.period_s} s)")
+          f"{report.rsu_ipg_s:.4f} s (configured period {rsu.denm.period_s} s)")
 
 
 if __name__ == "__main__":

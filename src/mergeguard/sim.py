@@ -27,8 +27,8 @@ reference)::
       "name": "...",
       "duration_s": 24.0, "tick_s": 0.05, "rng_seed": 7,
       "channel":  {"comm_range_m": 150.0, "loss_prob": 0.0, ...},
-      "robot":    {"station_id": 1, "position": [0,0], "zod": {...},
-                   "moderator": {...}, "merging_detect_range_m": 15.0},
+      "robot":    {"position": [0,0], "zod": {...},
+                   "moderator": {"station_id": 1, ...}, "merging_detect_range_m": 15.0},
       "infra":    {"station_id": 100, "position": [0, 6],
                    "perception": {...}, "sensor": {...},
                    "cpm_processing_delay_s": 0.0, "cameras": [...]},
@@ -46,8 +46,9 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+import sys
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -149,24 +150,41 @@ def trajectory_summary(segments: Sequence[TrajectorySegment],
 
 
 # ---------------------------------------------------------------------------
-# scenario model
+# scenario model: one record per JSON object of a scenario file
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Entity:
-    station_id: int  # 0 = not V2X equipped
-    object_class: int
-    v2x_equipped: bool
-    cam_period_s: float
+    station_id: int = 0  # 0 = not V2X equipped
+    object_class: int = 1
+    v2x_equipped: bool | None = None  # None: equipped when station_id is not 0
+    cam_period_s: float = 0.5
     trajectory: tuple[TrajectorySegment, ...]
+
+    def __post_init__(self):
+        if self.v2x_equipped is None:
+            object.__setattr__(self, "v2x_equipped", self.station_id != 0)
+        if self.v2x_equipped and self.station_id == 0:
+            raise ValueError("v2x_equipped requires a non-zero station_id")
+        segs = self.trajectory
+        if not segs or segs[0].start_time_s != 0.0:
+            raise ValueError("trajectory must start at 0")
+        for prev, nxt in zip(segs, segs[1:]):
+            if not nxt.start_time_s > prev.start_time_s:
+                raise ValueError(f"overlapping segments at t={nxt.start_time_s}")
+            x_end, v_end = eval_trajectory((prev,), nxt.start_time_s)
+            if not abs(x_end - nxt.start_x_m) <= 1e-6:
+                raise ValueError(f"position discontinuity at t={nxt.start_time_s}")
+            if not abs(v_end - nxt.speed_mps) <= 1e-6:
+                raise ValueError(f"speed discontinuity at t={nxt.start_time_s}")
 
 
 @dataclass(frozen=True)
 class RobotSetup:
-    moderator: ModeratorConfig
-    zod: ZodConfig
-    fusion: FusionConfig
-    position: tuple[float, float]
+    moderator: ModeratorConfig = ModeratorConfig()
+    zod: ZodConfig = ZodConfig()
+    fusion: FusionConfig = FusionConfig()
+    position: tuple[float, float] = (0.0, 0.0)
     merging_detect_range_m: float = 15.0
     decision_period_s: float = 0.2
 
@@ -180,30 +198,65 @@ class SensorConfig:
     detect_near_m: float = 5.0
     pixel_noise_std: float = 2.0
 
+    def __post_init__(self):
+        if self.detect_min_m > self.detect_max_m:
+            raise ValueError("detect_min_m must not exceed detect_max_m")
+        if self.max_detect_std_m < 0:
+            raise ValueError("max_detect_std_m must be non-negative")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, kw_only=True)
 class InfraSetup:
     station_id: int
-    position: tuple[float, float]
-    perception: PerceptionConfig
-    sensor: SensorConfig
+    position: tuple[float, float] = (0.0, 0.0)
+    perception: PerceptionConfig = PerceptionConfig()
+    sensor: SensorConfig = SensorConfig()
     cameras: tuple[CameraSetup, ...]
     cpm_processing_delay_s: float = 0.0
+
+    def __post_init__(self):
+        if not self.cameras:
+            raise ValueError("cameras must not be empty")
+        if len({c.camera_id for c in self.cameras}) != len(self.cameras):
+            raise ValueError("camera ids must be unique")
+        if self.cpm_processing_delay_s < 0:
+            raise ValueError("cpm_processing_delay_s must be non-negative")
+
+
+@dataclass(frozen=True)
+class DenmSchedule:
+    # DENMs are commonly repeated for reliability; every notification is
+    # sent repeat_count times, repeat_gap_s apart, under one sequence number
+    cause_code: int = 3  # roadworks
+    period_s: float = 1.0
+    start_s: float = 0.0
+    end_s: float = math.inf  # the end of the run
+    validity_s: int = 60
+    repeat_count: int = 1
+    repeat_gap_s: float = 0.1
+
+    def __post_init__(self):
+        if self.period_s <= 0:
+            raise ValueError("period_s must be positive")
+        if self.repeat_count < 1:
+            raise ValueError("repeat_count must be at least 1")
+        if self.repeat_gap_s < 0:
+            raise ValueError("repeat_gap_s must be non-negative")
 
 
 @dataclass(frozen=True)
 class RsuSetup:
     station_id: int
-    position: tuple[float, float]
-    cause_code: int = 3  # roadworks
-    period_s: float = 1.0
-    start_s: float = 0.0
-    end_s: float = math.inf
-    validity_s: int = 60
-    # DENMs are commonly repeated for reliability; every notification is
-    # sent repeat_count times, repeat_gap_s apart, under one sequence number
-    repeat_count: int = 1
-    repeat_gap_s: float = 0.1
+    position: tuple[float, float] = (0.0, 0.0)
+    denm: DenmSchedule = DenmSchedule()
+
+    def notification(self, now_s: float, count: int) -> Message:
+        """The DENM of the ``count``-th notification, sent at ``now_s``."""
+        return Message(self.station_id, int(round(now_s * 1000.0)), DenmPayload(
+            cause_code=self.denm.cause_code, sequence_number=count % 65536,
+            event_pos_x_cm=int(round(self.position[0] * 100.0)),
+            event_pos_y_cm=int(round(self.position[1] * 100.0)),
+            validity_s=self.denm.validity_s, hop_count=0, origin_station_id=self.station_id))
 
 
 @dataclass(frozen=True)
@@ -212,16 +265,22 @@ class MergingWindow:
     end_s: float
     distance_m: float = 0.0
 
+    def __post_init__(self):
+        if not self.start_s < self.end_s:
+            raise ValueError("start must precede end")
+        if self.distance_m < 0:
+            raise ValueError("distance must be non-negative")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
-    name: str
+    name: str = "unnamed"
     duration_s: float
-    tick_s: float
+    tick_s: float = 0.05
     rng_seed: int
-    channel: ChannelConfig
+    channel: ChannelConfig = ChannelConfig()
     robot: RobotSetup
-    entities: tuple[Entity, ...]
+    entities: tuple[Entity, ...] = ()
     infra: InfraSetup | None = None
     rsu: RsuSetup | None = None
     merging_windows: tuple[MergingWindow, ...] = ()
@@ -232,55 +291,115 @@ class Scenario:
                    for w in self.merging_windows)
 
 
+# ---------------------------------------------------------------------------
+# scenario reader
+
+
+def _number(val) -> bool:
+    # the bounds reject NaN, the infinities and ints too large for float()
+    return ((type(val) is float or isinstance(val, (int, float)) and not isinstance(val, bool))
+            and -sys.float_info.max <= val <= sys.float_info.max)
+
+
+def _numbers(val, count: int | None = None) -> tuple[float, ...] | None:
+    if (isinstance(val, (list, tuple)) and len(val) == (count or len(val))
+            and all(map(_number, val))):
+        return tuple(map(float, val))
+    return None
+
+
+# the type rules: what the JSON value must be, and its value (None if it is not)
+_SCALARS = {
+    float: ("a finite number", lambda v: float(v) if _number(v) else None),
+    int: ("an integer",
+          lambda v: int(v) if isinstance(v, int) and not isinstance(v, bool) else None),
+    bool: ("true or false", lambda v: v if isinstance(v, bool) else None),
+    str: ("a string", lambda v: v if isinstance(v, str) else None),
+    tuple[float, float]: ("two finite numbers", lambda v: _numbers(v, 2)),
+    tuple[float, ...]: ("a list of finite numbers", _numbers),
+}
+_KEYS = {(CameraSetup, "model"): "calibration"}  # the fields stored under another key
+
+
 def _require(cond: bool, why: str) -> None:
     if not cond:
         raise ValidationError(why)
 
 
-def _get(obj: dict, key: str, kind, why: str):
-    _require(key in obj, f"missing field: {why}")
-    val = obj[key]
-    if kind is float:
-        _require(isinstance(val, (int, float)) and not isinstance(val, bool),
-                 f"{why} must be a number")
-        return float(val)
-    _require(isinstance(val, kind), f"{why} has wrong type")
-    return val
+def _path(why: str, key: str) -> str:
+    return f"{why}.{key}" if why else key
 
 
-def _position(raw, why: str) -> tuple[float, float]:
-    _require(isinstance(raw, (list, tuple)) and len(raw) == 2,
-             f"{why} must be [x, y]")
-    return (float(raw[0]), float(raw[1]))
+def _reader(hint):
+    """``(kind, read)`` for a field annotated ``hint``.  A scalar's type rule
+    names its kind, and ``read(value)`` is its value or None; any other
+    field has kind None, and ``read(value, path)`` builds it."""
+    if hint in _SCALARS:
+        return _SCALARS[hint]
+    args = get_args(hint)
+    if type(None) in args:
+        kind, read = _reader(args[0])
+        return kind, (read if kind else lambda val, at: None if val is None else read(val, at))
+    if get_origin(hint) is tuple:
+        def read_list(val, at):
+            _require(isinstance(val, (list, tuple)), f"{at} must be a list")
+            return tuple([_read(args[0], item, f"{at}[{i}]") for i, item in enumerate(val)])
+        return None, read_list
+    return None, lambda val, at: _read(hint, val, at)
+
+
+def _field_table(cls) -> tuple[list, frozenset | None]:
+    """``(name, key, kind, read, required)`` for each field of ``cls``; and
+    the keys its object may hold when it is read whole, else None."""
+    hints = get_type_hints(cls)
+    table = [(f.name, _KEYS.get((cls, f.name), f.name), *_reader(hints[f.name]),
+              f.default is MISSING and f.default_factory is MISSING)
+             for f in fields(cls) if f.init]
+    whole = all(kind for _, _, kind, _, _ in table)
+    return table, frozenset(key for _, key, *_ in table) if whole else None
+
+
+_FIELDS = {cls: _field_table(cls) for cls in (
+    Scenario, ChannelConfig, RobotSetup, ModeratorConfig, ZodConfig, FusionConfig,
+    InfraSetup, PerceptionConfig, SensorConfig, CameraSetup, ReferenceLine,
+    CalibrationModel, Entity, TrajectorySegment, RsuSetup, DenmSchedule, MergingWindow)}
+
+
+def _read(cls, raw, why: str):
+    """The ``cls`` that the JSON object ``raw``, at path ``why``, describes.
+
+    Each field comes from the key of its name, read by its annotation: a
+    scalar by the type rules, a record from an object, ``tuple[X, ...]``
+    from a list, ``X | None`` from null or an X.  A missing key leaves the
+    field to its default, and is an error where it has none.  A record of
+    scalars only is read whole, so a key naming none of its fields is an
+    error; a record holding records ignores other keys.  What ``cls``
+    refuses (ValueError or a config error) becomes a ValidationError.
+    """
+    table, keys = _FIELDS[cls]
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{why or 'scenario root'} must be an object")
+    if keys is not None and not raw.keys() <= keys:
+        unknown = ", ".join(sorted(map(repr, raw.keys() - keys)))
+        raise ValidationError(f"{why}: unknown field {unknown}")
+    kwargs = {}
+    for name, key, kind, read, required in table:
+        if key in raw:
+            val = read(raw[key]) if kind else read(raw[key], _path(why, key))
+            if val is None and kind:
+                raise ValidationError(f"{_path(why, key)} must be {kind}")
+            kwargs[name] = val
+        elif required:
+            raise ValidationError(f"missing field: {_path(why, key)}")
+    try:
+        return cls(**kwargs)
+    except (ValueError, ChannelError, PerceptionError, CalibrationError) as exc:
+        raise ValidationError(f"{why}: {exc}") from None
 
 
 def _divisible(period: float, tick: float) -> bool:
     ratio = period / tick
-    return abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1
-
-
-def _trajectory_from_list(raw: list, why: str) -> tuple[TrajectorySegment, ...]:
-    _require(len(raw) >= 1, f"{why}: empty trajectory")
-    segs = []
-    for i, item in enumerate(raw):
-        segs.append(TrajectorySegment(
-            start_time_s=_get(item, "start_time_s", float, f"{why}[{i}].start_time_s"),
-            start_x_m=_get(item, "start_x_m", float, f"{why}[{i}].start_x_m"),
-            speed_mps=_get(item, "speed_mps", float, f"{why}[{i}].speed_mps"),
-            accel_mps2=_get(item, "accel_mps2", float, f"{why}[{i}].accel_mps2"),
-        ))
-    _require(segs[0].start_time_s == 0.0, f"{why}: first segment must start at 0")
-    for prev, nxt in zip(segs, segs[1:]):
-        _require(nxt.start_time_s > prev.start_time_s,
-                 f"{why}: overlapping segments at t={nxt.start_time_s}")
-        dt = nxt.start_time_s - prev.start_time_s
-        x_end = prev.start_x_m + prev.speed_mps * dt + 0.5 * prev.accel_mps2 * dt * dt
-        v_end = prev.speed_mps + prev.accel_mps2 * dt
-        _require(abs(x_end - nxt.start_x_m) <= 1e-6,
-                 f"{why}: position discontinuity at t={nxt.start_time_s}")
-        _require(abs(v_end - nxt.speed_mps) <= 1e-6,
-                 f"{why}: speed discontinuity at t={nxt.start_time_s}")
-    return tuple(segs)
+    return math.isfinite(ratio) and abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1
 
 
 def _cam_speed_fits(segs: Sequence[TrajectorySegment], duration_s: float) -> bool:
@@ -292,172 +411,55 @@ def _cam_speed_fits(segs: Sequence[TrajectorySegment], duration_s: float) -> boo
         t_end = segs[i + 1].start_time_s if i + 1 < len(segs) else duration_s
         for v in (seg.speed_mps, seg.speed_mps + seg.accel_mps2 * (t_end - seg.start_time_s)):
             # the same expression as the CAM builder in _Engine.beacons
-            if not (math.isfinite(v) and int(round(abs(v) * 100.0)) <= _CAM_SPEED_CMS_MAX):
+            cms = abs(v) * 100.0
+            if not (math.isfinite(cms) and int(round(cms)) <= _CAM_SPEED_CMS_MAX):
                 return False
     return True
-
-
-def _camera_from_dict(raw: dict, idx: int) -> CameraSetup:
-    why = f"infra.cameras[{idx}]"
-    line_raw = _get(raw, "line", dict, f"{why}.line")
-    calib = _get(raw, "calibration", dict, f"{why}.calibration")
-    order = _get(calib, "order", int, f"{why}.calibration.order")
-    weights = calib.get("weights")
-    _require(isinstance(weights, list) and len(weights) == order + 1,
-             f"{why}.calibration.weights must hold order+1 numbers")
-    try:
-        line = ReferenceLine(_position(line_raw.get("p0"), f"{why}.line.p0"),
-                             _position(line_raw.get("p1"), f"{why}.line.p1"))
-        model = CalibrationModel(order, tuple(float(w) for w in weights))
-        cam = CameraSetup(
-            camera_id=_get(raw, "camera_id", int, f"{why}.camera_id"),
-            line=line,
-            model=model,
-            road_position_m=_get(raw, "road_position_m", float,
-                                 f"{why}.road_position_m"),
-            direction_sign=_get(raw, "direction_sign", int, f"{why}.direction_sign"),
-        )
-    except (CalibrationError, PerceptionError, ValueError) as exc:
-        raise ValidationError(f"{why}: {exc}") from None
-    # the sensor model inverts the polynomial, so it must be increasing
-    grid = np.linspace(0.0, line.s_max, 101)
-    vals = [model.raw(s) for s in grid]
-    _require(all(b > a for a, b in zip(vals, vals[1:])),
-             f"{why}: calibration polynomial must increase over [0, s_max]")
-    return cam
 
 
 def scenario_from_dict(obj: dict) -> Scenario:
     _require(isinstance(obj, dict), "scenario root must be an object")
     version = obj.get("schema_version")
-    _require(version == SCHEMA_VERSION,
+    _require(type(version) is int and version == SCHEMA_VERSION,
              f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    name = obj.get("name", "unnamed")
-    duration = _get(obj, "duration_s", float, "duration_s")
-    tick = float(obj.get("tick_s", 0.05))
+    sc = _read(Scenario, obj, "")
+
+    # rules across records
+    duration, tick, robot, infra, rsu = sc.duration_s, sc.tick_s, sc.robot, sc.infra, sc.rsu
     _require(duration > 0, "duration_s must be positive")
     _require(tick > 0, "tick_s must be positive")
     _require(_divisible(duration, tick), "tick_s must divide duration_s")
-    seed = _get(obj, "rng_seed", int, "rng_seed")
-    _require(seed >= 0, "rng_seed must be non-negative")
-
-    try:
-        chan = ChannelConfig(**obj.get("channel", {}))
-    except (TypeError, ValueError, ChannelError) as exc:
-        raise ValidationError(f"channel: {exc}") from None
-
-    robot_raw = _get(obj, "robot", dict, "robot")
-    try:
-        moderator = ModeratorConfig(**robot_raw.get("moderator", {}))
-        zod = ZodConfig(**robot_raw.get("zod", {}))
-        fus = FusionConfig(**robot_raw.get("fusion", {}))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"robot: {exc}") from None
-    robot = RobotSetup(
-        moderator=moderator, zod=zod, fusion=fus,
-        position=_position(robot_raw.get("position", [0.0, 0.0]), "robot.position"),
-        merging_detect_range_m=float(robot_raw.get("merging_detect_range_m", 15.0)),
-        decision_period_s=float(robot_raw.get("decision_period_s", 0.2)),
-    )
+    _require(sc.rng_seed >= 0, "rng_seed must be non-negative")
     _require(_divisible(robot.decision_period_s, tick),
              "tick_s must divide robot.decision_period_s")
-
-    infra = None
-    if obj.get("infra") is not None:
-        infra_raw = obj["infra"]
-        try:
-            perception = PerceptionConfig(**infra_raw.get("perception", {}))
-            sensor = SensorConfig(**infra_raw.get("sensor", {}))
-            _require(sensor.detect_min_m <= sensor.detect_max_m,
-                     "infra.sensor.detect_min_m must not exceed detect_max_m")
-            _require(sensor.max_detect_std_m >= 0,
-                     "infra.sensor.max_detect_std_m must be non-negative")
-        except TypeError as exc:
-            raise ValidationError(f"infra: {exc}") from None
-        cameras_raw = _get(infra_raw, "cameras", list, "infra.cameras")
-        _require(len(cameras_raw) >= 1, "infra.cameras must not be empty")
-        cameras = tuple(_camera_from_dict(c, i) for i, c in enumerate(cameras_raw))
-        _require(len({c.camera_id for c in cameras}) == len(cameras),
-                 "infra camera ids must be unique")
-        _require(_divisible(perception.cpm_period_s, tick),
-                 "tick_s must divide infra.perception.cpm_period_s")
-        infra = InfraSetup(
-            station_id=_get(infra_raw, "station_id", int, "infra.station_id"),
-            position=_position(infra_raw.get("position", [0.0, 0.0]), "infra.position"),
-            perception=perception, sensor=sensor, cameras=cameras,
-            cpm_processing_delay_s=float(infra_raw.get("cpm_processing_delay_s", 0.0)),
-        )
-        _require(infra.cpm_processing_delay_s >= 0,
-                 "infra.cpm_processing_delay_s must be non-negative")
-
-    entities = []
-    for i, raw in enumerate(obj.get("entities", [])):
-        why = f"entities[{i}]"
-        station_id = int(raw.get("station_id", 0))
-        v2x = bool(raw.get("v2x_equipped", station_id != 0))
-        _require(not (v2x and station_id == 0),
-                 f"{why}: v2x_equipped requires a non-zero station_id")
-        cam_period = float(raw.get("cam_period_s", 0.5))
-        trajectory = _trajectory_from_list(
-            _get(raw, "trajectory", list, f"{why}.trajectory"), why)
-        if v2x:
-            _require(_divisible(cam_period, tick),
-                     f"{why}: tick_s must divide cam_period_s")
-            _require(_cam_speed_fits(trajectory, duration),
-                     f"{why}: speed exceeds the CAM speed field (655.35 m/s)")
-        entities.append(Entity(
-            station_id=station_id,
-            object_class=int(raw.get("object_class", 1)),
-            v2x_equipped=v2x,
-            cam_period_s=cam_period,
-            trajectory=trajectory,
-        ))
-
-    rsu = None
-    if obj.get("rsu") is not None:
-        rsu_raw = obj["rsu"]
-        denm_raw = rsu_raw.get("denm", {})
-        rsu = RsuSetup(
-            station_id=_get(rsu_raw, "station_id", int, "rsu.station_id"),
-            position=_position(rsu_raw.get("position", [0.0, 0.0]), "rsu.position"),
-            cause_code=int(denm_raw.get("cause_code", 3)),
-            period_s=float(denm_raw.get("period_s", 1.0)),
-            start_s=float(denm_raw.get("start_s", 0.0)),
-            end_s=float(denm_raw.get("end_s", duration)),
-            validity_s=int(denm_raw.get("validity_s", 60)),
-            repeat_count=int(denm_raw.get("repeat_count", 1)),
-            repeat_gap_s=float(denm_raw.get("repeat_gap_s", 0.1)),
-        )
-        _require(rsu.period_s > 0, "rsu.denm.period_s must be positive")
-        _require(rsu.start_s <= rsu.end_s, "rsu.denm start must precede end")
-        _require(rsu.repeat_count >= 1, "rsu.denm.repeat_count must be at least 1")
-        _require(rsu.repeat_gap_s >= 0, "rsu.denm.repeat_gap_s must be non-negative")
-
-    windows = []
-    for i, raw in enumerate(obj.get("merging_windows", [])):
-        w = MergingWindow(start_s=_get(raw, "start_s", float, f"merging_windows[{i}].start_s"),
-                          end_s=_get(raw, "end_s", float, f"merging_windows[{i}].end_s"),
-                          distance_m=float(raw.get("distance_m", 0.0)))
-        _require(w.start_s < w.end_s, f"merging_windows[{i}]: start must precede end")
-        _require(w.distance_m >= 0, f"merging_windows[{i}]: distance must be non-negative")
-        windows.append(w)
-
-    station_ids = {"robot.moderator.station_id": robot.moderator.station_id}
     if infra:
-        station_ids["infra.station_id"] = infra.station_id
+        _require(_divisible(infra.perception.cpm_period_s, tick),
+                 "tick_s must divide infra.perception.cpm_period_s")
+        for i, cam in enumerate(infra.cameras):
+            # the sensor model inverts the polynomial, so it must be increasing
+            vals = [cam.model.raw(s) for s in np.linspace(0.0, cam.line.s_max, 101)]
+            _require(all(b > a for a, b in zip(vals, vals[1:])),
+                     f"infra.cameras[{i}]: calibration polynomial must increase over [0, s_max]")
     if rsu:
-        station_ids["rsu.station_id"] = rsu.station_id
-    station_ids.update((f"entities[{i}].station_id", e.station_id)
-                       for i, e in enumerate(entities) if e.station_id != 0)
+        _require(rsu.denm.start_s <= min(rsu.denm.end_s, duration),
+                 "rsu.denm start must precede end")
+    for i, ent in enumerate(sc.entities):
+        if ent.v2x_equipped and not _divisible(ent.cam_period_s, tick):
+            raise ValidationError(f"entities[{i}]: tick_s must divide cam_period_s")
+        if ent.v2x_equipped and not _cam_speed_fits(ent.trajectory, duration):
+            raise ValidationError(f"entities[{i}]: speed exceeds the CAM speed field (655.35 m/s)")
+
+    station_ids = {"robot.moderator.station_id": robot.moderator.station_id,
+                   **({"infra.station_id": infra.station_id} if infra else {}),
+                   **({"rsu.station_id": rsu.station_id} if rsu else {}),
+                   **{f"entities[{i}].station_id": e.station_id
+                      for i, e in enumerate(sc.entities) if e.station_id != 0}}
     for why, sid in station_ids.items():
-        _require(isinstance(sid, int) and 0 <= sid <= _STATION_ID_MAX,
+        _require(0 <= sid <= _STATION_ID_MAX,
                  f"{why} must be an integer in [0, {_STATION_ID_MAX}]")
     _require(len(set(station_ids.values())) == len(station_ids),
              "station ids must be unique across robot, infra, rsu and entities")
-
-    return Scenario(name=name, duration_s=duration, tick_s=tick, rng_seed=seed,
-                    channel=chan, robot=robot, entities=tuple(entities),
-                    infra=infra, rsu=rsu, merging_windows=tuple(windows))
+    return sc
 
 
 def load_scenario(path) -> Scenario:
@@ -618,7 +620,7 @@ class _Engine:
         self.scenario = scenario
         self.robot = robot_cfg = scenario.robot
         self.robot_id = robot_id = robot_cfg.moderator.station_id
-        self.pose = RobotPose(robot_cfg.position[0], robot_cfg.position[1], 0.0, 0.0)
+        self.pose = RobotPose(*robot_cfg.position)
         self.channel = Channel(scenario.channel, chan_ss)
         self.moderator = Moderator(robot_cfg.moderator, jitter_seed=jitter_ss)
         self.perception = None
@@ -791,16 +793,12 @@ class _Engine:
             self.pending.push(now_s, "transmit", (robot_cam,))
         r = self.scenario.rsu
         while r is not None:
-            sched = r.start_s + self.rsu_sent * r.period_s
-            if sched > min(r.end_s, self.scenario.duration_s) or sched > now_s + _TIME_EPS:
+            sched = r.denm.start_s + self.rsu_sent * r.denm.period_s
+            if sched > min(r.denm.end_s, self.scenario.duration_s) or sched > now_s + _TIME_EPS:
                 break
-            denm = Message(r.station_id, int(round(now_s * 1000.0)), DenmPayload(
-                cause_code=r.cause_code, sequence_number=self.rsu_sent % 65536,
-                event_pos_x_cm=int(round(r.position[0] * 100.0)),
-                event_pos_y_cm=int(round(r.position[1] * 100.0)),
-                validity_s=r.validity_s, hop_count=0, origin_station_id=r.station_id))
-            for rep in range(r.repeat_count):
-                self.pending.push(now_s + rep * r.repeat_gap_s, "transmit", (denm,))
+            denm = r.notification(now_s, self.rsu_sent)
+            for rep in range(r.denm.repeat_count):
+                self.pending.push(now_s + rep * r.denm.repeat_gap_s, "transmit", (denm,))
             self.rsu_sent += 1
 
     def _fused_inputs(self, now_s: float) -> tuple[list[FusedObject], list[FusedObject]]:
