@@ -44,6 +44,10 @@ class ModeratorConfig:
     move_to_center_s: float = 2.0
     raise_flag_s: float = 3.0
 
+    def __post_init__(self):
+        if self.max_hops < 0:
+            raise ValueError("max_hops must be non-negative")
+
 
 @dataclass(frozen=True)
 class RobotPose:

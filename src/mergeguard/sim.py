@@ -56,8 +56,8 @@ from .calibration import CalibrationError, CalibrationModel, ReferenceLine
 from .channel import Channel, ChannelConfig, ChannelError
 from .decision import Action, DecisionState, Mode, ZodConfig, step
 from .fusion import FusedObject, FusionConfig, Source, fuse
-from .messages import (CamPayload, DenmPayload, Message, MsgType,
-                       StationType, decode_message, encode_message)
+from .messages import (CamPayload, DenmPayload, InvalidMessage, Message, MsgType,
+                       ObjectClass, StationType, decode_message, encode_message)
 from .moderator import Moderator, ModeratorConfig, RobotPose
 from .perception import (CameraSetup, Detection, PerceptionConfig,
                          PerceptionError, PerceptionPipeline,
@@ -76,6 +76,8 @@ _TIME_EPS = 1e-9
 # wire widths the scenario must fit (see the messages.py layout table)
 _STATION_ID_MAX = 0xFFFFFFFF  # u32 station_id
 _CAM_SPEED_CMS_MAX = 0xFFFF  # u16 CAM speed_cms
+_CAM_POS_CM_MAX = 0x7FFFFFFF  # i32 CAM pos_x_cm
+_OBJECT_CLASSES = frozenset(ObjectClass)  # the CPM object_class rule
 
 
 class ScenarioError(Exception):
@@ -166,6 +168,8 @@ class Entity:
             object.__setattr__(self, "v2x_equipped", self.station_id != 0)
         if self.v2x_equipped and self.station_id == 0:
             raise ValueError("v2x_equipped requires a non-zero station_id")
+        if self.object_class not in _OBJECT_CLASSES:
+            raise ValueError(f"object_class must be 1, 2 or 3, got {self.object_class}")
         segs = self.trajectory
         if not segs or segs[0].start_time_s != 0.0:
             raise ValueError("trajectory must start at 0")
@@ -203,6 +207,14 @@ class SensorConfig:
             raise ValueError("detect_min_m must not exceed detect_max_m")
         if self.max_detect_std_m < 0:
             raise ValueError("max_detect_std_m must be non-negative")
+        if self.max_detect_std_m > 0:
+            # SensorModel draws until a range falls inside the window
+            scale = self.max_detect_std_m * math.sqrt(2.0)
+            mass = 0.5 * (math.erf((self.detect_max_m - self.max_detect_mean_m) / scale)
+                          - math.erf((self.detect_min_m - self.max_detect_mean_m) / scale))
+            if not mass >= 1e-3:
+                raise ValueError("[detect_min_m, detect_max_m] must hold at least 0.1% of "
+                                 "N(max_detect_mean_m, max_detect_std_m)")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -402,19 +414,26 @@ def _divisible(period: float, tick: float) -> bool:
     return math.isfinite(ratio) and abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1
 
 
-def _cam_speed_fits(segs: Sequence[TrajectorySegment], duration_s: float) -> bool:
-    """Whether every CAM built from this trajectory can carry its speed.
+def _cam_misfit(segs: Sequence[TrajectorySegment], duration_s: float) -> str | None:
+    """What the CAMs built from this trajectory could not carry, if anything.
 
-    Speed is linear inside a segment, so its extremes are at the ends.
+    Speed is linear inside a segment, so its extremes are at the ends; the
+    position's are at the ends or where the speed crosses zero.  Both are
+    scaled and rounded as the CAM builder in _Engine.beacons does.
     """
     for i, seg in enumerate(segs):
-        t_end = segs[i + 1].start_time_s if i + 1 < len(segs) else duration_s
-        for v in (seg.speed_mps, seg.speed_mps + seg.accel_mps2 * (t_end - seg.start_time_s)):
-            # the same expression as the CAM builder in _Engine.beacons
+        dt = (segs[i + 1].start_time_s if i + 1 < len(segs) else duration_s) - seg.start_time_s
+        v0, a = seg.speed_mps, seg.accel_mps2
+        for v in (v0, v0 + a * dt):
             cms = abs(v) * 100.0
             if not (math.isfinite(cms) and int(round(cms)) <= _CAM_SPEED_CMS_MAX):
-                return False
-    return True
+                return "speed exceeds the CAM speed field (655.35 m/s)"
+        for t in (0.0, dt, -v0 / a if a and 0.0 < -v0 / a < dt else 0.0):
+            cm = (seg.start_x_m + v0 * t + 0.5 * a * t * t) * 100.0
+            if not (math.isfinite(cm)
+                    and -_CAM_POS_CM_MAX - 1 <= int(round(cm)) <= _CAM_POS_CM_MAX):
+                return "position exceeds the CAM position field (±21,474,836.47 m)"
+    return None
 
 
 def scenario_from_dict(obj: dict) -> Scenario:
@@ -446,8 +465,9 @@ def scenario_from_dict(obj: dict) -> Scenario:
     for i, ent in enumerate(sc.entities):
         if ent.v2x_equipped and not _divisible(ent.cam_period_s, tick):
             raise ValidationError(f"entities[{i}]: tick_s must divide cam_period_s")
-        if ent.v2x_equipped and not _cam_speed_fits(ent.trajectory, duration):
-            raise ValidationError(f"entities[{i}]: speed exceeds the CAM speed field (655.35 m/s)")
+        misfit = ent.v2x_equipped and _cam_misfit(ent.trajectory, duration)
+        if misfit:
+            raise ValidationError(f"entities[{i}]: {misfit}")
 
     station_ids = {"robot.moderator.station_id": robot.moderator.station_id,
                    **({"infra.station_id": infra.station_id} if infra else {}),
@@ -459,6 +479,20 @@ def scenario_from_dict(obj: dict) -> Scenario:
                  f"{why} must be an integer in [0, {_STATION_ID_MAX}]")
     _require(len(set(station_ids.values())) == len(station_ids),
              "station ids must be unique across robot, infra, rsu and entities")
+
+    # the messages of the fixed stations, built as the engine builds them
+    robot_cam = Moderator(robot.moderator).cam_tick(0.0, RobotPose(*robot.position))
+    fixed = {"robot.position": robot_cam}
+    if rsu:
+        fixed["rsu"] = rsu.notification(0.0, 0)
+    if infra:
+        fixed["infra.cameras"] = PerceptionPipeline(infra.station_id, list(infra.cameras),
+                                                    infra.perception).assemble_cpm(0.0)
+    for why, msg in fixed.items():
+        try:
+            encode_message(msg, max_hops=robot.moderator.max_hops)
+        except InvalidMessage as exc:
+            raise ValidationError(f"{why}: {exc}") from None
     return sc
 
 

@@ -88,6 +88,18 @@ class TestValidate:
         assert main(["validate", str(local)]) == EXIT_OK
 
 
+class TestMalformedScenario:
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_non_object_entity_is_one_error_line(self, tmp_path, capsys, command):
+        path = quick_scenario(tmp_path)
+        obj = json.loads(path.read_text())
+        obj["entities"] = [3]
+        path.write_text(json.dumps(obj))
+        assert main([command, str(path)]) == EXIT_INVALID
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+
 class TestCalibrate:
     def write_csv(self, tmp_path, rows):
         path = tmp_path / "cal.csv"

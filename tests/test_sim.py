@@ -6,10 +6,13 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergeguard import sim
 from mergeguard.sim import (LOG_FORMAT_VERSION, EventLog, ParseError,
@@ -18,6 +21,7 @@ from mergeguard.sim import (LOG_FORMAT_VERSION, EventLog, ParseError,
                             run, scenario_from_dict, trajectory_summary)
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+SHIPPED = {path.stem: json.loads(path.read_text()) for path in sorted(SCENARIO_DIR.glob("*.json"))}
 
 CAL = {"order": 2, "weights": [5.0, 0.1, 0.0001]}
 LINE = {"p0": [60.0, 420.0], "p1": [820.0, 80.0]}
@@ -278,6 +282,112 @@ class TestValidation:
         obj["entities"] = [{"station_id": 7, "trajectory": [self.seg(0.0, 0.0, -655.35)]}]
         assert run(scenario_from_dict(obj)).log.of_type("cam_gen")
 
+    def v2x_at(self, x):
+        obj = minimal()
+        obj["entities"] = [{"station_id": 7, "trajectory": [self.seg(0.0, x, 0.0)]}]
+        return obj
+
+    def with_rsu(self, **fields):
+        obj = minimal()
+        obj["rsu"] = {"station_id": 200, **fields}
+        return obj
+
+    def with_entity(self, **fields):
+        obj = minimal()
+        obj["entities"] = [{"trajectory": [self.seg(0.0, -30.0, 10.0)], **fields}]
+        return obj
+
+    def with_sensor(self, **fields):
+        obj = with_infra(minimal())
+        obj["infra"]["sensor"] = fields
+        return obj
+
+    def with_robot(self, **fields):
+        obj = minimal()
+        obj["robot"].update(fields)
+        return obj
+
+    def unusable(self, case):
+        """A scenario with one value the run cannot use, and the error it must raise."""
+        far_camera = camera()
+        far_camera["calibration"] = {"order": 2, "weights": [5.0, 10.0, 0.0001]}
+        turning = [self.seg(0.0, 21474836.0, 1.0, -1.0)]  # peaks at 21474836.5 m
+        return {
+            "position_not_numbers": (self.with_robot(position=["a", 0]),
+                                     r"robot\.position must be two finite numbers"),
+            "entity_not_object": ({**minimal(), "entities": [3]},
+                                  r"entities\[0\] must be an object"),
+            "duration_infinite": ({**minimal(), "duration_s": math.inf},
+                                  "duration_s must be a finite number"),
+            "staleness_not_number": (self.with_robot(zod={"staleness_s": "x"}),
+                                     r"robot\.zod\.staleness_s must be a finite number"),
+            "object_class_4": (self.with_entity(object_class=4), "object_class must be 1, 2 or 3"),
+            "object_class_0": (self.with_entity(object_class=0), "object_class must be 1, 2 or 3"),
+            "sensor_mean_far_outside": (self.with_sensor(max_detect_mean_m=1000.0),
+                                        r"infra\.sensor: .* at least 0\.1%"),
+            "comm_range_nan": ({**minimal(), "channel": {"comm_range_m": math.nan}},
+                               r"channel\.comm_range_m must be a finite number"),
+            "object_class_float": (self.with_entity(object_class=1.7),
+                                   r"entities\[0\]\.object_class must be an integer"),
+            "tick_string": ({**minimal(), "tick_s": "0.05"}, "tick_s must be a finite number"),
+            "denm_cause_code_300": (self.with_rsu(denm={"cause_code": 300}),
+                                    "rsu: DENM message does not fit the wire"),
+            "denm_validity_70000": (self.with_rsu(denm={"validity_s": 70000}),
+                                    "rsu: DENM message does not fit the wire"),
+            "robot_position_3e7": (self.with_robot(position=[3e7, 0.0]),
+                                   r"robot\.position: CAM message does not fit the wire"),
+            "rsu_position_3e7": (self.with_rsu(position=[3e7, 0.0]),
+                                 "rsu: DENM message does not fit the wire"),
+            "v2x_position_3e7": (self.v2x_at(3e7), "CAM position field"),
+            "v2x_turning_point": ({**minimal(), "entities": [
+                {"station_id": 7, "trajectory": turning}]}, "CAM position field"),
+            "camera_range_dm": ({**minimal(), "infra": {"station_id": 100,
+                                                        "cameras": [far_camera]}},
+                                r"infra\.cameras: CPM message does not fit the wire"),
+            "max_hops_negative": ({**self.with_rsu(), "robot": {"moderator": {"max_hops": -1}}},
+                                  r"robot\.moderator: max_hops must be non-negative"),
+        }[case]
+
+    @pytest.mark.parametrize("case", [
+        "position_not_numbers", "entity_not_object", "duration_infinite",
+        "staleness_not_number", "object_class_4", "object_class_0", "sensor_mean_far_outside",
+        "comm_range_nan", "object_class_float", "tick_string", "denm_cause_code_300",
+        "denm_validity_70000", "robot_position_3e7", "rsu_position_3e7", "v2x_position_3e7",
+        "v2x_turning_point", "camera_range_dm", "max_hops_negative"])
+    def test_value_the_run_cannot_use(self, case):
+        self.check(*self.unusable(case))
+
+    def test_cam_position_limits_are_inclusive(self):
+        for x in (21474836.47, -21474836.48):
+            assert run(scenario_from_dict(self.v2x_at(x))).log.of_type("cam_gen")
+        for x in (21474836.48, -21474836.49):
+            self.check(self.v2x_at(x), "CAM position field")
+
+    def test_sensor_window_mass_bound(self):
+        # N(110.1, 6.5): about 0.23% lies above 128.5 and 2e-6 above 140
+        scenario_from_dict(self.with_sensor(detect_min_m=128.5, detect_max_m=150.0))
+        self.check(self.with_sensor(detect_min_m=140.0, detect_max_m=150.0), "0.1%")
+        scenario_from_dict(self.with_sensor(max_detect_std_m=0.0, max_detect_mean_m=1000.0))
+
+    @pytest.mark.parametrize("where", ["trajectory[0]", "merging_windows[0]", "rsu.denm"])
+    def test_record_rejects_unknown_key(self, where):
+        obj = self.with_rsu(denm={"period_s": 1.0})
+        obj["entities"] = [{"trajectory": [self.seg(0.0, -30.0, 10.0)]}]
+        obj["merging_windows"] = [{"start_s": 0.0, "end_s": 1.0}]
+        {"trajectory[0]": obj["entities"][0]["trajectory"][0],
+         "merging_windows[0]": obj["merging_windows"][0],
+         "rsu.denm": obj["rsu"]["denm"]}[where]["extra"] = 1
+        self.check(obj, f"{re.escape(where)}: unknown field 'extra'")
+
+    def test_composite_sections_ignore_unknown_keys(self):
+        obj = with_infra(self.with_rsu(note="x"))
+        obj["robot"]["station_id"] = 99  # not read: the id is robot.moderator.station_id
+        obj["infra"]["note"] = obj["infra"]["cameras"][0]["note"] = "x"
+        obj["entities"] = [{"note": "x", "trajectory": [self.seg(0.0, -30.0, 10.0)]}]
+        obj["note"] = "x"
+        sc = scenario_from_dict(obj)
+        assert sc.robot.moderator.station_id == 1
+
 
 class TestLoadScenario:
     def test_shipped_scenarios_load(self):
@@ -294,6 +404,54 @@ class TestLoadScenario:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_scenario(tmp_path / "nope.json")
+
+
+JSON_VALUES = [None, True, False, 0, -1, 7, 2.5, "", "x", [], [0], {}, {"x": 1}]
+
+
+def json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    return "number" if isinstance(value, (int, float)) else type(value).__name__
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A shipped scenario with one node deleted or replaced by another JSON type."""
+    tree = copy.deepcopy(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))])
+    nodes, stack = [], [tree]
+    while stack:
+        parent = stack.pop()
+        for key in (parent if isinstance(parent, dict) else range(len(parent))):
+            nodes.append((parent, key))
+            if isinstance(parent[key], (dict, list)):
+                stack.append(parent[key])
+    parent, key = draw(st.sampled_from(nodes))
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[key]
+    else:
+        old = json_type(parent[key])
+        parent[key] = copy.deepcopy(draw(st.sampled_from(
+            [v for v in JSON_VALUES if json_type(v) != old])))
+    return tree
+
+
+TICK_BUDGET = 600  # the longer shipped scenario's tick count
+
+
+class TestLoaderIsTotal:
+    @settings(deadline=None)
+    @given(mutated_scenarios())
+    def test_mutated_shipped_scenario_loads_and_runs_or_is_rejected(self, tree):
+        try:
+            sc = scenario_from_dict(tree)
+        except ValidationError:
+            return
+        assert isinstance(sc, sim.Scenario)
+        if round(sc.duration_s / sc.tick_s) <= TICK_BUDGET:
+            run(sc)
 
 
 # ---------------------------------------------------------------------------
