@@ -57,6 +57,16 @@ class RobotPose:
     heading_deg: float = 0.0
 
 
+def robot_cam(station_id: int, now_s: float, pose: RobotPose) -> Message:
+    """The robot's CAM for ``pose``, generated at ``now_s``."""
+    return Message(station_id, int(round(now_s * 1000.0)), CamPayload(
+        station_type=StationType.PEDESTRIAN,
+        pos_x_cm=int(round(pose.pos_x_m * 100.0)),
+        pos_y_cm=int(round(pose.pos_y_m * 100.0)),
+        speed_cms=int(round(abs(pose.speed_mps) * 100.0)),
+        heading_cdeg=int(round(pose.heading_deg * 100.0)) % 36000))
+
+
 @dataclass(frozen=True)
 class ActuationEvent:
     due_s: float
@@ -107,14 +117,7 @@ class Moderator:
         self._last_cam_time = now_s
         self._last_cam_pose = pose
         self._next_due = now_s + cfg.cam_max_interval_s + self._interval_jitter()
-        payload = CamPayload(
-            station_type=StationType.PEDESTRIAN,
-            pos_x_cm=int(round(pose.pos_x_m * 100.0)),
-            pos_y_cm=int(round(pose.pos_y_m * 100.0)),
-            speed_cms=int(round(abs(pose.speed_mps) * 100.0)),
-            heading_cdeg=int(round(pose.heading_deg * 100.0)) % 36000,
-        )
-        return Message(cfg.station_id, int(round(now_s * 1000.0)), payload)
+        return robot_cam(cfg.station_id, now_s, pose)
 
     # -- DENM relaying -----------------------------------------------------
 

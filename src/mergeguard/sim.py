@@ -58,7 +58,7 @@ from .decision import Action, DecisionState, Mode, ZodConfig, step
 from .fusion import FusedObject, FusionConfig, Source, fuse
 from .messages import (CamPayload, DenmPayload, InvalidMessage, Message, MsgType,
                        ObjectClass, StationType, decode_message, encode_message)
-from .moderator import Moderator, ModeratorConfig, RobotPose
+from .moderator import Moderator, ModeratorConfig, RobotPose, robot_cam
 from .perception import (CameraSetup, Detection, PerceptionConfig,
                          PerceptionError, PerceptionPipeline,
                          camera_speed_to_road)
@@ -344,8 +344,8 @@ def _path(why: str, key: str) -> str:
 
 def _reader(hint):
     """``(kind, read)`` for a field annotated ``hint``.  A scalar's type rule
-    names its kind, and ``read(value)`` is its value or None; any other
-    field has kind None, and ``read(value, path)`` builds it."""
+    (also for ``X | None``) names its kind, and ``read(value)`` is its value
+    or None; any other field has kind None, and ``read(value, path)``."""
     if hint in _SCALARS:
         return _SCALARS[hint]
     args = get_args(hint)
@@ -380,13 +380,13 @@ _FIELDS = {cls: _field_table(cls) for cls in (
 def _read(cls, raw, why: str):
     """The ``cls`` that the JSON object ``raw``, at path ``why``, describes.
 
-    Each field comes from the key of its name, read by its annotation: a
-    scalar by the type rules, a record from an object, ``tuple[X, ...]``
-    from a list, ``X | None`` from null or an X.  A missing key leaves the
-    field to its default, and is an error where it has none.  A record of
-    scalars only is read whole, so a key naming none of its fields is an
-    error; a record holding records ignores other keys.  What ``cls``
-    refuses (ValueError or a config error) becomes a ValidationError.
+    Each field comes from the key of its name (or its ``_KEYS`` entry), by
+    its annotation: a scalar by the type rules, a record from an object,
+    ``tuple[R, ...]`` from a list of objects, ``R | None`` from null or an
+    R object.  A missing key leaves the field to its default, and is an
+    error where it has none.  A record of scalars only is read whole, so a
+    key naming none of its fields is an error; a record holding records
+    ignores other keys.  What ``cls`` refuses becomes a ValidationError.
     """
     table, keys = _FIELDS[cls]
     if not isinstance(raw, dict):
@@ -456,7 +456,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
                  "tick_s must divide infra.perception.cpm_period_s")
         for i, cam in enumerate(infra.cameras):
             # the sensor model inverts the polynomial, so it must be increasing
-            vals = [cam.model.raw(s) for s in np.linspace(0.0, cam.line.s_max, 101)]
+            vals = [cam.model.raw(s) for s in np.linspace(0.0, cam.line.s_max, 101).tolist()]
             _require(all(b > a for a, b in zip(vals, vals[1:])),
                      f"infra.cameras[{i}]: calibration polynomial must increase over [0, s_max]")
     if rsu:
@@ -481,8 +481,8 @@ def scenario_from_dict(obj: dict) -> Scenario:
              "station ids must be unique across robot, infra, rsu and entities")
 
     # the messages of the fixed stations, built as the engine builds them
-    robot_cam = Moderator(robot.moderator).cam_tick(0.0, RobotPose(*robot.position))
-    fixed = {"robot.position": robot_cam}
+    fixed = {"robot.position": robot_cam(robot.moderator.station_id, 0.0,
+                                         RobotPose(*robot.position))}
     if rsu:
         fixed["rsu"] = rsu.notification(0.0, 0)
     if infra:
@@ -503,12 +503,14 @@ def load_scenario(path) -> Scenario:
     I/O trouble); bad JSON raises ParseError, schema violations
     ValidationError.
     """
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        obj = json.loads(text)
+        obj = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # bytes that are not UTF-8, or an integer too long to read
+        raise ParseError(f"{path}: {exc}") from None
     return scenario_from_dict(obj)
 
 

@@ -401,6 +401,16 @@ class TestLoadScenario:
         with pytest.raises(ParseError):
             load_scenario(p)
 
+    @pytest.mark.parametrize("content", [
+        b'{"schema_version": 1, "name": "\xff"}',
+        b'{"schema_version": 1, "duration_s": ' + b"1" * 5000 + b"}",
+    ], ids=["not utf-8", "integer of 5000 digits"])
+    def test_unreadable_json_is_a_parse_error(self, tmp_path, content):
+        p = tmp_path / "unreadable.json"
+        p.write_bytes(content)
+        with pytest.raises(ParseError):
+            load_scenario(p)
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_scenario(tmp_path / "nope.json")
