@@ -308,9 +308,11 @@ class Scenario:
 
 
 def _number(val) -> bool:
-    # the bounds reject NaN, the infinities and ints too large for float()
-    return ((type(val) is float or isinstance(val, (int, float)) and not isinstance(val, bool))
-            and -sys.float_info.max <= val <= sys.float_info.max)
+    if type(val) is float:
+        return math.isfinite(val)
+    # the bound also rejects ints too large for float()
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
 
 
 def _numbers(val, count: int | None = None) -> tuple[float, ...] | None:
@@ -354,7 +356,8 @@ def _reader(hint):
         return kind, (read if kind else lambda val, at: None if val is None else read(val, at))
     if get_origin(hint) is tuple:
         def read_list(val, at):
-            _require(isinstance(val, (list, tuple)), f"{at} must be a list")
+            if not isinstance(val, (list, tuple)):
+                raise ValidationError(f"{at} must be a list")
             return tuple([_read(args[0], item, f"{at}[{i}]") for i, item in enumerate(val)])
         return None, read_list
     return None, lambda val, at: _read(hint, val, at)
@@ -428,7 +431,7 @@ def _cam_misfit(segs: Sequence[TrajectorySegment], duration_s: float) -> str | N
             cms = abs(v) * 100.0
             if not (math.isfinite(cms) and int(round(cms)) <= _CAM_SPEED_CMS_MAX):
                 return "speed exceeds the CAM speed field (655.35 m/s)"
-        for t in (0.0, dt, -v0 / a if a and 0.0 < -v0 / a < dt else 0.0):
+        for t in (0.0, dt, -v0 / a) if a and 0.0 < -v0 / a < dt else (0.0, dt):
             cm = (seg.start_x_m + v0 * t + 0.5 * a * t * t) * 100.0
             if not (math.isfinite(cm)
                     and -_CAM_POS_CM_MAX - 1 <= int(round(cm)) <= _CAM_POS_CM_MAX):
