@@ -52,7 +52,7 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
     except sim.ScenarioError as exc:
-        return _fail(str(exc), EXIT_INVALID)
+        return _fail(f"{path}: {exc}", EXIT_INVALID)
     result = sim.run(scenario, seed=args.seed, collect_series=args.series is not None)
     text = result.to_jsonl()
     try:

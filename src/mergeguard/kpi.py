@@ -17,12 +17,19 @@ be rebuilt from a stored JSONL log without re-running the scenario:
 
 Intervals still open when the log ends are closed at the log's end time
 and flagged, never silently dropped.
+
+The stop lead time of a zone entry at t_in is t_in minus the time of the
+latest stop decision at or before t_in, counted only when no pass
+decision lies in (stop, t_in].  Ties go by time alone, not by log order:
+a stop at t_in gives lead 0 even when logged after the entry, a pass at
+t_in cancels the stop, and a pass at the stop's own time does not.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass, fields
 
 
 def _mean(values: list[float]) -> float:
@@ -32,6 +39,11 @@ def _mean_gap(times: list[float]) -> float:
     if len(times) < 2:
         return math.nan
     return (times[-1] - times[0]) / (len(times) - 1)
+
+def _json_value(value):
+    if isinstance(value, tuple):
+        return list(value)
+    return None if isinstance(value, float) and math.isnan(value) else value
 
 
 @dataclass(frozen=True)
@@ -50,43 +62,20 @@ class KpiReport:
     n_relays: int
     zod_interval_open: bool
     stop_interval_open: bool
-    extras: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        def scrub(v):
-            if isinstance(v, float) and math.isnan(v):
-                return None
-            return v
-        out = {
-            "ari_igg_s": scrub(self.ari_igg_s),
-            "vw_ipg_s": scrub(self.vw_ipg_s),
-            "cpm_latency_s": scrub(self.cpm_latency_s),
-            "vw_zod_time_s": scrub(self.vw_zod_time_s),
-            "ari_stop_time_s": scrub(self.ari_stop_time_s),
-            "rsu_ipg_s": scrub(self.rsu_ipg_s),
-            "first_detect_distances_m": list(self.first_detect_distances_m),
-            "n_msg_tx": self.n_msg_tx,
-            "n_msg_rx": self.n_msg_rx,
-            "n_detections": self.n_detections,
-            "n_stops": self.n_stops,
-            "n_relays": self.n_relays,
-            "zod_interval_open": self.zod_interval_open,
-            "stop_interval_open": self.stop_interval_open,
-        }
-        out.update(self.extras)
-        return out
+        """Every field in declaration order; NaN becomes None, a tuple a list."""
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
 
     def to_csv(self) -> str:
         lines = ["Metric,Value"]
         for name, value in self.to_json_dict().items():
             if isinstance(value, float):
                 text = f"{value:.6f}"
-            elif isinstance(value, (list, tuple)):
-                text = "" if not value else ";".join(f"{v:.6f}" for v in value)
-            elif value is None:
-                text = ""
+            elif isinstance(value, list):
+                text = ";".join(f"{v:.6f}" for v in value)
             else:
-                text = str(value)
+                text = "" if value is None else str(value)
             lines.append(f"{name},{text}")
         return "\n".join(lines) + "\n"
 
@@ -105,60 +94,59 @@ def compute(events: list[dict], *, subject_station: int | None = None,
     def is_subject(ev: dict, key: str = "station_id") -> bool:
         return subject_station is None or ev.get(key) == subject_station
 
-    robot_cam_times = [e["t"] for e in events
-                       if e["type"] == "cam_gen" and e["actor"] == "robot"]
-
-    subject_cam_rx = [e["t"] for e in events
-                      if e["type"] == "msg_rx" and e["actor"] == "robot"
-                      and e["msg_type"] == "CAM" and is_subject(e, "from_station")]
-
-    cpm_latencies = [e["latency_s"] for e in events
-                     if e["type"] == "msg_rx" and e["actor"] == "robot"
-                     and e["msg_type"] == "CPM"]
-
-    # ground-truth zone occupancy of the subject
-    zod_time = 0.0
-    zod_open = False
-    entered: dict[str, float] = {}
+    robot_cam_times: list[float] = []
+    subject_cam_rx: list[float] = []
+    cpm_latencies: list[float] = []
+    first_detects: list[float] = []
+    rsu_rx_ts: dict[tuple, float] = {}   # distinct RSU notifications: first copies only
+    entered: dict[str, float] = {}       # subject actors inside the zone, since when
+    zod_time = stop_time = 0.0
+    stop_since: float | None = None
+    n_tx = n_rx = n_detections = n_stops = n_relays = 0
     for e in events:
-        if e["type"] == "zod_enter" and is_subject(e):
-            entered[e["actor"]] = e["t"]
-        elif e["type"] == "zod_exit" and is_subject(e) and e["actor"] in entered:
-            zod_time += e["t"] - entered.pop(e["actor"])
+        kind = e["type"]
+        if kind == "msg_rx":
+            n_rx += 1
+            if e["actor"] != "robot":
+                continue
+            msg_type = e["msg_type"]
+            if msg_type == "CAM" and is_subject(e, "from_station"):
+                subject_cam_rx.append(e["t"])
+            elif msg_type == "CPM":
+                cpm_latencies.append(e["latency_s"])
+            elif (msg_type == "DENM" and e.get("hop_count") == 0
+                    and not e.get("duplicate", False)):
+                rsu_rx_ts[(e["origin"], e["sequence"])] = e["timestamp_ms"] / 1000.0
+        elif kind == "msg_tx":
+            n_tx += 1
+        elif kind == "cam_gen":
+            if e["actor"] == "robot":
+                robot_cam_times.append(e["t"])
+        elif kind == "detection":
+            n_detections += 1
+            if e.get("first") and is_subject(e):
+                first_detects.append(e["cam_distance_m"])
+        elif kind == "denm_relay":
+            n_relays += 1
+        elif kind == "decision":
+            # DANGER intervals from decision transitions
+            action = e["action"]
+            if action == "stop" and stop_since is None:
+                stop_since = e["t"]
+                n_stops += 1
+            elif action == "pass" and stop_since is not None:
+                stop_time += e["t"] - stop_since
+                stop_since = None
+        elif kind == "zod_enter":
+            if is_subject(e):
+                entered[e["actor"]] = e["t"]
+        elif kind == "zod_exit":
+            if is_subject(e) and e["actor"] in entered:
+                zod_time += e["t"] - entered.pop(e["actor"])
     for t_in in entered.values():
         zod_time += end_time_s - t_in
-        zod_open = True
-
-    # DANGER intervals from decision transitions
-    stop_time = 0.0
-    stop_open = False
-    n_stops = 0
-    stop_since: float | None = None
-    for e in events:
-        if e["type"] != "decision":
-            continue
-        if e["action"] == "stop" and stop_since is None:
-            stop_since = e["t"]
-            n_stops += 1
-        elif e["action"] == "pass" and stop_since is not None:
-            stop_time += e["t"] - stop_since
-            stop_since = None
     if stop_since is not None:
         stop_time += end_time_s - stop_since
-        stop_open = True
-
-    # distinct RSU notifications as seen by the robot: first copies only
-    rsu_rx_ts = {}
-    for e in events:
-        if (e["type"] == "msg_rx" and e["actor"] == "robot"
-                and e["msg_type"] == "DENM" and e.get("hop_count") == 0
-                and not e.get("duplicate", False)):
-            rsu_rx_ts[(e["origin"], e["sequence"])] = e["timestamp_ms"] / 1000.0
-    rsu_times = sorted(rsu_rx_ts.values())
-
-    first_detects = tuple(e["cam_distance_m"] for e in events
-                          if e["type"] == "detection" and e.get("first")
-                          and is_subject(e))
 
     return KpiReport(
         ari_igg_s=_mean_gap(robot_cam_times),
@@ -166,35 +154,37 @@ def compute(events: list[dict], *, subject_station: int | None = None,
         cpm_latency_s=_mean(cpm_latencies),
         vw_zod_time_s=zod_time,
         ari_stop_time_s=stop_time,
-        rsu_ipg_s=_mean_gap(rsu_times),
-        first_detect_distances_m=first_detects,
-        n_msg_tx=sum(1 for e in events if e["type"] == "msg_tx"),
-        n_msg_rx=sum(1 for e in events if e["type"] == "msg_rx"),
-        n_detections=sum(1 for e in events if e["type"] == "detection"),
+        rsu_ipg_s=_mean_gap(sorted(rsu_rx_ts.values())),
+        first_detect_distances_m=tuple(first_detects),
+        n_msg_tx=n_tx,
+        n_msg_rx=n_rx,
+        n_detections=n_detections,
         n_stops=n_stops,
-        n_relays=sum(1 for e in events if e["type"] == "denm_relay"),
-        zod_interval_open=zod_open,
-        stop_interval_open=stop_open,
+        n_relays=n_relays,
+        zod_interval_open=bool(entered),
+        stop_interval_open=stop_since is not None,
     )
 
 
 def stop_lead_times(events: list[dict], subject_station: int | None = None) -> list[float]:
-    """Ground-truth zone entry minus preceding stop decision, per entry.
+    """Lead time of each subject zone entry with a stop in force, in log order.
 
-    Only entries with a stop already in force are counted; the lead time
-    is how much margin the intervention bought.
+    The lead time is how much margin the intervention bought; the module
+    docstring gives the rule and its ties.
     """
-    stops = [e["t"] for e in events if e["type"] == "decision" and e["action"] == "stop"]
-    passes = [e["t"] for e in events if e["type"] == "decision" and e["action"] == "pass"]
-    leads = []
+    decided: dict[str, list[float]] = {"stop": [], "pass": []}
+    entries = []
     for e in events:
-        if e["type"] != "zod_enter":
-            continue
-        if subject_station is not None and e.get("station_id") != subject_station:
-            continue
-        t_in = e["t"]
-        active = [t for t in stops if t <= t_in
-                  and not any(t < p <= t_in for p in passes)]
-        if active:
-            leads.append(t_in - active[-1])
+        kind = e["type"]
+        if kind == "decision" and e["action"] in decided:
+            decided[e["action"]].append(e["t"])
+        elif kind == "zod_enter" and (subject_station is None
+                                      or e.get("station_id") == subject_station):
+            entries.append(e["t"])
+    stops, passes = sorted(decided["stop"]), sorted(decided["pass"])
+    leads = []
+    for t_in in entries:
+        i, j = bisect_right(stops, t_in), bisect_right(passes, t_in)
+        if i and (not j or passes[j - 1] <= stops[i - 1]):
+            leads.append(t_in - stops[i - 1])
     return leads

@@ -15,7 +15,8 @@ assemble_cpm packs every live track from all cameras of one
 infrastructure station into a single collective-perception message in
 the shared road frame (robot at x=0).  Tracks that do not yet have a
 full window are reported with speed 0; the measurement age rides along
-in meas_delta_ms.
+in meas_delta_ms.  A CPM lists at most 255 objects (a u8 count), the most
+recently updated tracks, ties going to the lower (camera, track) key.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ WINDOW_SIZE = 3
 # vehicle never collide within one message.
 _TRACK_ID_BITS = 14
 _TRACK_ID_MASK = (1 << _TRACK_ID_BITS) - 1
+_CPM_MAX_OBJECTS = 255
 
 
 class PerceptionError(Exception):
@@ -199,8 +201,12 @@ class PerceptionPipeline:
             SensorInfo(sensor_id=cam.camera_id, sensor_type=SensorType.CAMERA,
                        range_dm=int(round(cam.model.raw(cam.line.s_max) * 10)))
             for cam in sorted(self.cameras.values(), key=lambda c: c.camera_id))
+        live = sorted(self.tracks.items())
+        if len(live) > _CPM_MAX_OBJECTS:  # newest first; the stable sort keeps key order on ties
+            newest = sorted(live, key=lambda item: -item[1].last_time)[:_CPM_MAX_OBJECTS]
+            live = sorted(newest, key=lambda item: item[0])
         objects = []
-        for (camera_id, track_id), window in sorted(self.tracks.items()):
+        for (camera_id, track_id), window in live:
             cam = self.cameras[camera_id]
             road_x = cam.road_position_m + cam.direction_sign * window.last_distance
             try:

@@ -489,8 +489,12 @@ def scenario_from_dict(obj: dict) -> Scenario:
     if rsu:
         fixed["rsu"] = rsu.notification(0.0, 0)
     if infra:
-        fixed["infra.cameras"] = PerceptionPipeline(infra.station_id, list(infra.cameras),
-                                                    infra.perception).assemble_cpm(0.0)
+        # the widest CPM: both ends of every line, aged to expiry (a negative one drops all)
+        pipeline = PerceptionPipeline(infra.station_id, list(infra.cameras), infra.perception)
+        for cam in infra.cameras:
+            for track_id, end in enumerate((cam.line.p0, cam.line.p1)):
+                pipeline.ingest(Detection(cam.camera_id, track_id, end, ObjectClass.CAR, 0.0))
+        fixed["infra.cameras"] = pipeline.assemble_cpm(max(infra.perception.track_expiry_s, 0.0))
     for why, msg in fixed.items():
         try:
             encode_message(msg, max_hops=robot.moderator.max_hops)
@@ -504,16 +508,14 @@ def load_scenario(path) -> Scenario:
 
     OSError passes through untouched (the caller decides how to report
     I/O trouble); bad JSON raises ParseError, schema violations
-    ValidationError.
+    ValidationError.  Neither message names the file: the caller does.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    except ValueError as exc:  # bytes that are not UTF-8, or an integer too long to read
-        raise ParseError(f"{path}: {exc}") from None
+    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, an integer too long
+        raise ParseError(str(exc)) from None
     return scenario_from_dict(obj)
 
 

@@ -99,6 +99,15 @@ class TestMalformedScenario:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize("command", ["run", "validate", "batch"])
+    def test_parse_error_names_the_path_once(self, tmp_path, capsys, command):
+        bad = tmp_path / "bdir" / "bad.json"
+        bad.parent.mkdir()
+        bad.write_text('{"a": 1,}')
+        assert main([command, str(bad.parent if command == "batch" else bad)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("bad.json") == 1
+
 
 class TestCalibrate:
     def write_csv(self, tmp_path, rows):

@@ -5,6 +5,8 @@ import math
 import pathlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mergeguard.kpi import KpiReport, compute, stop_lead_times
 from mergeguard.sim import load_scenario, log_from_jsonl, run
@@ -171,6 +173,23 @@ class TestStopLeadTimes:
                   ev(3.0, "zod_enter", "veh1", station_id=9)]
         assert stop_lead_times(events, subject_station=7) == [pytest.approx(1.0)]
 
+    def test_stop_at_entry_time_logged_after_it_gives_zero_lead(self):
+        events = [ev(3.0, "zod_enter", "veh0", station_id=0),
+                  ev(3.0, "decision", action="stop")]
+        assert stop_lead_times(events) == [0.0]
+
+    def test_pass_at_entry_time_cancels_the_stop(self):
+        events = [ev(1.0, "decision", action="stop"),
+                  ev(3.0, "decision", action="pass"),
+                  ev(3.0, "zod_enter", "veh0", station_id=0)]
+        assert stop_lead_times(events) == []
+
+    def test_pass_at_stop_time_does_not_cancel_it(self):
+        events = [ev(1.0, "decision", action="stop"),
+                  ev(1.0, "decision", action="pass"),
+                  ev(3.0, "zod_enter", "veh0", station_id=0)]
+        assert stop_lead_times(events) == [2.0]
+
 
 class TestAgainstStoredRun:
     def test_replayed_log_reproduces_live_report(self):
@@ -190,3 +209,191 @@ class TestAgainstStoredRun:
         assert r.vw_zod_time_s == pytest.approx(10.70, abs=0.01)
         assert r.ari_stop_time_s == pytest.approx(13.0, abs=0.01)
         assert not r.zod_interval_open and not r.stop_interval_open
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the multi-pass extraction that the single-pass
+# one replaced, kept verbatim so every log can be checked against it.
+
+
+def _mean(values: list[float]) -> float:
+    return sum(values) / len(values) if values else math.nan
+
+def _mean_gap(times: list[float]) -> float:
+    if len(times) < 2:
+        return math.nan
+    return (times[-1] - times[0]) / (len(times) - 1)
+
+
+def reference_compute(events: list[dict], *, subject_station: int | None = None,
+                      end_time_s: float | None = None) -> KpiReport:
+    if end_time_s is None:
+        end_time_s = events[-1]["t"] if events else 0.0
+
+    def is_subject(ev: dict, key: str = "station_id") -> bool:
+        return subject_station is None or ev.get(key) == subject_station
+
+    robot_cam_times = [e["t"] for e in events
+                       if e["type"] == "cam_gen" and e["actor"] == "robot"]
+
+    subject_cam_rx = [e["t"] for e in events
+                      if e["type"] == "msg_rx" and e["actor"] == "robot"
+                      and e["msg_type"] == "CAM" and is_subject(e, "from_station")]
+
+    cpm_latencies = [e["latency_s"] for e in events
+                     if e["type"] == "msg_rx" and e["actor"] == "robot"
+                     and e["msg_type"] == "CPM"]
+
+    # ground-truth zone occupancy of the subject
+    zod_time = 0.0
+    zod_open = False
+    entered: dict[str, float] = {}
+    for e in events:
+        if e["type"] == "zod_enter" and is_subject(e):
+            entered[e["actor"]] = e["t"]
+        elif e["type"] == "zod_exit" and is_subject(e) and e["actor"] in entered:
+            zod_time += e["t"] - entered.pop(e["actor"])
+    for t_in in entered.values():
+        zod_time += end_time_s - t_in
+        zod_open = True
+
+    # DANGER intervals from decision transitions
+    stop_time = 0.0
+    stop_open = False
+    n_stops = 0
+    stop_since: float | None = None
+    for e in events:
+        if e["type"] != "decision":
+            continue
+        if e["action"] == "stop" and stop_since is None:
+            stop_since = e["t"]
+            n_stops += 1
+        elif e["action"] == "pass" and stop_since is not None:
+            stop_time += e["t"] - stop_since
+            stop_since = None
+    if stop_since is not None:
+        stop_time += end_time_s - stop_since
+        stop_open = True
+
+    # distinct RSU notifications as seen by the robot: first copies only
+    rsu_rx_ts = {}
+    for e in events:
+        if (e["type"] == "msg_rx" and e["actor"] == "robot"
+                and e["msg_type"] == "DENM" and e.get("hop_count") == 0
+                and not e.get("duplicate", False)):
+            rsu_rx_ts[(e["origin"], e["sequence"])] = e["timestamp_ms"] / 1000.0
+    rsu_times = sorted(rsu_rx_ts.values())
+
+    first_detects = tuple(e["cam_distance_m"] for e in events
+                          if e["type"] == "detection" and e.get("first")
+                          and is_subject(e))
+
+    return KpiReport(
+        ari_igg_s=_mean_gap(robot_cam_times),
+        vw_ipg_s=_mean_gap(subject_cam_rx),
+        cpm_latency_s=_mean(cpm_latencies),
+        vw_zod_time_s=zod_time,
+        ari_stop_time_s=stop_time,
+        rsu_ipg_s=_mean_gap(rsu_times),
+        first_detect_distances_m=first_detects,
+        n_msg_tx=sum(1 for e in events if e["type"] == "msg_tx"),
+        n_msg_rx=sum(1 for e in events if e["type"] == "msg_rx"),
+        n_detections=sum(1 for e in events if e["type"] == "detection"),
+        n_stops=n_stops,
+        n_relays=sum(1 for e in events if e["type"] == "denm_relay"),
+        zod_interval_open=zod_open,
+        stop_interval_open=stop_open,
+    )
+
+
+def reference_json_dict(self) -> dict:
+    def scrub(v):
+        if isinstance(v, float) and math.isnan(v):
+            return None
+        return v
+    out = {
+        "ari_igg_s": scrub(self.ari_igg_s),
+        "vw_ipg_s": scrub(self.vw_ipg_s),
+        "cpm_latency_s": scrub(self.cpm_latency_s),
+        "vw_zod_time_s": scrub(self.vw_zod_time_s),
+        "ari_stop_time_s": scrub(self.ari_stop_time_s),
+        "rsu_ipg_s": scrub(self.rsu_ipg_s),
+        "first_detect_distances_m": list(self.first_detect_distances_m),
+        "n_msg_tx": self.n_msg_tx,
+        "n_msg_rx": self.n_msg_rx,
+        "n_detections": self.n_detections,
+        "n_stops": self.n_stops,
+        "n_relays": self.n_relays,
+        "zod_interval_open": self.zod_interval_open,
+        "stop_interval_open": self.stop_interval_open,
+    }
+    return out
+
+
+def brute_force_stop_lead_times(events: list[dict],
+                                subject_station: int | None = None) -> list[float]:
+    stops = [e["t"] for e in events if e["type"] == "decision" and e["action"] == "stop"]
+    passes = [e["t"] for e in events if e["type"] == "decision" and e["action"] == "pass"]
+    leads = []
+    for e in events:
+        if e["type"] != "zod_enter":
+            continue
+        if subject_station is not None and e.get("station_id") != subject_station:
+            continue
+        t_in = e["t"]
+        active = [t for t in stops if t <= t_in
+                  and not any(t < p <= t_in for p in passes)]
+        if active:
+            leads.append(t_in - active[-1])
+    return leads
+
+
+STATIONS = st.sampled_from([0, 7, 9])
+ACTORS = st.sampled_from(["robot", "veh0", "veh1"])
+KINDS = ("decision", "zod_enter", "zod_exit", "msg_rx", "msg_rx", "cam_gen",
+         "detection", "denm_relay", "msg_tx")
+
+
+@st.composite
+def time_ordered_logs(draw):
+    """Engine-shaped events whose times never decrease and often repeat."""
+    t, events = 0.0, []
+    for _ in range(draw(st.integers(0, 40))):
+        t += draw(st.sampled_from([0.0, 0.0, 0.05, 0.1, 0.35, 1.0]))
+        kind = draw(st.sampled_from(KINDS))
+        if kind == "decision":
+            e = ev(t, kind, action=draw(st.sampled_from(["stop", "hold", "pass"])))
+        elif kind in ("zod_enter", "zod_exit"):
+            e = ev(t, kind, draw(st.sampled_from(["veh0", "veh1", "veh2"])),
+                   station_id=draw(STATIONS))
+        elif kind == "msg_rx":
+            msg_type = draw(st.sampled_from(["CAM", "CPM", "DENM"]))
+            e = ev(t, kind, draw(ACTORS), msg_type=msg_type, from_station=draw(STATIONS),
+                   timestamp_ms=draw(st.integers(0, 5000)),
+                   latency_s=draw(st.floats(0.001, 2.0)))
+            if msg_type == "DENM":
+                e.update(origin=draw(st.sampled_from([200, 201])),
+                         sequence=draw(st.integers(0, 3)), hop_count=draw(st.integers(0, 1)),
+                         duplicate=draw(st.booleans()))
+        elif kind == "detection":
+            e = ev(t, kind, "infra", station_id=draw(STATIONS), first=draw(st.booleans()),
+                   cam_distance_m=draw(st.floats(5.0, 130.0)))
+        else:
+            e = ev(t, kind, draw(ACTORS))
+        events.append(e)
+    return events
+
+
+class TestParityWithReference:
+    @given(events=time_ordered_logs(), subject=st.sampled_from([None, 7]),
+           end_time_s=st.one_of(st.none(), st.floats(0.0, 60.0)))
+    def test_compute_matches_reference(self, events, subject, end_time_s):
+        got = compute(events, subject_station=subject, end_time_s=end_time_s)
+        want = reference_compute(events, subject_station=subject, end_time_s=end_time_s)
+        assert repr(got) == repr(want)  # repr tells NaN and every float bit apart
+        assert repr(got.to_json_dict()) == repr(reference_json_dict(want))
+
+    @given(events=time_ordered_logs(), subject=st.sampled_from([None, 7]))
+    def test_stop_lead_times_match_brute_force(self, events, subject):
+        assert (stop_lead_times(events, subject_station=subject)
+                == brute_force_stop_lead_times(events, subject_station=subject))

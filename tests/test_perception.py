@@ -171,6 +171,15 @@ class TestCpmAssembly:
         assert len(pipeline.assemble_cpm(1.4).payload.objects) == 1
         assert len(pipeline.assemble_cpm(1.45).payload.objects) == 0
 
+    def test_cpm_keeps_the_255_newest_tracks_in_key_order(self):
+        pipeline = make_pipeline()
+        for track_id in range(256):
+            pipeline.ingest(Detection(0, track_id, (550.0, 0.0), 1, 0.0))
+        pipeline.ingest(Detection(1, 0, (550.0, 0.0), 1, 0.2))
+        ids = [o.object_id for o in pipeline.assemble_cpm(0.2).payload.objects]
+        # the newest track stays; of the 256 tied at t=0 the lowest keys fill the rest
+        assert ids == list(range(254)) + [1 << 14]
+
     def test_sensor_list_covers_all_cameras(self):
         pipeline = make_pipeline()
         msg = pipeline.assemble_cpm(0.0)

@@ -312,6 +312,12 @@ class TestValidation:
         far_camera = camera()
         far_camera["calibration"] = {"order": 2, "weights": [5.0, 10.0, 0.0001]}
         turning = [self.seg(0.0, 21474836.0, 1.0, -1.0)]  # peaks at 21474836.5 m
+        expiring = with_infra({**minimal(), "duration_s": 80.0})
+        expiring["infra"]["perception"] = {"track_expiry_s": 100}  # u16 meas_delta_ms
+        expiring["entities"] = [{"trajectory": [self.seg(0.0, -130.0, -5.0)]}]
+        far_road = with_infra(minimal())
+        far_road["infra"]["cameras"] = [camera(0, 21474800.0, 1)]  # i32 pos_x_cm
+        far_road["entities"] = [{"trajectory": [self.seg(0.0, 21474900.0, 0.0)]}]
         return {
             "position_not_numbers": (self.with_robot(position=["a", 0]),
                                      r"robot\.position must be two finite numbers"),
@@ -346,6 +352,8 @@ class TestValidation:
                                 r"infra\.cameras: CPM message does not fit the wire"),
             "max_hops_negative": ({**self.with_rsu(), "robot": {"moderator": {"max_hops": -1}}},
                                   r"robot\.moderator: max_hops must be non-negative"),
+            "track_expiry_100": (expiring, r"infra\.cameras: CPM message does not fit the wire"),
+            "camera_reach_3e7": (far_road, r"infra\.cameras: CPM message does not fit the wire"),
         }[case]
 
     @pytest.mark.parametrize("case", [
@@ -353,7 +361,8 @@ class TestValidation:
         "staleness_not_number", "object_class_4", "object_class_0", "sensor_mean_far_outside",
         "comm_range_nan", "object_class_float", "tick_string", "denm_cause_code_300",
         "denm_validity_70000", "robot_position_3e7", "rsu_position_3e7", "v2x_position_3e7",
-        "v2x_turning_point", "camera_range_dm", "max_hops_negative"])
+        "v2x_turning_point", "camera_range_dm", "max_hops_negative", "track_expiry_100",
+        "camera_reach_3e7"])
     def test_value_the_run_cannot_use(self, case):
         self.check(*self.unusable(case))
 
@@ -488,6 +497,19 @@ class TestEmptyWorld:
         res = run(scenario_from_dict(minimal()))
         gen = [e for e in res.log.of_type("cam_gen") if e["actor"] == "robot"]
         assert [e["t"] for e in gen] == [0.0, 1.0, 2.0]  # jitter off by default
+
+
+class TestCrowdedCamera:
+    def test_cpm_of_256_parked_cars_carries_255(self):
+        obj = with_infra({**minimal(), "duration_s": 1.0})
+        obj["infra"]["cpm_processing_delay_s"] = 0.0
+        obj["entities"] = [{"trajectory": [{"start_time_s": 0.0, "start_x_m": -34.0 - 0.25 * i,
+                                            "speed_mps": 0.0, "accel_mps2": 0.0}]}
+                           for i in range(256)]
+        res = run(scenario_from_dict(obj))
+        assert [(e["t"], e["n_objects"]) for e in res.log.of_type("cpm_gen")] == [
+            (t, 255) for t in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)]
+        assert sum(e["msg_type"] == "CPM" for e in res.log.of_type("msg_tx")) == 6
 
 
 ORACLE = {
