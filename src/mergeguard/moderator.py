@@ -21,7 +21,7 @@ cancels any pending completion of the opposite kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -132,16 +132,8 @@ class Moderator:
             return None  # never relay our own notifications back out
         if denm.hop_count + 1 > self.config.max_hops:
             return None
-        relayed = DenmPayload(
-            cause_code=denm.cause_code,
-            sequence_number=denm.sequence_number,
-            event_pos_x_cm=denm.event_pos_x_cm,
-            event_pos_y_cm=denm.event_pos_y_cm,
-            validity_s=denm.validity_s,
-            hop_count=denm.hop_count + 1,
-            origin_station_id=denm.origin_station_id,
-        )
-        return Message(self.config.station_id, msg.timestamp_ms, relayed)
+        return Message(self.config.station_id, msg.timestamp_ms,
+                       replace(denm, hop_count=denm.hop_count + 1))
 
     # -- actuation ----------------------------------------------------------
 

@@ -73,10 +73,7 @@ EVENT_TYPES = frozenset({
 
 _TIME_EPS = 1e-9
 
-# wire widths the scenario must fit (see the messages.py layout table)
-_STATION_ID_MAX = 0xFFFFFFFF  # u32 station_id
-_CAM_SPEED_CMS_MAX = 0xFFFF  # u16 CAM speed_cms
-_CAM_POS_CM_MAX = 0x7FFFFFFF  # i32 CAM pos_x_cm
+_STATION_ID_MAX = 0xFFFFFFFF  # the u32 station_id wire field
 _OBJECT_CLASSES = frozenset(ObjectClass)  # the CPM object_class rule
 
 
@@ -271,6 +268,13 @@ class RsuSetup:
             validity_s=self.denm.validity_s, hop_count=0, origin_station_id=self.station_id))
 
 
+def vehicle_cam(station_id: int, now_s: float, x: float, v: float) -> Message:
+    """The CAM a V2X vehicle at road position ``x``, signed speed ``v``, sends at ``now_s``."""
+    return Message(station_id, int(round(now_s * 1000.0)), CamPayload(
+        station_type=StationType.PASSENGER_CAR, pos_x_cm=int(round(x * 100.0)), pos_y_cm=0,
+        speed_cms=int(round(abs(v) * 100.0)), heading_cdeg=0 if v >= 0 else 18000))
+
+
 @dataclass(frozen=True)
 class MergingWindow:
     start_s: float
@@ -417,28 +421,6 @@ def _divisible(period: float, tick: float) -> bool:
     return math.isfinite(ratio) and abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1
 
 
-def _cam_misfit(segs: Sequence[TrajectorySegment], duration_s: float) -> str | None:
-    """What the CAMs built from this trajectory could not carry, if anything.
-
-    Speed is linear inside a segment, so its extremes are at the ends; the
-    position's are at the ends or where the speed crosses zero.  Both are
-    scaled and rounded as the CAM builder in _Engine.beacons does.
-    """
-    for i, seg in enumerate(segs):
-        dt = (segs[i + 1].start_time_s if i + 1 < len(segs) else duration_s) - seg.start_time_s
-        v0, a = seg.speed_mps, seg.accel_mps2
-        for v in (v0, v0 + a * dt):
-            cms = abs(v) * 100.0
-            if not (math.isfinite(cms) and int(round(cms)) <= _CAM_SPEED_CMS_MAX):
-                return "speed exceeds the CAM speed field (655.35 m/s)"
-        for t in (0.0, dt, -v0 / a) if a and 0.0 < -v0 / a < dt else (0.0, dt):
-            cm = (seg.start_x_m + v0 * t + 0.5 * a * t * t) * 100.0
-            if not (math.isfinite(cm)
-                    and -_CAM_POS_CM_MAX - 1 <= int(round(cm)) <= _CAM_POS_CM_MAX):
-                return "position exceeds the CAM position field (±21,474,836.47 m)"
-    return None
-
-
 def scenario_from_dict(obj: dict) -> Scenario:
     _require(isinstance(obj, dict), "scenario root must be an object")
     version = obj.get("schema_version")
@@ -465,12 +447,24 @@ def scenario_from_dict(obj: dict) -> Scenario:
     if rsu:
         _require(rsu.denm.start_s <= min(rsu.denm.end_s, duration),
                  "rsu.denm start must precede end")
+
+    # the messages the run sends, built as the engine builds them and encoded
+    # once the station ids are known to fit: each V2X vehicle's CAM wherever
+    # its speed or position can peak (a segment's ends and where its speed
+    # crosses zero), the robot's CAM, the RSU's DENM and the widest CPM
+    probes = []
     for i, ent in enumerate(sc.entities):
-        if ent.v2x_equipped and not _divisible(ent.cam_period_s, tick):
-            raise ValidationError(f"entities[{i}]: tick_s must divide cam_period_s")
-        misfit = ent.v2x_equipped and _cam_misfit(ent.trajectory, duration)
-        if misfit:
-            raise ValidationError(f"entities[{i}]: {misfit}")
+        if not ent.v2x_equipped:
+            continue
+        _require(_divisible(ent.cam_period_s, tick),
+                 f"entities[{i}]: tick_s must divide cam_period_s")
+        segs = ent.trajectory
+        for seg, end in zip(segs, [s.start_time_s for s in segs[1:]] + [duration]):
+            t0, v0, a = seg.start_time_s, seg.speed_mps, seg.accel_mps2
+            turn = t0 - v0 / a if a else t0
+            for t in (t0, end, turn) if t0 < turn < end else (t0, end):
+                probes.append((f"entities[{i}]", vehicle_cam,
+                               (ent.station_id, t, *eval_trajectory((seg,), t))))
 
     station_ids = {"robot.moderator.station_id": robot.moderator.station_id,
                    **({"infra.station_id": infra.station_id} if infra else {}),
@@ -483,24 +477,28 @@ def scenario_from_dict(obj: dict) -> Scenario:
     _require(len(set(station_ids.values())) == len(station_ids),
              "station ids must be unique across robot, infra, rsu and entities")
 
-    # the messages of the fixed stations, built as the engine builds them
-    fixed = {"robot.position": robot_cam(robot.moderator.station_id, 0.0,
-                                         RobotPose(*robot.position))}
+    probes.append(("robot.position", robot_cam,
+                   (robot.moderator.station_id, 0.0, RobotPose(*robot.position))))
     if rsu:
-        fixed["rsu"] = rsu.notification(0.0, 0)
+        probes.append(("rsu", rsu.notification, (0.0, 0)))
     if infra:
-        # the widest CPM: both ends of every line, aged to expiry (a negative one drops all)
-        pipeline = PerceptionPipeline(infra.station_id, list(infra.cameras), infra.perception)
-        for cam in infra.cameras:
-            for track_id, end in enumerate((cam.line.p0, cam.line.p1)):
-                pipeline.ingest(Detection(cam.camera_id, track_id, end, ObjectClass.CAR, 0.0))
-        fixed["infra.cameras"] = pipeline.assemble_cpm(max(infra.perception.track_expiry_s, 0.0))
-    for why, msg in fixed.items():
+        probes.append(("infra.cameras", _widest_cpm, (infra,)))
+    for why, build, args in probes:
         try:
-            encode_message(msg, max_hops=robot.moderator.max_hops)
-        except InvalidMessage as exc:
+            encode_message(build(*args), max_hops=robot.moderator.max_hops)
+        except (InvalidMessage, OverflowError, ValueError) as exc:  # or not finite, scaled
             raise ValidationError(f"{why}: {exc}") from None
     return sc
+
+
+def _widest_cpm(infra: InfraSetup) -> Message:
+    """The CPM with the widest values the cameras can send: a track at each
+    end of every line, aged to expiry (a negative one drops all)."""
+    pipeline = PerceptionPipeline(infra.station_id, list(infra.cameras), infra.perception)
+    for cam in infra.cameras:
+        for track_id, end in enumerate((cam.line.p0, cam.line.p1)):
+            pipeline.ingest(Detection(cam.camera_id, track_id, end, ObjectClass.CAR, 0.0))
+    return pipeline.assemble_cpm(max(infra.perception.track_expiry_s, 0.0))
 
 
 def load_scenario(path) -> Scenario:
@@ -817,11 +815,7 @@ class _Engine:
             if i % every == 0:
                 ent = self.scenario.entities[idx]
                 x, v = self.entity_x[idx], self.entity_v[idx]
-                cam_msg = Message(ent.station_id, int(round(now_s * 1000.0)), CamPayload(
-                    station_type=StationType.PASSENGER_CAR,
-                    pos_x_cm=int(round(x * 100.0)), pos_y_cm=0,
-                    speed_cms=int(round(abs(v) * 100.0)),
-                    heading_cdeg=0 if v >= 0 else 18000))
+                cam_msg = vehicle_cam(ent.station_id, now_s, x, v)
                 self.log.append(now_s, "cam_gen", self.veh_label[idx],
                                 station_id=ent.station_id, pos_x_m=round(x, 6),
                                 speed_mps=round(v, 6), timestamp_ms=cam_msg.timestamp_ms)

@@ -272,7 +272,7 @@ class TestValidation:
     def test_v2x_speed_must_fit_cam_field(self, segments):
         obj = minimal()
         obj["entities"] = [{"station_id": 7, "trajectory": segments}]
-        self.check(obj, "CAM speed")
+        self.check(obj, r"entities\[0\]: CAM message does not fit the wire")
         obj["entities"][0]["v2x_equipped"] = False
         obj["entities"][0]["station_id"] = 0
         scenario_from_dict(obj)
@@ -344,9 +344,11 @@ class TestValidation:
                                    r"robot\.position: CAM message does not fit the wire"),
             "rsu_position_3e7": (self.with_rsu(position=[3e7, 0.0]),
                                  "rsu: DENM message does not fit the wire"),
-            "v2x_position_3e7": (self.v2x_at(3e7), "CAM position field"),
+            "v2x_position_3e7": (self.v2x_at(3e7),
+                                 r"entities\[0\]: CAM message does not fit the wire"),
             "v2x_turning_point": ({**minimal(), "entities": [
-                {"station_id": 7, "trajectory": turning}]}, "CAM position field"),
+                {"station_id": 7, "trajectory": turning}]},
+                r"entities\[0\]: CAM message does not fit the wire"),
             "camera_range_dm": ({**minimal(), "infra": {"station_id": 100,
                                                         "cameras": [far_camera]}},
                                 r"infra\.cameras: CPM message does not fit the wire"),
@@ -370,7 +372,7 @@ class TestValidation:
         for x in (21474836.47, -21474836.48):
             assert run(scenario_from_dict(self.v2x_at(x))).log.of_type("cam_gen")
         for x in (21474836.48, -21474836.49):
-            self.check(self.v2x_at(x), "CAM position field")
+            self.check(self.v2x_at(x), r"entities\[0\]: CAM message does not fit the wire")
 
     def test_sensor_window_mass_bound(self):
         # N(110.1, 6.5): about 0.23% lies above 128.5 and 2e-6 above 140
