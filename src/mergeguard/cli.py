@@ -98,8 +98,8 @@ def _cmd_batch(args) -> int:
             result = sim.run(scenario, seed=args.seed)
             out_path = out_dir / (path.stem + ".log.jsonl")
             out_path.write_text(result.to_jsonl())
-        except OSError as exc:
-            print(f"error: {path.name}: {exc}", file=sys.stderr)
+        except OSError as exc:  # its text names the file it could not open
+            print(f"error: {exc}", file=sys.stderr)
             worst = max(worst, EXIT_IO)
             continue
         except sim.ScenarioError as exc:

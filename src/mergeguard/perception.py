@@ -66,6 +66,10 @@ class PerceptionConfig:
     # over a baseline long enough to beat pixel noise
     sample_gap_s: float = 0.2
 
+    def __post_init__(self):
+        if self.track_expiry_s < 0:
+            raise PerceptionError("track_expiry_s must be non-negative")
+
 
 @dataclass(frozen=True)
 class CameraSetup:

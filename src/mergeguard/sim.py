@@ -445,8 +445,13 @@ def scenario_from_dict(obj: dict) -> Scenario:
             _require(all(b > a for a, b in zip(vals, vals[1:])),
                      f"infra.cameras[{i}]: calibration polynomial must increase over [0, s_max]")
     if rsu:
-        _require(rsu.denm.start_s <= min(rsu.denm.end_s, duration),
-                 "rsu.denm start must precede end")
+        denm = rsu.denm
+        _require(denm.start_s <= min(denm.end_s, duration), "rsu.denm start must precede end")
+        # the copies of one notification go out a tick apart at least, and
+        # before the next notification
+        _require(denm.repeat_count == 1 or denm.repeat_gap_s >= tick
+                 and denm.repeat_count - 1 < denm.period_s / denm.repeat_gap_s,
+                 "rsu.denm: repeat copies must be at least tick_s apart and fit in period_s")
 
     # the messages the run sends, built as the engine builds them and encoded
     # once the station ids are known to fit: each V2X vehicle's CAM wherever
@@ -493,12 +498,12 @@ def scenario_from_dict(obj: dict) -> Scenario:
 
 def _widest_cpm(infra: InfraSetup) -> Message:
     """The CPM with the widest values the cameras can send: a track at each
-    end of every line, aged to expiry (a negative one drops all)."""
+    end of every line, aged to expiry."""
     pipeline = PerceptionPipeline(infra.station_id, list(infra.cameras), infra.perception)
     for cam in infra.cameras:
         for track_id, end in enumerate((cam.line.p0, cam.line.p1)):
             pipeline.ingest(Detection(cam.camera_id, track_id, end, ObjectClass.CAR, 0.0))
-    return pipeline.assemble_cpm(max(infra.perception.track_expiry_s, 0.0))
+    return pipeline.assemble_cpm(infra.perception.track_expiry_s)
 
 
 def load_scenario(path) -> Scenario:
@@ -966,7 +971,7 @@ def make_pass_scenario(seed: int, *, v2x: bool = False,
         "rng_seed": int(seed),
         "channel": {"comm_range_m": 400.0, "loss_prob": 0.0,
                     "latency_base_s": 0.01, "latency_jitter_s": 0.005},
-        "robot": {"station_id": 1, "position": [0.0, 0.0],
+        "robot": {"position": [0.0, 0.0],
                   "zod": {"half_extent_m": 25.0, "tau_th_s": tau_th_s},
                   "moderator": {"station_id": 1},
                   "merging_detect_range_m": 15.0},

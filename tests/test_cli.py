@@ -195,6 +195,14 @@ class TestBatch:
         assert (tmp_path / "a.log.jsonl").exists()
         assert "broken.json" in capsys.readouterr().err
 
+    def test_unreadable_scenario_names_the_path_once(self, tmp_path, capsys):
+        quick_scenario(tmp_path, "a.json")
+        (tmp_path / "x.json").mkdir()
+        assert main(["batch", str(tmp_path), "--out-dir", str(tmp_path / "logs")]) == EXIT_IO
+        assert (tmp_path / "logs" / "a.log.jsonl").exists()
+        err = [line for line in capsys.readouterr().err.splitlines() if "x.json" in line]
+        assert len(err) == 1 and err[0].startswith("error: ") and err[0].count("x.json") == 1
+
     def test_not_a_directory(self, tmp_path):
         assert main(["batch", str(tmp_path / "none")]) == EXIT_IO
 

@@ -215,3 +215,9 @@ class TestSetupValidation:
     def test_duplicate_camera_ids(self):
         with pytest.raises(PerceptionError):
             PerceptionPipeline(1, [make_camera(0), make_camera(0)])
+
+    def test_negative_track_expiry(self):
+        # a negative expiry would drop every track before it reached a CPM
+        with pytest.raises(PerceptionError, match="track_expiry_s"):
+            PerceptionConfig(track_expiry_s=-1.0)
+        assert make_pipeline(track_expiry_s=0.0).config.track_expiry_s == 0.0

@@ -318,6 +318,10 @@ class TestValidation:
         far_road = with_infra(minimal())
         far_road["infra"]["cameras"] = [camera(0, 21474800.0, 1)]  # i32 pos_x_cm
         far_road["entities"] = [{"trajectory": [self.seg(0.0, 21474900.0, 0.0)]}]
+        camera_far = with_infra(minimal())
+        camera_far["infra"]["cameras"][0]["road_position_m"] = 1e308
+        never_expiring = with_infra(minimal())
+        never_expiring["infra"]["perception"] = {"track_expiry_s": -1.0}
         return {
             "position_not_numbers": (self.with_robot(position=["a", 0]),
                                      r"robot\.position must be two finite numbers"),
@@ -356,6 +360,18 @@ class TestValidation:
                                   r"robot\.moderator: max_hops must be non-negative"),
             "track_expiry_100": (expiring, r"infra\.cameras: CPM message does not fit the wire"),
             "camera_reach_3e7": (far_road, r"infra\.cameras: CPM message does not fit the wire"),
+            "robot_position_1e308": (self.with_robot(position=[1e308, 0.0]),
+                                     r"robot\.position: cannot convert float infinity"),
+            "rsu_position_1e308": (self.with_rsu(position=[0.0, -1e308]),
+                                   r"rsu: cannot convert float infinity"),
+            "camera_position_1e308": (camera_far, r"infra\.cameras: cannot convert float infinity"),
+            "denm_repeat_count_2e64": (self.with_rsu(denm={"repeat_count": 2**64}),
+                                       r"rsu\.denm: repeat copies"),
+            "denm_repeat_gap_below_tick": (self.with_rsu(denm={"repeat_count": 2,
+                                                               "repeat_gap_s": 0.01}),
+                                           r"rsu\.denm: repeat copies"),
+            "track_expiry_negative": (never_expiring,
+                                      r"infra\.perception: track_expiry_s must be non-negative"),
         }[case]
 
     @pytest.mark.parametrize("case", [
@@ -364,7 +380,9 @@ class TestValidation:
         "comm_range_nan", "object_class_float", "tick_string", "denm_cause_code_300",
         "denm_validity_70000", "robot_position_3e7", "rsu_position_3e7", "v2x_position_3e7",
         "v2x_turning_point", "camera_range_dm", "max_hops_negative", "track_expiry_100",
-        "camera_reach_3e7"])
+        "camera_reach_3e7", "robot_position_1e308", "rsu_position_1e308",
+        "camera_position_1e308", "denm_repeat_count_2e64", "denm_repeat_gap_below_tick",
+        "track_expiry_negative"])
     def test_value_the_run_cannot_use(self, case):
         self.check(*self.unusable(case))
 
@@ -428,6 +446,7 @@ class TestLoadScenario:
 
 
 JSON_VALUES = [None, True, False, 0, -1, 7, 2.5, "", "x", [], [0], {}, {"x": 1}]
+EXTREME_NUMBERS = [1e308, -1e308, 2**64, -2**64]
 
 
 def json_type(value) -> str:
@@ -440,7 +459,8 @@ def json_type(value) -> str:
 
 @st.composite
 def mutated_scenarios(draw):
-    """A shipped scenario with one node deleted or replaced by another JSON type."""
+    """A shipped scenario with one node deleted, replaced by another JSON type
+    or, if it is a number, replaced by an extreme one."""
     tree = copy.deepcopy(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))])
     nodes, stack = [], [tree]
     while stack:
@@ -454,8 +474,9 @@ def mutated_scenarios(draw):
         del parent[key]
     else:
         old = json_type(parent[key])
+        values = [v for v in JSON_VALUES if json_type(v) != old]
         parent[key] = copy.deepcopy(draw(st.sampled_from(
-            [v for v in JSON_VALUES if json_type(v) != old])))
+            values + EXTREME_NUMBERS if old == "number" else values)))
     return tree
 
 
