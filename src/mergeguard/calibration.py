@@ -15,11 +15,18 @@ squares on the normal equations:
 solved with a pivoted dense solve; the residual Phi^T (d - Phi w) is zero
 up to conditioning.  Order k defaults to at most 2 - higher orders
 oscillate on the few ground-truth points a survey crew can collect.
+
+The inverse s(d) of a model of order 2 or less is solved in closed form
+with the cancellation-free quadratic formula
+q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2, roots q/a and c/q; a 60-step
+bisection over [0, s_max] covers higher orders and a root that rounding
+puts just outside the line.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -111,6 +118,29 @@ class CalibrationModel:
         for w in reversed(self.weights):
             acc = acc * s + w
         return acc
+
+    def inverse(self, d: float, s_max: float) -> float:
+        """The s in [0, s_max] where raw(s) == d, for a model increasing there."""
+        if self.order <= 2:
+            c, b, a = (*self.weights, 0.0, 0.0)[:3]
+            c -= d
+            if a == 0.0:
+                roots = (-c / b,) if b else ()
+            else:
+                disc = b * b - 4.0 * a * c
+                q = -0.5 * (b + math.copysign(math.sqrt(disc), b)) if disc >= 0.0 else 0.0
+                roots = (q / a, c / q) if q else ()
+            for s in roots:
+                if 0.0 <= s <= s_max:
+                    return s
+        lo, hi = 0.0, s_max
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if self.raw(mid) < d:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
 
 
 class DistanceEstimate(NamedTuple):

@@ -53,16 +53,14 @@ class Channel:
     def broadcast(self, tx_pos: Sequence[float], tx_time_s: float,
                   receivers: Sequence[tuple[int, Sequence[float]]]) -> list[Delivery]:
         """Deliveries for one broadcast; receivers are (station_id, position)."""
-        in_range = []
-        for rid, pos in receivers:
-            dist = math.hypot(pos[0] - tx_pos[0], pos[1] - tx_pos[1])
-            if dist <= self.config.comm_range_m:
-                in_range.append(rid)
+        cfg, hypot, draw = self.config, math.hypot, self.rng.random
+        tx_x, tx_y = tx_pos
+        comm_range, loss_prob = cfg.comm_range_m, cfg.loss_prob
+        base_s, jitter_s = tx_time_s + cfg.latency_base_s, cfg.latency_jitter_s
+        in_range = [rid for rid, (x, y) in receivers if hypot(x - tx_x, y - tx_y) <= comm_range]
         deliveries = []
         for rid in sorted(in_range):
-            lost = self.rng.random() < self.config.loss_prob
-            if lost:
+            if draw() < loss_prob:
                 continue
-            jitter = self.rng.random() * self.config.latency_jitter_s
-            deliveries.append(Delivery(rid, tx_time_s + self.config.latency_base_s + jitter))
+            deliveries.append(Delivery(rid, base_s + draw() * jitter_s))
         return deliveries

@@ -447,6 +447,8 @@ def scenario_from_dict(obj: dict) -> Scenario:
     if rsu:
         denm = rsu.denm
         _require(denm.start_s <= min(denm.end_s, duration), "rsu.denm start must precede end")
+        # a shorter period would send many notifications in one tick
+        _require(denm.period_s >= tick, "rsu.denm.period_s must be at least tick_s")
         # the copies of one notification go out a tick apart at least, and
         # before the next notification
         _require(denm.repeat_count == 1 or denm.repeat_gap_s >= tick
@@ -533,7 +535,10 @@ class SensorModel:
     N(mean, std) truncated to [detect_min, detect_max]; a camera sees the
     vehicle whenever its distance lies between the near cutoff and that
     range.  The reported image point is the true line coordinate plus
-    Gaussian pixel noise.
+    Gaussian pixel noise, one scalar draw per detection in camera-then-
+    entity order.  The true coordinate is the calibration's inverse at the
+    true distance (``CalibrationModel.inverse``: closed form up to order 2,
+    bisection above).
     """
 
     def __init__(self, config: SensorConfig, cameras: Sequence[CameraSetup],
@@ -555,38 +560,26 @@ class SensorModel:
             if cfg.detect_min_m <= r <= cfg.detect_max_m:
                 return r
 
-    @staticmethod
-    def _invert(model: CalibrationModel, s_max: float, target_m: float) -> float:
-        lo, hi = 0.0, s_max
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if model.raw(mid) < target_m:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
     def observe(self, now_s: float, positions: Sequence[float],
                 classes: Sequence[int]) -> list[Detection]:
         """Detections for this tick, cameras in id order, entities in index order."""
         out = []
+        ranges, noise_std, normal = self.ranges, self.config.pixel_noise_std, self.rng.normal
         for cam in self.cameras:
+            cam_id, sign, road_x = cam.camera_id, cam.direction_sign, cam.road_position_m
+            near, far, inverse = self._near[cam_id], self._far[cam_id], cam.model.inverse
+            line = cam.line
+            s_max, (x0, y0), (ux, uy) = line.s_max, line.p0, line.direction
             for idx, x in enumerate(positions):
-                dist = cam.direction_sign * (x - cam.road_position_m)
-                if dist < self._near[cam.camera_id] or dist > self.ranges[idx]:
+                dist = sign * (x - road_x)
+                if dist < near or dist > ranges[idx] or dist > far:
                     continue
-                if dist > self._far[cam.camera_id]:
-                    continue
-                s_true = self._invert(cam.model, cam.line.s_max, dist)
-                s_noisy = s_true
-                if self.config.pixel_noise_std > 0.0:
-                    s_noisy += float(self.rng.normal(0.0, self.config.pixel_noise_std))
-                    s_noisy = min(max(s_noisy, 0.0), cam.line.s_max)
-                ux, uy = cam.line.direction
-                point = (cam.line.p0[0] + s_noisy * ux, cam.line.p0[1] + s_noisy * uy)
-                out.append(Detection(camera_id=cam.camera_id, track_id=idx,
-                                     bottom_center=point, object_class=classes[idx],
-                                     time_s=now_s))
+                s = inverse(dist, s_max)
+                if noise_std > 0.0:
+                    s = min(max(s + float(normal(0.0, noise_std)), 0.0), s_max)
+                out.append(Detection(camera_id=cam_id, track_id=idx,
+                                     bottom_center=(x0 + s * ux, y0 + s * uy),
+                                     object_class=classes[idx], time_s=now_s))
         return out
 
 
@@ -701,7 +694,7 @@ class _Engine:
                               if ent.v2x_equipped}
         for sid, idx in self.vehicle_index.items():
             self.labels[sid] = self.veh_label[idx]
-        self.listener_ids = [robot_id, *self.vehicle_index]
+        self.listener_ids = sorted([robot_id, *self.vehicle_index])
 
         self.pending = _Pending()
         self.cams: dict[int, Message] = {}  # last CAM the robot received per station
@@ -723,15 +716,21 @@ class _Engine:
         tick = scenario.tick_s
         self.max_hops = robot_cfg.moderator.max_hops
         self.n_ticks = int(round(scenario.duration_s / tick))
+        self.last_flush_s = self.n_ticks * tick + _TIME_EPS
         self.cpm_every = int(round(infra.perception.cpm_period_s / tick)) if infra else 0
         self.decision_every = int(round(robot_cfg.decision_period_s / tick))
         self.cam_every = {idx: int(round(ent.cam_period_s / tick))
                           for idx, ent in enumerate(scenario.entities) if ent.v2x_equipped}
+        self.receivers = self.listening()
 
     def station_pos(self, sid: int) -> tuple[float, float]:
         if sid in self.positions:
             return self.positions[sid]
         return (self.entity_x[self.vehicle_index[sid]], 0.0)
+
+    def listening(self) -> list[tuple[int, tuple[float, float]]]:
+        """``(station, position)`` of every listener, in ascending station order."""
+        return [(sid, self.station_pos(sid)) for sid in self.listener_ids]
 
     def transmit(self, msg: Message, tx_time: float) -> None:
         """Send from ``msg.station_id``; all deliveries share one decoded copy."""
@@ -740,8 +739,7 @@ class _Engine:
         self.log.append(tx_time, "msg_tx", self.labels[sender_id],
                         msg_type=msg.msg_type.name, station_id=sender_id,
                         timestamp_ms=msg.timestamp_ms, size_b=len(data))
-        receivers = [(rid, self.station_pos(rid))
-                     for rid in self.listener_ids if rid != sender_id]
+        receivers = [r for r in self.receivers if r[0] != sender_id]
         deliveries = self.channel.broadcast(self.station_pos(sender_id), tx_time, receivers)
         if deliveries:
             received = decode_message(data, max_hops=self.max_hops)
@@ -791,6 +789,7 @@ class _Engine:
                                 road_x_m=round(x, 6))
             self.in_zone[idx] = inside
         self.merging = self.scenario.merging_seen(now_s)
+        self.receivers = self.listening()  # radio positions hold until the next tick
 
     def sense(self, i: int, now_s: float) -> None:
         if self.sensor is None:
@@ -838,7 +837,10 @@ class _Engine:
                 break
             denm = r.notification(now_s, self.rsu_sent)
             for rep in range(r.denm.repeat_count):
-                self.pending.push(now_s + rep * r.denm.repeat_gap_s, "transmit", (denm,))
+                due = now_s + rep * r.denm.repeat_gap_s
+                if due > self.last_flush_s:  # this copy and the later ones never go out
+                    break
+                self.pending.push(due, "transmit", (denm,))
             self.rsu_sent += 1
 
     def _fused_inputs(self, now_s: float) -> tuple[list[FusedObject], list[FusedObject]]:
@@ -957,7 +959,7 @@ def make_pass_scenario(seed: int, *, v2x: bool = False,
         windows.append({"start_s": round(start, 3),
                         "end_s": round(duration, 3), "distance_m": 0.0})
 
-    line = {"p0": [60.0, 420.0], "p1": [820.0, 80.0]}  # 832.33 px long
+    line = {"p0": [60.0, 420.0], "p1": [820.0, 80.0]}  # 832.59 px long
     calibration = {"order": 2, "weights": [5.0, 0.1, 0.0001]}
     camera = {"camera_id": 0 if direction < 0 else 1,
               "road_position_m": cam_pos, "direction_sign": direction,

@@ -1,9 +1,13 @@
 """Distance calibration: least-squares fit, projection, CSV loading."""
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mergeguard.calibration import (CalibrationError, CalibrationModel,
                                     CalibrationSet, InsufficientPoints,
@@ -134,6 +138,96 @@ class TestEstimate:
             s = float(rng.uniform(0, 800))
             assert model.raw(s) == pytest.approx(
                 float(np.polyval(w[::-1], s)), rel=1e-12, abs=1e-9)
+
+
+# make_pass_scenario's camera and the benchmark's
+PASS_MODEL = CalibrationModel(2, (5.0, 0.1, 0.0001))
+PASS_S_MAX = ReferenceLine((60.0, 420.0), (820.0, 80.0)).s_max
+
+
+def bisect_inverse(model, d, s_max):
+    """The 60-step bisection the sensor model inverted calibrations with."""
+    lo, hi = 0.0, s_max
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if model.raw(mid) < d:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _shipped_cameras():
+    path = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "rotterdam_run.json"
+    for cam in json.loads(path.read_text())["infra"]["cameras"]:
+        cal, line = cam["calibration"], cam["line"]
+        yield (CalibrationModel(cal["order"], tuple(cal["weights"])),
+               ReferenceLine(tuple(line["p0"]), tuple(line["p1"])).s_max)
+
+
+@st.composite
+def increasing_models(draw):
+    """Order-1 and order-2 models with slope >= w1/2 >= 0.005 m/px over [0, s_max]."""
+    s_max = draw(st.floats(10.0, 2000.0))
+    w0 = draw(st.floats(0.0, 50.0))
+    w1 = draw(st.floats(0.01, 1.0))
+    if draw(st.booleans()):
+        return CalibrationModel(1, (w0, w1)), s_max
+    w2 = draw(st.floats(-w1 / (4.0 * s_max), 1e-4))
+    return CalibrationModel(2, (w0, w1, w2)), s_max
+
+
+class TestInverse:
+    @staticmethod
+    def assert_agrees(model, s_max, fractions):
+        lo, hi = model.raw(0.0), model.raw(s_max)
+        for f in fractions:
+            d = min(lo + f * (hi - lo), hi)
+            s = model.inverse(d, s_max)
+            assert 0.0 <= s <= s_max
+            assert abs(s - bisect_inverse(model, d, s_max)) <= 1e-9, (model, s_max, d)
+
+    def test_shipped_cameras(self):
+        cams = list(_shipped_cameras())
+        assert len(cams) == 2
+        for model, s_max in cams:
+            self.assert_agrees(model, s_max, np.linspace(0.0, 1.0, 2001).tolist())
+
+    def test_pass_scenario_model(self):
+        self.assert_agrees(PASS_MODEL, PASS_S_MAX, np.linspace(0.0, 1.0, 2001).tolist())
+
+    @given(increasing_models(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    def test_increasing_low_order_models(self, model_and_line, fractions):
+        self.assert_agrees(*model_and_line, [0.0, 1.0, *fractions])
+
+    def test_closed_form_calls_no_polynomial(self, monkeypatch):
+        calls = count_raw(monkeypatch)
+        PASS_MODEL.inverse(40.0, PASS_S_MAX)
+        assert calls == [0]
+
+    def test_order_three_bisects(self, monkeypatch):
+        model = CalibrationModel(3, (*PASS_MODEL.weights, 1e-8))
+        self.assert_agrees(model, PASS_S_MAX, np.linspace(0.0, 1.0, 201).tolist())
+        calls = count_raw(monkeypatch)
+        model.inverse(40.0, PASS_S_MAX)
+        assert calls == [60]
+
+    def test_no_root_in_range_bisects(self):
+        beyond = PASS_MODEL.raw(PASS_S_MAX) + 1.0
+        assert PASS_MODEL.inverse(beyond, PASS_S_MAX) == bisect_inverse(PASS_MODEL, beyond,
+                                                                        PASS_S_MAX)
+
+
+def count_raw(monkeypatch):
+    calls = [0]
+    raw = CalibrationModel.raw
+
+    def counted(model, s):
+        calls[0] += 1
+        return raw(model, s)
+
+    monkeypatch.setattr(CalibrationModel, "raw", counted)
+    return calls
 
 
 class TestCsv:

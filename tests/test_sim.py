@@ -372,6 +372,8 @@ class TestValidation:
                                            r"rsu\.denm: repeat copies"),
             "track_expiry_negative": (never_expiring,
                                       r"infra\.perception: track_expiry_s must be non-negative"),
+            "denm_period_below_tick": (self.with_rsu(denm={"period_s": 0.01}),
+                                       r"rsu\.denm\.period_s must be at least tick_s"),
         }[case]
 
     @pytest.mark.parametrize("case", [
@@ -382,7 +384,7 @@ class TestValidation:
         "v2x_turning_point", "camera_range_dm", "max_hops_negative", "track_expiry_100",
         "camera_reach_3e7", "robot_position_1e308", "rsu_position_1e308",
         "camera_position_1e308", "denm_repeat_count_2e64", "denm_repeat_gap_below_tick",
-        "track_expiry_negative"])
+        "track_expiry_negative", "denm_period_below_tick"])
     def test_value_the_run_cannot_use(self, case):
         self.check(*self.unusable(case))
 
@@ -741,6 +743,29 @@ class TestRadio:
         assert calls["encode"] == n_tx
         assert calls["decode"] <= calls["encode"]
         assert counted.to_jsonl() == plain.to_jsonl()
+
+
+class TestDenmCopies:
+    def test_no_copy_is_queued_past_the_end(self, monkeypatch):
+        # one notification whose copies outlast the 30 s run; those due
+        # after the last tick's flush never go out, so they are not queued
+        obj = copy.deepcopy(SHIPPED["denm_repeater"])
+        obj["rsu"]["denm"] = {"repeat_count": 1000, "repeat_gap_s": 0.05, "period_s": 1e300}
+        sc = scenario_from_dict(obj)
+        engines = []
+
+        class Engine(sim._Engine):
+            def __init__(self, *args):
+                super().__init__(*args)
+                engines.append(self)
+
+        monkeypatch.setattr(sim, "_Engine", Engine)
+        res = run(sc)
+        left = [item for item in engines[0].pending._heap
+                if item[2] == "transmit" and item[3][0].msg_type.name == "DENM"]
+        assert left == []
+        sent = [e for e in res.log.of_type("msg_tx") if e["station_id"] == 200]
+        assert len(sent) == int(round(30.0 / 0.05)) + 1
 
 
 class TestSeries:
