@@ -16,11 +16,11 @@ solved with a pivoted dense solve; the residual Phi^T (d - Phi w) is zero
 up to conditioning.  Order k defaults to at most 2 - higher orders
 oscillate on the few ground-truth points a survey crew can collect.
 
-The inverse s(d) of a model of order 2 or less is solved in closed form
-with the cancellation-free quadratic formula
-q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2, roots q/a and c/q; a 60-step
-bisection over [0, s_max] covers higher orders and a root that rounding
-puts just outside the line.
+The inverse s(d) of a model of order 2 or less solves
+a s^2 + b s + c = 0 with (a, b, c) = (w[2], w[1], w[0] - d) by the
+cancellation-free quadratic formula q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2,
+roots q/a and c/q; a 60-step bisection over [0, s_max] covers higher
+orders and a root that rounding puts just outside the line.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Distance calibration: least-squares fit, projection, CSV loading."""
+"""Distance calibration: least-squares fit, inverse, projection, CSV loading."""
 
 import json
 import math
@@ -177,6 +177,18 @@ def increasing_models(draw):
     return CalibrationModel(2, (w0, w1, w2)), s_max
 
 
+def count_raw(monkeypatch):
+    calls = [0]
+    raw = CalibrationModel.raw
+
+    def counted(model, s):
+        calls[0] += 1
+        return raw(model, s)
+
+    monkeypatch.setattr(CalibrationModel, "raw", counted)
+    return calls
+
+
 class TestInverse:
     @staticmethod
     def assert_agrees(model, s_max, fractions):
@@ -200,9 +212,15 @@ class TestInverse:
     def test_increasing_low_order_models(self, model_and_line, fractions):
         self.assert_agrees(*model_and_line, [0.0, 1.0, *fractions])
 
+    def test_nearly_linear_model(self):
+        # 4ac << b^2: the textbook formula would cancel away most digits
+        model = CalibrationModel(2, (5.0, 0.1, 1e-12))
+        self.assert_agrees(model, PASS_S_MAX, np.linspace(0.0, 1.0, 201).tolist())
+
     def test_closed_form_calls_no_polynomial(self, monkeypatch):
         calls = count_raw(monkeypatch)
-        PASS_MODEL.inverse(40.0, PASS_S_MAX)
+        for model in (PASS_MODEL, CalibrationModel(1, (5.0, 0.1))):
+            model.inverse(40.0, PASS_S_MAX)
         assert calls == [0]
 
     def test_order_three_bisects(self, monkeypatch):
@@ -216,18 +234,6 @@ class TestInverse:
         beyond = PASS_MODEL.raw(PASS_S_MAX) + 1.0
         assert PASS_MODEL.inverse(beyond, PASS_S_MAX) == bisect_inverse(PASS_MODEL, beyond,
                                                                         PASS_S_MAX)
-
-
-def count_raw(monkeypatch):
-    calls = [0]
-    raw = CalibrationModel.raw
-
-    def counted(model, s):
-        calls[0] += 1
-        return raw(model, s)
-
-    monkeypatch.setattr(CalibrationModel, "raw", counted)
-    return calls
 
 
 class TestCsv:
