@@ -5,7 +5,7 @@ from .calibration import (CalibrationError, CalibrationModel, CalibrationSet,
                           DistanceEstimate, InsufficientPoints, ReferenceLine,
                           SingularSystem, estimate_distance, fit,
                           load_calibration_csv, project_to_line)
-from .channel import Channel, ChannelConfig, Delivery
+from .channel import Channel, ChannelConfig
 from .decision import (Action, DecisionState, Mode, ZodConfig, ZodCrossing,
                        predict_crossing, step)
 from .fusion import FusedObject, FusionConfig, Source, fuse, joint_distance

@@ -8,6 +8,8 @@ then, if delivered, a latency
 
 Draws consume the seeded stream in ascending receiver-id order, so a
 given (seed, broadcast sequence) always yields the same deliveries.
+A broadcast returns its deliveries as plain ``(receiver_id,
+delivery_time_s)`` pairs in that same ascending receiver order.
 """
 
 from __future__ import annotations
@@ -39,20 +41,15 @@ class ChannelConfig:
             raise ChannelError("latencies must be non-negative")
 
 
-@dataclass(frozen=True)
-class Delivery:
-    receiver_id: int
-    delivery_time_s: float
-
-
 class Channel:
     def __init__(self, config: ChannelConfig, seed: int):
         self.config = config
         self.rng = np.random.default_rng(seed)
 
     def broadcast(self, tx_pos: Sequence[float], tx_time_s: float,
-                  receivers: Sequence[tuple[int, Sequence[float]]]) -> list[Delivery]:
-        """Deliveries for one broadcast; receivers are (station_id, position)."""
+                  receivers: Sequence[tuple[int, Sequence[float]]]) -> list[tuple[int, float]]:
+        """``(receiver_id, delivery_time_s)`` pairs for one broadcast, in
+        ascending receiver order; receivers are ``(station_id, position)``."""
         cfg, hypot, draw = self.config, math.hypot, self.rng.random
         tx_x, tx_y = tx_pos
         comm_range, loss_prob = cfg.comm_range_m, cfg.loss_prob
@@ -62,5 +59,5 @@ class Channel:
         for rid in sorted(in_range):
             if draw() < loss_prob:
                 continue
-            deliveries.append(Delivery(rid, base_s + draw() * jitter_s))
+            deliveries.append((rid, base_s + draw() * jitter_s))
         return deliveries

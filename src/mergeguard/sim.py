@@ -15,6 +15,13 @@ contract:
     every decision period) -> actuate (due completions) -> flush
 
 ``collect_series`` adds one row per tick just before the last flush.
+
+Radio deliveries and queued sends (CPMs, CAMs, DENM copies) wait in one
+queue ordered by (due time, push sequence); that order is part of the
+contract too.  What falls due at one time runs in the order it was
+pushed, so the deliveries of one broadcast run in ascending receiver
+order, after those of every earlier broadcast due at that time.
+
 All randomness (sensor draws, channel loss and jitter, CAM generation
 jitter) comes from streams spawned off one seed, so a given (scenario,
 seed) pair always produces a byte-identical event log.
@@ -56,7 +63,7 @@ from .calibration import CalibrationError, CalibrationModel, ReferenceLine
 from .channel import Channel, ChannelConfig, ChannelError
 from .decision import Action, DecisionState, Mode, ZodConfig, step
 from .fusion import FusedObject, FusionConfig, Source, fuse
-from .messages import (CamPayload, DenmPayload, InvalidMessage, Message, MsgType,
+from .messages import (CamPayload, DenmPayload, InvalidMessage, Message,
                        ObjectClass, StationType, decode_message, encode_message)
 from .moderator import Moderator, ModeratorConfig, RobotPose, robot_cam
 from .perception import (CameraSetup, Detection, PerceptionConfig,
@@ -592,20 +599,34 @@ class EventLog:
     events: list[dict] = field(default_factory=list)
 
     def append(self, time_s: float, event_type: str, actor: str, **payload: Any) -> None:
-        if event_type not in EVENT_TYPES:
-            raise ValueError(f"unknown event type: {event_type!r}")
-        if self.events and not time_s >= self.events[-1]["t"] - _TIME_EPS:
-            raise ValueError(f"event log time regression: {time_s} after {self.events[-1]['t']}")
-        self.events.append({"t": round(time_s, 9), "type": event_type,
-                            "actor": actor, **payload})
+        self.add(time_s, {"t": round(time_s, 9), "type": event_type,
+                          "actor": actor, **payload})
+
+    def add(self, time_s: float, event: dict) -> None:
+        """Append ``event``, a dict whose first keys are ``t`` (equal to
+        ``round(time_s, 9)``), ``type`` and ``actor``.
+
+        Every event passes here, so every event is checked: its type must
+        be known and its time finite and no earlier than the last one's.
+        """
+        if event["type"] not in EVENT_TYPES:
+            raise ValueError(f"unknown event type: {event['type']!r}")
+        if not math.isfinite(time_s):
+            raise ValueError(f"event log time is not finite: {time_s}")
+        events = self.events
+        if events and not time_s >= events[-1]["t"] - _TIME_EPS:
+            raise ValueError(f"event log time regression: {time_s} after {events[-1]['t']}")
+        events.append(event)
 
     def of_type(self, event_type: str) -> list[dict]:
         return [e for e in self.events if e["type"] == event_type]
 
 
+_TO_JSON = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def log_to_jsonl(header: dict, log: EventLog) -> str:
-    lines = [json.dumps(header, separators=(",", ":"))]
-    lines += [json.dumps(e, separators=(",", ":")) for e in log.events]
+    lines = [_TO_JSON(header), *map(_TO_JSON, log.events)]
     return "\n".join(lines) + "\n"
 
 
@@ -631,22 +652,6 @@ class RunResult:
 
     def to_jsonl(self) -> str:
         return log_to_jsonl(self.header, self.log)
-
-
-class _Pending:
-    """Time-ordered queue of engine calls, each ``(method name, args)``."""
-
-    def __init__(self):
-        self._heap: list = []
-        self._seq = 0
-
-    def push(self, time_s: float, method: str, args: tuple) -> None:
-        heapq.heappush(self._heap, (time_s, self._seq, method, args))
-        self._seq += 1
-
-    def pop_due(self, now_s: float):
-        while self._heap and self._heap[0][0] <= now_s + _TIME_EPS:
-            yield heapq.heappop(self._heap)
 
 
 class _Engine:
@@ -696,7 +701,10 @@ class _Engine:
             self.labels[sid] = self.veh_label[idx]
         self.listener_ids = sorted([robot_id, *self.vehicle_index])
 
-        self.pending = _Pending()
+        # heap of (due time, push sequence, method name, args); names, not
+        # bound methods, so the queue holds no reference cycle to the engine
+        self.pending: list[tuple[float, int, str, tuple]] = []
+        self.pushed = 0
         self.cams: dict[int, Message] = {}  # last CAM the robot received per station
         self.cpm: Message | None = None  # newest CPM the robot received
         self.denm_seen: set[tuple[int, int, int]] = set()  # (receiver, origin, sequence)
@@ -732,37 +740,47 @@ class _Engine:
         """``(station, position)`` of every listener, in ascending station order."""
         return [(sid, self.station_pos(sid)) for sid in self.listener_ids]
 
+    def push(self, time_s: float, method: str, args: tuple) -> None:
+        """Queue ``method(*args, time_s)`` to run at the flush due at ``time_s``."""
+        heapq.heappush(self.pending, (time_s, self.pushed, method, args))
+        self.pushed += 1
+
     def transmit(self, msg: Message, tx_time: float) -> None:
         """Send from ``msg.station_id``; all deliveries share one decoded copy."""
         sender_id = msg.station_id
+        type_name = msg.msg_type.name
         data = encode_message(msg, max_hops=self.max_hops)
         self.log.append(tx_time, "msg_tx", self.labels[sender_id],
-                        msg_type=msg.msg_type.name, station_id=sender_id,
+                        msg_type=type_name, station_id=sender_id,
                         timestamp_ms=msg.timestamp_ms, size_b=len(data))
         receivers = [r for r in self.receivers if r[0] != sender_id]
         deliveries = self.channel.broadcast(self.station_pos(sender_id), tx_time, receivers)
-        if deliveries:
-            received = decode_message(data, max_hops=self.max_hops)
-            for d in deliveries:
-                self.pending.push(d.delivery_time_s, "deliver", (d.receiver_id, received))
+        if not deliveries:
+            return
+        received = decode_message(data, max_hops=self.max_hops)
+        heap, seq = self.pending, self.pushed
+        for receiver_id, due in deliveries:
+            heapq.heappush(heap, (due, seq, "deliver", (receiver_id, received, type_name)))
+            seq += 1
+        self.pushed = seq
 
-    def deliver(self, receiver_id: int, msg: Message, rx_time: float) -> None:
-        extra: dict[str, Any] = {}
-        if msg.msg_type is MsgType.DENM:
+    def deliver(self, receiver_id: int, msg: Message, type_name: str, rx_time: float) -> None:
+        event = {"t": round(rx_time, 9), "type": "msg_rx", "actor": self.labels[receiver_id],
+                 "msg_type": type_name, "from_station": msg.station_id,
+                 "timestamp_ms": msg.timestamp_ms,
+                 "latency_s": round(rx_time - msg.timestamp_ms / 1000.0, 9)}
+        if type_name == "DENM":
             p = msg.payload
             seen = (receiver_id, p.origin_station_id, p.sequence_number)
-            extra = {"origin": p.origin_station_id, "sequence": p.sequence_number,
-                     "hop_count": p.hop_count, "duplicate": seen in self.denm_seen}
+            event.update(origin=p.origin_station_id, sequence=p.sequence_number,
+                         hop_count=p.hop_count, duplicate=seen in self.denm_seen)
             self.denm_seen.add(seen)
-        self.log.append(rx_time, "msg_rx", self.labels[receiver_id],
-                        msg_type=msg.msg_type.name, from_station=msg.station_id,
-                        timestamp_ms=msg.timestamp_ms,
-                        latency_s=round(rx_time - msg.timestamp_ms / 1000.0, 9), **extra)
+        self.log.add(rx_time, event)
         if receiver_id != self.robot_id:
             return
-        if msg.msg_type is MsgType.CAM:
+        if type_name == "CAM":
             self.cams[msg.station_id] = msg
-        elif msg.msg_type is MsgType.CPM:
+        elif type_name == "CPM":
             if self.cpm is None or msg.timestamp_ms >= self.cpm.timestamp_ms:
                 self.cpm = msg
         else:
@@ -775,7 +793,9 @@ class _Engine:
                 self.transmit(relayed, rx_time)
 
     def flush(self, now_s: float) -> None:
-        for time_s, _, method, args in self.pending.pop_due(now_s):
+        heap, due = self.pending, now_s + _TIME_EPS
+        while heap and heap[0][0] <= due:
+            time_s, _, method, args = heapq.heappop(heap)
             getattr(self, method)(*args, time_s)
 
     def world(self, now_s: float) -> None:
@@ -809,7 +829,7 @@ class _Engine:
             cpm = self.perception.assemble_cpm(now_s)
             self.log.append(now_s, "cpm_gen", "infra", timestamp_ms=cpm.timestamp_ms,
                             n_objects=len(cpm.payload.objects))
-            self.pending.push(now_s + self.scenario.infra.cpm_processing_delay_s,
+            self.push(now_s + self.scenario.infra.cpm_processing_delay_s,
                               "transmit", (cpm,))
 
     def beacons(self, i: int, now_s: float) -> None:
@@ -823,13 +843,13 @@ class _Engine:
                 self.log.append(now_s, "cam_gen", self.veh_label[idx],
                                 station_id=ent.station_id, pos_x_m=round(x, 6),
                                 speed_mps=round(v, 6), timestamp_ms=cam_msg.timestamp_ms)
-                self.pending.push(now_s, "transmit", (cam_msg,))
+                self.push(now_s, "transmit", (cam_msg,))
         robot_cam = self.moderator.cam_tick(now_s, self.pose)
         if robot_cam is not None:
             self.log.append(now_s, "cam_gen", "robot", station_id=self.robot_id,
                             pos_x_m=round(self.pose.pos_x_m, 6), speed_mps=0.0,
                             timestamp_ms=robot_cam.timestamp_ms)
-            self.pending.push(now_s, "transmit", (robot_cam,))
+            self.push(now_s, "transmit", (robot_cam,))
         r = self.scenario.rsu
         while r is not None:
             sched = r.denm.start_s + self.rsu_sent * r.denm.period_s
@@ -840,7 +860,7 @@ class _Engine:
                 due = now_s + rep * r.denm.repeat_gap_s
                 if due > self.last_flush_s:  # this copy and the later ones never go out
                     break
-                self.pending.push(due, "transmit", (denm,))
+                self.push(due, "transmit", (denm,))
             self.rsu_sent += 1
 
     def _fused_inputs(self, now_s: float) -> tuple[list[FusedObject], list[FusedObject]]:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mergeguard import sim
+from mergeguard.channel import Channel, ChannelConfig
 from mergeguard.sim import (LOG_FORMAT_VERSION, EventLog, ParseError,
                             TrajectorySegment, ValidationError, eval_trajectory,
                             load_scenario, log_from_jsonl, make_pass_scenario,
@@ -645,19 +646,47 @@ class TestLogDiscipline:
         with pytest.raises(ValueError, match="time regression"):
             log.append(4.0, "decision", "robot")
 
+    def test_every_event_passes_the_log_checks(self, monkeypatch):
+        # msg_rx events are built in place; they still go through add
+        checked = []
+        add = EventLog.add
+
+        def spy(log, time_s, event):
+            checked.append(event)
+            add(log, time_s, event)
+
+        monkeypatch.setattr(EventLog, "add", spy)
+        res = run(v2x_cell(rsu=DENSE_RSU))
+        assert res.log.of_type("msg_rx")
+        assert checked == res.log.events
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_append_rejects_non_finite_time(self, bad):
+        log = EventLog()
+        with pytest.raises(ValueError, match="not finite"):
+            log.append(bad, "decision", "robot")
+        log.append(0.0, "decision", "robot")
+        with pytest.raises(ValueError, match="not finite"):
+            log.append(bad, "decision", "robot")
+        assert [e["t"] for e in log.events] == [0.0]
+
     def test_append_checks_survive_optimized_mode(self):
+        # each case: times accepted in turn, then one the log must refuse
         code = ("from mergeguard.sim import EventLog\n"
-                "log = EventLog()\n"
-                "log.append(5.0, 'decision', 'robot')\n"
-                "try:\n"
-                "    log.append(4.0, 'decision', 'robot')\n"
-                "except ValueError:\n"
-                "    print('rejected')\n")
+                "for times in [(5.0, 4.0), (float('nan'),)]:\n"
+                "    log = EventLog()\n"
+                "    *ok, bad = times\n"
+                "    for t in ok:\n"
+                "        log.append(t, 'decision', 'robot')\n"
+                "    try:\n"
+                "        log.append(bad, 'decision', 'robot')\n"
+                "    except ValueError:\n"
+                "        print('rejected')\n")
         src = str(pathlib.Path(sim.__file__).resolve().parent.parent)
         out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "rejected"
+        assert out.stdout.split() == ["rejected", "rejected"]
 
 
 class TestDeterminism:
@@ -693,6 +722,9 @@ GOLDEN_LOGS = {
 }
 GOLDEN_PASS_LOG = "b363eed0b4a7611f6ae63f3472f7fdb299c02c49bf599d36d40e9ac59af2c69b"
 GOLDEN_PASS_SERIES = "8f4ba3a405450e3bd5478bb642b05dfa5daf61abad9be0545a8721d7bd442522"
+# v2x_cell(rsu=DENSE_RSU): lossy deliveries, DENM duplicates and relays
+GOLDEN_DENSE_CELL_LOG = "d75a08ea9ef344378b73e6613059aeaafcad945987aed269842c2d3a9a7788fe"
+DENSE_RSU = {"station_id": 200, "position": [134.3, 0.0], "denm": {"repeat_count": 2}}
 
 
 @pytest.mark.skipif(LOG_FORMAT_VERSION != GOLDEN_LOG_FORMAT,
@@ -709,12 +741,23 @@ class TestGoldenLogs:
         assert _sha256(res.to_jsonl()) == GOLDEN_PASS_LOG
         assert _sha256(json.dumps(res.series)) == GOLDEN_PASS_SERIES
 
+    def test_dense_cell_log(self):
+        res = run(v2x_cell(rsu=DENSE_RSU))
+        rx = res.log.of_type("msg_rx")
+        assert any(e.get("duplicate") for e in rx) and res.log.of_type("denm_relay")
+        assert _sha256(res.to_jsonl()) == GOLDEN_DENSE_CELL_LOG
 
-def v2x_cell():
-    """Six V2X vehicles and the robot, all within one radio cell."""
+
+def v2x_cell(rsu=None, **channel):
+    """Six V2X vehicles and the robot, all within one radio cell.
+
+    ``rsu`` adds a roadworks transmitter; keywords override fields of the
+    lossy channel.
+    """
     obj = minimal()
     obj["duration_s"] = 3.0
-    obj["channel"] = {"comm_range_m": 400.0, "loss_prob": 0.1}
+    obj["rsu"] = rsu
+    obj["channel"] = {"comm_range_m": 400.0, "loss_prob": 0.1, **channel}
     obj["entities"] = [
         {"station_id": 10 + k, "v2x_equipped": True, "cam_period_s": 0.5,
          "trajectory": [{"start_time_s": 0.0, "start_x_m": -60.0 + 20.0 * k,
@@ -744,6 +787,34 @@ class TestRadio:
         assert calls["decode"] <= calls["encode"]
         assert counted.to_jsonl() == plain.to_jsonl()
 
+    def test_simultaneous_deliveries_keep_broadcast_then_receiver_order(self):
+        # without jitter every broadcast of a tick lands at one time; the
+        # log then lists them in send order, each in ascending receiver order
+        sc = v2x_cell(rsu=DENSE_RSU, loss_prob=0.0, latency_jitter_s=0.0)
+        res = run(sc)
+        station = {f"veh{k}": ent.station_id for k, ent in enumerate(sc.entities)}
+        station["robot"] = sc.robot.moderator.station_id
+        sent, keys = [], []
+        for e in res.log.events:
+            if e["type"] == "msg_tx":
+                sent.append((e["t"], e["station_id"], e["msg_type"], e["timestamp_ms"]))
+            elif e["type"] == "msg_rx":
+                (k,) = [k for k, (t, sid, msg_type, ts) in enumerate(sent)
+                        if (sid, msg_type, ts) == (e["from_station"], e["msg_type"],
+                                                   e["timestamp_ms"])
+                        and abs(t + 0.01 - e["t"]) < 1e-8]
+                keys.append((e["t"], k, station[e["actor"]]))
+        assert keys == sorted(set(keys))
+        assert len({(t, k) for t, k, _ in keys}) > len({t for t, _, _ in keys}) > 0
+        assert res.log.of_type("denm_relay")
+
+    def test_broadcast_returns_receiver_time_pairs(self):
+        ch = Channel(ChannelConfig(latency_jitter_s=0.0), seed=0)
+        receivers = [(7, (5.0, 0.0)), (3, (1.0, 0.0)), (9, (500.0, 0.0))]
+        got = ch.broadcast((0.0, 0.0), 1.0, receivers)
+        assert got == [(3, 1.01), (7, 1.01)]
+        assert all(type(d) is tuple for d in got)
+
 
 class TestDenmCopies:
     def test_no_copy_is_queued_past_the_end(self, monkeypatch):
@@ -761,7 +832,7 @@ class TestDenmCopies:
 
         monkeypatch.setattr(sim, "_Engine", Engine)
         res = run(sc)
-        left = [item for item in engines[0].pending._heap
+        left = [item for item in engines[0].pending
                 if item[2] == "transmit" and item[3][0].msg_type.name == "DENM"]
         assert left == []
         sent = [e for e in res.log.of_type("msg_tx") if e["station_id"] == 200]
