@@ -199,8 +199,11 @@ def load_calibration_csv(path) -> CalibrationSet:
             if len(row) < 2:
                 raise CalibrationError(f"{path}:{lineno}: expected two columns")
             try:
-                s_vals.append(float(row[0]))
-                d_vals.append(float(row[1]))
+                s, d = float(row[0]), float(row[1])
             except ValueError:
                 raise CalibrationError(f"{path}:{lineno}: non-numeric value") from None
+            if not (math.isfinite(s) and math.isfinite(d)):
+                raise CalibrationError(f"{path}:{lineno}: non-finite value")
+            s_vals.append(s)
+            d_vals.append(d)
     return CalibrationSet(tuple(s_vals), tuple(d_vals))

@@ -22,7 +22,7 @@ staleness window plus one extra tau_th of grace before release.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -91,7 +91,6 @@ def predict_crossing(obj: FusedObject, now_s: float, zod: ZodConfig) -> ZodCross
 @dataclass(frozen=True)
 class DecisionState:
     mode: Mode = Mode.SAFE
-    since_s: float = 0.0
     blocking_key: tuple[str, int] | None = None  # (source value, ref id)
     blocking_last_seen_s: float = 0.0
 
@@ -128,24 +127,20 @@ def step(state: DecisionState, fused: Sequence[FusedObject], merging_seen: bool,
               the blocking object has been gone past the grace period.
     """
     hazards = _hazards(fused, now_s, zod)
-    if state.mode is Mode.SAFE:
-        if hazards and merging_seen:
-            crossing, blocking = min(
-                hazards, key=lambda cw: (cw[0].t_enter_s, cw[1].ref_id))
-            new = DecisionState(Mode.DANGER, now_s, _key(blocking), now_s)
-            return StepResult(new, Action.STOP)
+    danger = state.mode is Mode.DANGER
+    if hazards and (danger or merging_seen):
+        # the hazard entering first blocks; DANGER re-evaluates it each tick
+        _, blocking = min(hazards, key=lambda cw: (cw[0].t_enter_s, cw[1].ref_id))
+        new = DecisionState(Mode.DANGER, _key(blocking), now_s)
+        return StepResult(new, Action.HOLD if danger else Action.STOP)
+    if not danger:
         return StepResult(state, Action.PASS)
 
-    # DANGER: re-evaluate against the latest fused picture
-    if hazards:
-        crossing, blocking = min(
-            hazards, key=lambda cw: (cw[0].t_enter_s, cw[1].ref_id))
-        new = replace(state, blocking_key=_key(blocking), blocking_last_seen_s=now_s)
-        return StepResult(new, Action.HOLD)
+    # DANGER with no hazard left
     if any(_key(obj) == state.blocking_key for obj in fused):
         # blocking object still reported but no longer a hazard: it exited
-        return StepResult(DecisionState(Mode.SAFE, now_s), Action.PASS)
+        return StepResult(DecisionState(), Action.PASS)
     # blocking object vanished: hold through staleness + one tau_th of grace
     if now_s - state.blocking_last_seen_s <= zod.staleness_s + zod.tau_th_s:
         return StepResult(state, Action.HOLD)
-    return StepResult(DecisionState(Mode.SAFE, now_s), Action.PASS)
+    return StepResult(DecisionState(), Action.PASS)

@@ -17,9 +17,11 @@ contract:
 ``collect_series`` adds one row per tick just before the last flush.
 
 Radio deliveries and queued sends (CPMs, CAMs, DENM copies) wait in one
-queue ordered by (due time, push sequence); that order is part of the
-contract too.  What falls due at one time runs in the order it was
-pushed, so the deliveries of one broadcast run in ascending receiver
+queue of ``(due time, push sequence, receiver id, message, type name)``
+entries, ordered by (due time, push sequence); that order is part of the
+contract too.  A receiver id of None means "transmit the message"; any
+other entry delivers it.  What falls due at one time runs in the order it
+was pushed, so the deliveries of one broadcast run in ascending receiver
 order, after those of every earlier broadcast due at that time.
 
 All randomness (sensor draws, channel loss and jitter, CAM generation
@@ -625,6 +627,14 @@ class EventLog:
 _TO_JSON = json.JSONEncoder(separators=(",", ":")).encode
 
 
+def _not_json(token: str):
+    raise ValueError(f"{token} is not JSON")
+
+
+# strict JSON: the NaN, Infinity and -Infinity that json.loads takes are refused
+_FROM_JSON = json.JSONDecoder(parse_constant=_not_json).decode
+
+
 def log_to_jsonl(header: dict, log: EventLog) -> str:
     lines = [_TO_JSON(header), *map(_TO_JSON, log.events)]
     return "\n".join(lines) + "\n"
@@ -634,10 +644,10 @@ def log_from_jsonl(text: str) -> tuple[dict, list[dict]]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty log")
-    header = json.loads(lines[0])
+    header = _FROM_JSON(lines[0])
     if not isinstance(header, dict):
         raise ValueError("log header is not a JSON object")
-    return header, [json.loads(ln) for ln in lines[1:]]
+    return header, [_FROM_JSON(ln) for ln in lines[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -684,30 +694,36 @@ class _Engine:
             "duration_s": scenario.duration_s,
         }
 
-        # station labels and fixed radio positions; a vehicle's radio
-        # position is its current road position, found by entity index
+        tick = scenario.tick_s
+        # station labels and current radio positions; world() moves each
+        # V2X vehicle's position to its road position every tick
         self.labels: dict[int, str] = {robot_id: "robot"}
         self.positions: dict[int, tuple[float, float]] = {robot_id: robot_cfg.position}
-        if infra:
-            self.labels[infra.station_id] = "infra"
-            self.positions[infra.station_id] = infra.position
-        if scenario.rsu:
-            self.labels[scenario.rsu.station_id] = "rsu"
-            self.positions[scenario.rsu.station_id] = scenario.rsu.position
+        for label, setup in (("infra", infra), ("rsu", scenario.rsu)):
+            if setup is not None:
+                self.labels[setup.station_id] = label
+                self.positions[setup.station_id] = setup.position
         self.veh_label = [f"veh{idx}" for idx in range(len(scenario.entities))]
-        self.vehicle_index = {ent.station_id: idx for idx, ent in enumerate(scenario.entities)
-                              if ent.v2x_equipped}
-        for sid, idx in self.vehicle_index.items():
+        # (entity index, station id, CAM period in ticks) of each V2X vehicle
+        self.v2x_vehicles = [(idx, ent.station_id, int(round(ent.cam_period_s / tick)))
+                             for idx, ent in enumerate(scenario.entities) if ent.v2x_equipped]
+        for idx, sid, _ in self.v2x_vehicles:
             self.labels[sid] = self.veh_label[idx]
-        self.listener_ids = sorted([robot_id, *self.vehicle_index])
+        self.listener_ids = sorted([robot_id, *(sid for _, sid, _ in self.v2x_vehicles)])
+        self.receivers: list[tuple[int, tuple[float, float]]] = []  # set by world()
 
-        # heap of (due time, push sequence, method name, args); names, not
-        # bound methods, so the queue holds no reference cycle to the engine
-        self.pending: list[tuple[float, int, str, tuple]] = []
+        # heap of (due time, push sequence, receiver id or None, message,
+        # type name); plain values, so the queue holds no reference cycle
+        # to the engine
+        self.pending: list[tuple[float, int, int | None, Message, str | None]] = []
         self.pushed = 0
-        self.cams: dict[int, Message] = {}  # last CAM the robot received per station
-        self.cpm: Message | None = None  # newest CPM the robot received
         self.denm_seen: set[tuple[int, int, int]] = set()  # (receiver, origin, sequence)
+
+        # the robot's road picture: one object per station from the last
+        # CAM received, and the objects of the newest CPM received
+        self.v2x_objects: dict[int, FusedObject] = {}
+        self.camera_objects: list[FusedObject] = []
+        self.cpm_ms = -1  # the newest CPM's timestamp; the wire field is unsigned
 
         self.state = DecisionState()
         self.last_action: Action | None = None
@@ -721,28 +737,15 @@ class _Engine:
         self.rsu_sent = 0
         self.series: list[dict] | None = [] if collect_series else None
 
-        tick = scenario.tick_s
         self.max_hops = robot_cfg.moderator.max_hops
         self.n_ticks = int(round(scenario.duration_s / tick))
         self.last_flush_s = self.n_ticks * tick + _TIME_EPS
         self.cpm_every = int(round(infra.perception.cpm_period_s / tick)) if infra else 0
         self.decision_every = int(round(robot_cfg.decision_period_s / tick))
-        self.cam_every = {idx: int(round(ent.cam_period_s / tick))
-                          for idx, ent in enumerate(scenario.entities) if ent.v2x_equipped}
-        self.receivers = self.listening()
 
-    def station_pos(self, sid: int) -> tuple[float, float]:
-        if sid in self.positions:
-            return self.positions[sid]
-        return (self.entity_x[self.vehicle_index[sid]], 0.0)
-
-    def listening(self) -> list[tuple[int, tuple[float, float]]]:
-        """``(station, position)`` of every listener, in ascending station order."""
-        return [(sid, self.station_pos(sid)) for sid in self.listener_ids]
-
-    def push(self, time_s: float, method: str, args: tuple) -> None:
-        """Queue ``method(*args, time_s)`` to run at the flush due at ``time_s``."""
-        heapq.heappush(self.pending, (time_s, self.pushed, method, args))
+    def send_at(self, time_s: float, msg: Message) -> None:
+        """Queue the transmission of ``msg`` at the flush due at ``time_s``."""
+        heapq.heappush(self.pending, (time_s, self.pushed, None, msg, None))
         self.pushed += 1
 
     def transmit(self, msg: Message, tx_time: float) -> None:
@@ -754,13 +757,13 @@ class _Engine:
                         msg_type=type_name, station_id=sender_id,
                         timestamp_ms=msg.timestamp_ms, size_b=len(data))
         receivers = [r for r in self.receivers if r[0] != sender_id]
-        deliveries = self.channel.broadcast(self.station_pos(sender_id), tx_time, receivers)
+        deliveries = self.channel.broadcast(self.positions[sender_id], tx_time, receivers)
         if not deliveries:
             return
         received = decode_message(data, max_hops=self.max_hops)
         heap, seq = self.pending, self.pushed
         for receiver_id, due in deliveries:
-            heapq.heappush(heap, (due, seq, "deliver", (receiver_id, received, type_name)))
+            heapq.heappush(heap, (due, seq, receiver_id, received, type_name))
             seq += 1
         self.pushed = seq
 
@@ -779,10 +782,21 @@ class _Engine:
         if receiver_id != self.robot_id:
             return
         if type_name == "CAM":
-            self.cams[msg.station_id] = msg
+            p = msg.payload
+            heading_rad = math.radians(p.heading_cdeg / 100.0)
+            self.v2x_objects[msg.station_id] = FusedObject(
+                source=Source.V2X, ref_id=msg.station_id, road_x_m=p.pos_x_cm / 100.0,
+                speed_mps=(p.speed_cms / 100.0) * math.cos(heading_rad),
+                object_class=1, last_update_s=msg.timestamp_ms / 1000.0)
         elif type_name == "CPM":
-            if self.cpm is None or msg.timestamp_ms >= self.cpm.timestamp_ms:
-                self.cpm = msg
+            if msg.timestamp_ms >= self.cpm_ms:
+                self.cpm_ms = msg.timestamp_ms
+                ts = msg.timestamp_ms / 1000.0
+                self.camera_objects = [FusedObject(
+                    source=Source.CAMERA, ref_id=obj.object_id, road_x_m=obj.pos_x_cm / 100.0,
+                    speed_mps=camera_speed_to_road(obj.pos_x_cm / 100.0, obj.speed_cms / 100.0),
+                    object_class=obj.object_class, last_update_s=ts - obj.meas_delta_ms / 1000.0)
+                    for obj in msg.payload.objects]
         else:
             relayed = self.moderator.relay_denm(msg)
             if relayed is not None:
@@ -795,8 +809,11 @@ class _Engine:
     def flush(self, now_s: float) -> None:
         heap, due = self.pending, now_s + _TIME_EPS
         while heap and heap[0][0] <= due:
-            time_s, _, method, args = heapq.heappop(heap)
-            getattr(self, method)(*args, time_s)
+            time_s, _, receiver_id, msg, type_name = heapq.heappop(heap)
+            if receiver_id is None:
+                self.transmit(msg, time_s)
+            else:
+                self.deliver(receiver_id, msg, type_name, time_s)
 
     def world(self, now_s: float) -> None:
         for idx, ent in enumerate(self.scenario.entities):
@@ -809,7 +826,11 @@ class _Engine:
                                 road_x_m=round(x, 6))
             self.in_zone[idx] = inside
         self.merging = self.scenario.merging_seen(now_s)
-        self.receivers = self.listening()  # radio positions hold until the next tick
+        positions, entity_x = self.positions, self.entity_x
+        for idx, sid, _ in self.v2x_vehicles:
+            positions[sid] = (entity_x[idx], 0.0)
+        # radio positions hold until the next tick
+        self.receivers = [(sid, positions[sid]) for sid in self.listener_ids]
 
     def sense(self, i: int, now_s: float) -> None:
         if self.sensor is None:
@@ -829,27 +850,25 @@ class _Engine:
             cpm = self.perception.assemble_cpm(now_s)
             self.log.append(now_s, "cpm_gen", "infra", timestamp_ms=cpm.timestamp_ms,
                             n_objects=len(cpm.payload.objects))
-            self.push(now_s + self.scenario.infra.cpm_processing_delay_s,
-                              "transmit", (cpm,))
+            self.send_at(now_s + self.scenario.infra.cpm_processing_delay_s, cpm)
 
     def beacons(self, i: int, now_s: float) -> None:
         # vehicle CAMs at their configured period, then the robot's own
         # (ETSI-rule generation), then due roadworks notifications
-        for idx, every in self.cam_every.items():
+        for idx, sid, every in self.v2x_vehicles:
             if i % every == 0:
-                ent = self.scenario.entities[idx]
                 x, v = self.entity_x[idx], self.entity_v[idx]
-                cam_msg = vehicle_cam(ent.station_id, now_s, x, v)
+                cam_msg = vehicle_cam(sid, now_s, x, v)
                 self.log.append(now_s, "cam_gen", self.veh_label[idx],
-                                station_id=ent.station_id, pos_x_m=round(x, 6),
+                                station_id=sid, pos_x_m=round(x, 6),
                                 speed_mps=round(v, 6), timestamp_ms=cam_msg.timestamp_ms)
-                self.push(now_s, "transmit", (cam_msg,))
+                self.send_at(now_s, cam_msg)
         robot_cam = self.moderator.cam_tick(now_s, self.pose)
         if robot_cam is not None:
             self.log.append(now_s, "cam_gen", "robot", station_id=self.robot_id,
                             pos_x_m=round(self.pose.pos_x_m, 6), speed_mps=0.0,
                             timestamp_ms=robot_cam.timestamp_ms)
-            self.push(now_s, "transmit", (robot_cam,))
+            self.send_at(now_s, robot_cam)
         r = self.scenario.rsu
         while r is not None:
             sched = r.denm.start_s + self.rsu_sent * r.denm.period_s
@@ -860,40 +879,16 @@ class _Engine:
                 due = now_s + rep * r.denm.repeat_gap_s
                 if due > self.last_flush_s:  # this copy and the later ones never go out
                     break
-                self.push(due, "transmit", (denm,))
+                self.send_at(due, denm)
             self.rsu_sent += 1
-
-    def _fused_inputs(self, now_s: float) -> tuple[list[FusedObject], list[FusedObject]]:
-        staleness = self.robot.zod.staleness_s
-        v2x = []
-        for sid, msg in sorted(self.cams.items()):
-            meas_t = msg.timestamp_ms / 1000.0
-            if now_s - meas_t > staleness:
-                continue
-            p = msg.payload
-            heading_rad = math.radians(p.heading_cdeg / 100.0)
-            v2x.append(FusedObject(
-                source=Source.V2X, ref_id=sid, road_x_m=p.pos_x_cm / 100.0,
-                speed_mps=(p.speed_cms / 100.0) * math.cos(heading_rad),
-                object_class=1, last_update_s=meas_t))
-        cam_objs = []
-        if self.cpm is not None:
-            ts = self.cpm.timestamp_ms / 1000.0
-            for obj in self.cpm.payload.objects:
-                meas_t = ts - obj.meas_delta_ms / 1000.0
-                if now_s - meas_t > staleness:
-                    continue
-                road_x = obj.pos_x_cm / 100.0
-                cam_objs.append(FusedObject(
-                    source=Source.CAMERA, ref_id=obj.object_id, road_x_m=road_x,
-                    speed_mps=camera_speed_to_road(road_x, obj.speed_cms / 100.0),
-                    object_class=obj.object_class, last_update_s=meas_t))
-        return v2x, cam_objs
 
     def decide(self, i: int, now_s: float) -> None:
         if i % self.decision_every:
             return
-        v2x_objs, cam_objs = self._fused_inputs(now_s)
+        stale = self.robot.zod.staleness_s
+        v2x_objs = [o for _, o in sorted(self.v2x_objects.items())
+                    if not now_s - o.last_update_s > stale]
+        cam_objs = [o for o in self.camera_objects if not now_s - o.last_update_s > stale]
         fused = fuse(v2x_objs, cam_objs, self.robot.fusion)
         self.log.append(now_s, "fusion_out", "robot",
                         n_v2x=len(v2x_objs), n_camera=len(cam_objs),

@@ -259,6 +259,13 @@ class TestCsv:
         with pytest.raises(CalibrationError):
             load_calibration_csv(path)
 
+    @pytest.mark.parametrize("row", ["20,nan", "inf,3.0", "1.0,-inf", "NaN,1"])
+    def test_non_finite_cell_names_line(self, tmp_path, row):
+        path = tmp_path / "cal.csv"
+        path.write_text(f"s_px,d_m\n0.0,1.0\n{row}\n")
+        with pytest.raises(CalibrationError, match=r"cal\.csv:3: non-finite value"):
+            load_calibration_csv(path)
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_calibration_csv(tmp_path / "nope.csv")

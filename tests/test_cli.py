@@ -131,6 +131,13 @@ class TestCalibrate:
         path = self.write_csv(tmp_path, ["0,2", "one,3", "2,4"])
         assert main(["calibrate", path]) == EXIT_INVALID
 
+    @pytest.mark.parametrize("row", ["20,nan", "inf,3"])
+    def test_non_finite(self, tmp_path, capsys, row):
+        path = self.write_csv(tmp_path, ["0,2", "10,3", row, "30,4"])
+        assert main(["calibrate", path]) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {path}:4: non-finite value\n"
+
     def test_missing_file(self, tmp_path):
         assert main(["calibrate", str(tmp_path / "none.csv")]) == EXIT_IO
 
@@ -176,6 +183,18 @@ class TestReport:
         bad = tmp_path / "log.jsonl"
         bad.write_text(text)
         assert main(["report", str(bad)]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: malformed log")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_number(self, tmp_path, capsys, token):
+        log = tmp_path / "run.jsonl"
+        assert main(["run", REPEATER, "--out", str(log)]) == EXIT_OK
+        header, first, *rest = log.read_text().splitlines()
+        assert first.startswith('{"t":0.0,')
+        log.write_text("\n".join([header, first.replace('"t":0.0', f'"t":{token}', 1),
+                                  *rest]) + "\n")
+        capsys.readouterr()
+        assert main(["report", str(log)]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: malformed log")
 
 

@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 
 from mergeguard import sim
 from mergeguard.channel import Channel, ChannelConfig
+from mergeguard.messages import CpmPayload, Message, PerceivedObject
 from mergeguard.sim import (LOG_FORMAT_VERSION, EventLog, ParseError,
                             TrajectorySegment, ValidationError, eval_trajectory,
                             load_scenario, log_from_jsonl, make_pass_scenario,
-                            run, scenario_from_dict, trajectory_summary)
+                            run, scenario_from_dict, trajectory_summary,
+                            vehicle_cam)
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = {path.stem: json.loads(path.read_text()) for path in sorted(SCENARIO_DIR.glob("*.json"))}
@@ -833,10 +835,74 @@ class TestDenmCopies:
         monkeypatch.setattr(sim, "_Engine", Engine)
         res = run(sc)
         left = [item for item in engines[0].pending
-                if item[2] == "transmit" and item[3][0].msg_type.name == "DENM"]
+                if item[2] is None and item[3].msg_type.name == "DENM"]
         assert left == []
         sent = [e for e in res.log.of_type("msg_tx") if e["station_id"] == 200]
         assert len(sent) == int(round(30.0 / 0.05)) + 1
+
+
+def cpm(timestamp_ms, *objects):
+    """A CPM from station 100; each object is (object id, road x in cm, age in ms)."""
+    return Message(100, timestamp_ms, CpmPayload(sensors=(), objects=tuple(
+        PerceivedObject(object_id=oid, object_class=1, pos_x_cm=x_cm, pos_y_cm=0,
+                        speed_cms=0, meas_delta_ms=age_ms)
+        for oid, x_cm, age_ms in objects)))
+
+
+class TestRoadPicture:
+    """What the robot keeps of the messages it receives, read at each decision."""
+
+    @pytest.fixture
+    def engine(self):
+        return sim._Engine(scenario_from_dict(minimal()), 0, False)
+
+    @staticmethod
+    def picture(engine, now_s):
+        engine.decide(0, now_s)
+        (out,) = [e for e in engine.log.of_type("fusion_out") if e["t"] == now_s]
+        return [(o["src"], o["id"], o["x"]) for o in out["objects"]]
+
+    @staticmethod
+    def receive(engine, msg, rx_time):
+        engine.deliver(engine.robot_id, msg, msg.msg_type.name, rx_time)
+
+    def test_an_older_cpm_is_ignored_and_an_equal_one_replaces(self, engine):
+        self.receive(engine, cpm(1000, (1, -5000, 0)), 1.0)
+        self.receive(engine, cpm(900, (2, -6000, 0)), 1.01)
+        assert self.picture(engine, 1.05) == [("camera", 1, -50.0)]
+        self.receive(engine, cpm(1000, (3, -7000, 0)), 1.1)
+        assert self.picture(engine, 1.15) == [("camera", 3, -70.0)]
+
+    def test_the_last_cam_received_from_a_station_wins(self, engine):
+        self.receive(engine, vehicle_cam(11, 1.0, -40.0, 5.0), 1.0)
+        self.receive(engine, vehicle_cam(10, 1.0, -50.0, 5.0), 1.0)
+        self.receive(engine, vehicle_cam(10, 0.9, -60.0, 5.0), 1.01)  # older, received later
+        assert self.picture(engine, 1.05) == [("v2x", 10, -60.0), ("v2x", 11, -40.0)]
+
+    @pytest.mark.parametrize("msg", [vehicle_cam(10, 1.0, -50.0, 5.0),
+                                     cpm(1500, (4, -5000, 500))])
+    def test_an_object_exactly_staleness_old_is_kept(self, engine, msg):
+        # both measurements date from 1.0 s; staleness_s is 1 s
+        assert engine.robot.zod.staleness_s == 1.0
+        self.receive(engine, msg, 1.5)
+        assert len(self.picture(engine, 2.0)) == 1
+        assert self.picture(engine, 2.05) == []
+
+    def test_only_fresh_objects_reach_fusion(self, engine, monkeypatch):
+        seen = []
+        fuse = sim.fuse
+
+        def spy(v2x, camera, config):
+            seen.append(([o.ref_id for o in v2x], [o.ref_id for o in camera]))
+            return fuse(v2x, camera, config)
+
+        monkeypatch.setattr(sim, "fuse", spy)
+        self.receive(engine, vehicle_cam(10, 0.5, -50.0, 5.0), 0.5)
+        self.receive(engine, vehicle_cam(13, 0.45, -20.0, 5.0), 0.5)
+        self.receive(engine, vehicle_cam(12, 1.0, -30.0, 5.0), 1.0)
+        self.receive(engine, cpm(1000, (4, -5000, 0), (5, -8000, 600)), 1.0)
+        engine.decide(0, 1.5)
+        assert seen == [([10, 12], [4])]
 
 
 class TestSeries:
