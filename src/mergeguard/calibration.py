@@ -152,7 +152,8 @@ def fit(calib: CalibrationSet, order: int = DEFAULT_MAX_ORDER) -> CalibrationMod
     """Least-squares polynomial fit of distance against line coordinate.
 
     Raises InsufficientPoints when len(calib) < order + 1 and
-    SingularSystem when cond(Phi^T Phi) exceeds 1e12.
+    SingularSystem when cond(Phi^T Phi) exceeds 1e12, or when finite
+    points overflow the normal equations or the weights.
     """
     if order < 0:
         raise CalibrationError("order must be non-negative")
@@ -162,11 +163,18 @@ def fit(calib: CalibrationSet, order: int = DEFAULT_MAX_ORDER) -> CalibrationMod
             f"{len(calib)} points cannot determine {n_coef} coefficients")
     s = np.asarray(calib.s, dtype=float)
     d = np.asarray(calib.d, dtype=float)
-    phi = np.vander(s, n_coef, increasing=True)
-    gram = phi.T @ phi
-    if np.linalg.cond(gram) > CONDITION_LIMIT:
-        raise SingularSystem("normal equations condition number exceeds 1e12")
-    w = np.linalg.solve(gram, phi.T @ d)
+    # overflow is caught by the finiteness checks below, not reported as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = np.vander(s, n_coef, increasing=True)
+        gram = phi.T @ phi
+        # a non-finite matrix would reach LAPACK, which prints to stderr
+        if not np.isfinite(gram).all():
+            raise SingularSystem("normal equations overflow")
+        if np.linalg.cond(gram) > CONDITION_LIMIT:
+            raise SingularSystem("normal equations condition number exceeds 1e12")
+        w = np.linalg.solve(gram, phi.T @ d)
+    if not np.isfinite(w).all():
+        raise SingularSystem("fitted weights overflow")
     return CalibrationModel(order, tuple(float(x) for x in w))
 
 

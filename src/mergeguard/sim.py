@@ -634,13 +634,51 @@ def _not_json(token: str):
 # strict JSON: the NaN, Infinity and -Infinity that json.loads takes are refused
 _FROM_JSON = json.JSONDecoder(parse_constant=_not_json).decode
 
+# the one-call reader's line separator: NaN, which no log line may hold
+_LINE_END = object()
+
+
+def _line_end(token: str):
+    if token != "NaN":
+        _not_json(token)
+    return _LINE_END
+
+
+_FROM_JSON_LINES = json.JSONDecoder(parse_constant=_line_end).decode
+
+
+# objects per encoder call: the C encoder keeps every chunk of a call (about
+# 1.3 kB per event) until it joins them, so one call per log would raise the
+# peak memory of a run; 128 objects per call are as fast as one call
+_ENCODE_BATCH = 128
+
 
 def log_to_jsonl(header: dict, log: EventLog) -> str:
-    lines = [_TO_JSON(header), *map(_TO_JSON, log.events)]
-    return "\n".join(lines) + "\n"
+    """The JSONL text of a log: the header object on the first line, then
+    one event object per line, each line ending in ``\\n``, all ASCII.
+
+    The objects are encoded a batch per call, as the list ``[o1, nan, o2,
+    nan, ..., ok]``, and cut at the ``,NaN,`` separators.  No value's
+    encoding begins with ``NaN,`` or ends in ``,NaN``, so every separator
+    is found; the pieces are used only when there is exactly one per
+    object, i.e. when no object's own encoding holds ``,NaN,`` (a NaN in a
+    list does).  Otherwise each object of the batch is encoded on its own.
+    Either way the text is that of encoding each object on its own.
+    """
+    objs = [header, *log.events]
+    lines = []
+    for i in range(0, len(objs), _ENCODE_BATCH):
+        batch = objs[i:i + _ENCODE_BATCH]
+        joined = [math.nan] * (2 * len(batch) - 1)
+        joined[::2] = batch
+        pieces = _TO_JSON(joined)[1:-1].split(",NaN,")
+        lines += pieces if len(pieces) == len(batch) else map(_TO_JSON, batch)
+    lines.append("")  # the final newline, without a copy of the whole text
+    return "\n".join(lines)
 
 
-def log_from_jsonl(text: str) -> tuple[dict, list[dict]]:
+def _log_lines_from_jsonl(text: str) -> tuple[dict, list[dict]]:
+    """``log_from_jsonl`` one line at a time: the reference for its meaning."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty log")
@@ -648,6 +686,38 @@ def log_from_jsonl(text: str) -> tuple[dict, list[dict]]:
     if not isinstance(header, dict):
         raise ValueError("log header is not a JSON object")
     return header, [_FROM_JSON(ln) for ln in lines[1:]]
+
+
+def log_from_jsonl(text: str) -> tuple[dict, list[dict]]:
+    """The header and events of a JSONL log, as ``log_to_jsonl`` writes it.
+
+    Each non-blank line holds one strict JSON value (no ``NaN`` or
+    ``Infinity``), and the first one, the header, must be an object.
+    Blank lines are skipped and any line ending ``str.splitlines`` knows
+    is taken, CRLF included.  Raises ``ValueError`` otherwise.
+
+    A log as written (ASCII, no ``\\r``, no ``NaN``, ``\\n``-terminated) is
+    decoded in one call, as the list that putting ``,NaN,`` after every
+    ``\\n`` and closing with ``0]`` makes.  Only ``\\n`` ends a line of such a
+    text, since the other ASCII line ends cannot appear in valid JSON, and
+    a blank line leaves an empty item, which the decoder refuses.  The text
+    held no ``NaN``, so every NaN decoded is a separator added; when all of
+    them sit at the top level, alternating with the values, each line held
+    exactly one value, the one that decoding the line alone gives.  Any
+    other text, and any that fails this check, is read line by line.
+    """
+    if (text.isascii() and "\r" not in text and "NaN" not in text
+            and text.endswith("\n")):
+        n = text.count("\n")
+        try:
+            items = _FROM_JSON_LINES("[" + text.replace("\n", "\n,NaN,") + "0]")
+        except (ValueError, RecursionError):
+            pass  # the line reader below raises what it finds
+        else:
+            if (len(items) == 2 * n + 1 and items[1::2].count(_LINE_END) == n
+                    and isinstance(items[0], dict)):
+                return items[0], items[2:-1:2]
+    return _log_lines_from_jsonl(text)
 
 
 # ---------------------------------------------------------------------------

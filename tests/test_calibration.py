@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,16 @@ class TestFit:
         calib = CalibrationSet((1e6, 1e6 + 1e-4, 1e6 + 2e-4), (10.0, 10.0, 10.0))
         with pytest.raises(SingularSystem):
             fit(calib, order=2)
+
+    @pytest.mark.parametrize("s,d", [
+        ((0.0, 10.0, 20.0, 30.0), (2.0, 3.0, 1e308, 5.0)),  # finite Gram, weights overflow
+        ((0.0, 10.0, 1e300, 30.0), (2.0, 3.0, 4.0, 5.0)),   # the Gram matrix overflows
+    ], ids=["weights", "gram"])
+    def test_overflow_is_singular_without_warnings(self, s, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystem, match="overflow"):
+                fit(CalibrationSet(s, d), order=2)
 
     def test_default_order_is_two(self):
         calib = CalibrationSet((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 5.0, 10.0))

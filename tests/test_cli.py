@@ -2,9 +2,11 @@
 
 import json
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -137,6 +139,17 @@ class TestCalibrate:
         assert main(["calibrate", path]) == EXIT_INVALID
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {path}:4: non-finite value\n"
+
+    @pytest.mark.parametrize("rows", [["0,2", "10,3", "20,1e308", "30,5"],
+                                      ["0,2", "10,3", "1e300,4", "30,5"]],
+                             ids=["weights overflow", "gram overflows"])
+    def test_overflow_is_one_error_line(self, tmp_path, capfd, rows):
+        path = self.write_csv(tmp_path, rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["calibrate", path]) == EXIT_INVALID
+        out, err = capfd.readouterr()  # file-descriptor level: LAPACK writes there
+        assert out == "" and re.fullmatch(r"error: [^\n]*overflow\n", err)
 
     def test_missing_file(self, tmp_path):
         assert main(["calibrate", str(tmp_path / "none.csv")]) == EXIT_IO

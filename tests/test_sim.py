@@ -1,6 +1,7 @@
 """Scenario validation, trajectory math and end-to-end engine behaviour."""
 
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -707,6 +708,168 @@ class TestDeterminism:
         header, events = log_from_jsonl(res.to_jsonl())
         assert header == res.header
         assert events == res.log.events
+
+
+# ---------------------------------------------------------------------------
+# event log I/O: the batched writer and one-call reader against their references
+
+
+@functools.cache
+def shipped_result(name: str):
+    return run(load_scenario(SCENARIO_DIR / f"{name}.json"))
+
+
+def jsonl_one_by_one(header, log) -> str:
+    return "\n".join(map(sim._TO_JSON, [header, *log.events])) + "\n"
+
+
+def read(reader, text):
+    """What ``reader`` returns for ``text``, as its repr, or its ValueError."""
+    try:
+        return repr(reader(text))
+    except ValueError as exc:
+        return exc
+
+
+def assert_reads_like_line_reader(text):
+    got, want = read(log_from_jsonl, text), read(sim._log_lines_from_jsonl, text)
+    if isinstance(want, ValueError):
+        assert isinstance(got, ValueError) and str(got) == str(want)
+    else:
+        assert got == want  # repr: key order, int against float and -0.0 count
+
+
+LINE_ENDS = ["\n", "\r\n", "\r"]
+BARE_VALUES = ["NaN", "Infinity", "-Infinity", "7", '"x"', "null", "{},{}"]
+
+
+@st.composite
+def mutated_logs(draw):
+    """A shipped scenario's log with one to three edits, each of which one
+    reader could take differently from the other."""
+    text = shipped_result(draw(st.sampled_from(sorted(SHIPPED)))).to_jsonl()
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from([
+            "join", "split", "crlf", "blank", "separator in string",
+            "NaN in string", "non-finite number", "bare value", "bom",
+            "header only", "no final newline"]))
+        ends = [m.start() for m in re.finditer("\n", text)] or [len(text)]
+        at = ends[draw(st.sampled_from([0, -1]) | st.integers(0, len(ends) - 1))]
+        if edit == "join":  # two lines as one, or as two values on one line
+            text = text[:at] + draw(st.sampled_from(["", ","])) + text[at + 1:]
+        elif edit == "split":  # a line ended after one of its , or :
+            cuts = [m.end() for m in re.finditer("[,:]", text)] or [0]
+            cut = cuts[draw(st.integers(0, len(cuts) - 1))]
+            text = text[:cut] + draw(st.sampled_from(LINE_ENDS)) + text[cut:]
+        elif edit == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif edit == "blank":  # before the first line or after any other
+            at = draw(st.sampled_from([-1, at]))
+            text = text[:at + 1] + draw(st.sampled_from(["\n", " \t\n"])) + text[at + 1:]
+        elif edit in ("separator in string", "NaN in string"):
+            opens = [m.end() for m in re.finditer('[{,:]"', text)] or [0]
+            pos = opens[draw(st.integers(0, len(opens) - 1))]
+            insert = (draw(st.sampled_from(["\u2028", "\x85"]))
+                      if edit == "separator in string" else "NaN")
+            text = text[:pos] + insert + text[pos:]
+        elif edit == "non-finite number":
+            nums = list(re.finditer(r"(?<=:)-?\d[\d.eE+-]*", text))
+            if nums:
+                m = nums[draw(st.integers(0, len(nums) - 1))]
+                token = draw(st.sampled_from(["Infinity", "-Infinity", "NaN"]))
+                text = text[:m.start()] + token + text[m.end():]
+        elif edit == "bare value":  # a line replaced by a value that is not an object
+            start = text.rfind("\n", 0, at) + 1
+            text = text[:start] + draw(st.sampled_from(BARE_VALUES)) + text[at:]
+        elif edit == "bom":
+            text = "\ufeff" + text
+        elif edit == "header only":
+            text = text[:text.find("\n") + 1]
+        elif text.endswith("\n"):  # no final newline
+            text = text[:-1]
+    return text
+
+
+HEADER = '{"log_format":1}\n'
+
+
+class TestLogReader:
+    @settings(deadline=None)
+    @given(mutated_logs())
+    def test_mutated_shipped_log_reads_as_line_by_line(self, text):
+        assert_reads_like_line_reader(text)
+
+    @pytest.mark.parametrize("text", [
+        # joined, these two lines parse to two objects; neither line is one value
+        HEADER + '{"z":0},{"a":[1\n2]}\n',
+        HEADER + "{},{}\n",
+    ], ids=["value over two lines", "two values on a line"])
+    def test_line_that_is_not_one_value_is_refused(self, text):
+        with pytest.raises(ValueError):
+            log_from_jsonl(text)
+
+    @pytest.mark.parametrize("text", [
+        HEADER + '{"z":0},{"a":[1\n2]}\n',
+        HEADER + "{},{}\n",
+        HEADER + "{},{},{}\n",  # the separators stay at odd places
+        HEADER + '{"a":[1\n2]}\n{},{},{}\n',  # and the item count is right
+        HEADER + '{"t":\r0}\n',  # JSON whitespace, but a line end to splitlines
+        HEADER + '{"a":"\u2028"}\n',
+        HEADER + "NaN\n",
+        HEADER + "7",  # the closing 0] must not extend the last number
+        '7\n{}\n',
+        HEADER + "\n \n{}\r\n",
+        "\n" + HEADER,
+    ], ids=["value over two lines", "two values on a line", "three values on a line",
+            "split value and three values", "lone CR", "line separator in a string",
+            "bare NaN", "no final newline", "header not an object",
+            "blank lines and CRLF", "blank first line"])
+    def test_case_reads_as_line_by_line(self, text):
+        assert_reads_like_line_reader(text)
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    def test_shipped_log_is_read_in_one_call(self, name, monkeypatch):
+        res = shipped_result(name)
+        text = res.to_jsonl()
+        want = sim._log_lines_from_jsonl(text)
+        calls = []
+        monkeypatch.setattr(sim, "_log_lines_from_jsonl", lambda t: calls.append(t))
+        assert log_from_jsonl(text) == want == (res.header, res.log.events)
+        assert calls == []
+
+
+class TestLogWriter:
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    def test_shipped_log(self, name):
+        res = shipped_result(name)
+        assert res.to_jsonl() == jsonl_one_by_one(res.header, res.log)
+
+    @pytest.mark.parametrize("events", [
+        [],
+        [{"t": 0.0, "type": "cam_gen", "actor": "robot"}],
+        # a NaN inside a list encodes as ",NaN,": the objects are encoded one by one
+        [{"t": 0.0, "type": "fusion_out", "actor": "robot", "x": [1.0, math.nan, 2.0]},
+         {"t": 1.0, "type": "cam_gen", "actor": "robot"}],
+        [{"t": 0.0, "type": "cam_gen", "actor": ",NaN,"},
+         {"t": 1.0, "type": "cam_gen", "actor": "robot"}],
+        [{"t": float(k), "type": "cam_gen", "actor": "robot",
+          "x": [k, math.nan, k] if k == 200 else k} for k in range(300)],
+    ], ids=["no events", "one event", "NaN in a list", "separator in a string",
+            "NaN in one batch of several"])
+    def test_log_encodes_as_its_objects_one_by_one(self, events):
+        header = {"log_format": LOG_FORMAT_VERSION, "scenario": "s"}
+        log = EventLog(events)
+        assert sim.log_to_jsonl(header, log) == jsonl_one_by_one(header, log)
+
+    @given(st.lists(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(",NaN[]{}\"x"),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text("aN,", max_size=3), inner, max_size=3),
+        max_leaves=8), max_size=6))
+    def test_any_values_encode_as_one_by_one(self, events):
+        header = {"n": math.nan}
+        log = EventLog(events)
+        assert sim.log_to_jsonl(header, log) == jsonl_one_by_one(header, log)
 
 
 def _sha256(text: str) -> str:
