@@ -58,6 +58,7 @@ class ReferenceLine:
     p0: tuple[float, float]
     p1: tuple[float, float]
     s_max: float = field(init=False)
+    direction: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
         dx = self.p1[0] - self.p0[0]
@@ -66,11 +67,7 @@ class ReferenceLine:
         if length <= 0.0:
             raise CalibrationError("reference line endpoints coincide")
         object.__setattr__(self, "s_max", length)
-
-    @property
-    def direction(self) -> tuple[float, float]:
-        return ((self.p1[0] - self.p0[0]) / self.s_max,
-                (self.p1[1] - self.p0[1]) / self.s_max)
+        object.__setattr__(self, "direction", (dx / length, dy / length))
 
 
 def project_to_line(point: Sequence[float], line: ReferenceLine) -> float:

@@ -22,7 +22,7 @@ staleness window plus one extra tau_th of grace before release.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -37,20 +37,16 @@ class ZodConfig:
     tau_th_s: float = 5.0
     center_x_m: float = 0.0
     staleness_s: float = 1.0
+    x_min: float = field(init=False)
+    x_max: float = field(init=False)
 
     def __post_init__(self):
         if self.half_extent_m <= 0:
             raise ValueError("half_extent_m must be positive")
         if self.tau_th_s < 0:
             raise ValueError("tau_th_s must be non-negative")
-
-    @property
-    def x_min(self) -> float:
-        return self.center_x_m - self.half_extent_m
-
-    @property
-    def x_max(self) -> float:
-        return self.center_x_m + self.half_extent_m
+        object.__setattr__(self, "x_min", self.center_x_m - self.half_extent_m)
+        object.__setattr__(self, "x_max", self.center_x_m + self.half_extent_m)
 
     def contains(self, road_x_m: float) -> bool:
         return self.x_min <= road_x_m <= self.x_max

@@ -113,7 +113,6 @@ class TrackWindow:
     object_class: int
     times: list[float] = field(default_factory=list)
     distances: list[float] = field(default_factory=list)
-    extrapolation_suspect: bool = False
 
     @property
     def last_time(self) -> float:
@@ -163,12 +162,14 @@ class PerceptionPipeline:
 
     def __init__(self, station_id: int, cameras: list[CameraSetup],
                  config: PerceptionConfig | None = None):
-        if len(cameras) > 4:
-            raise PerceptionError("at most 4 cameras per station")
         self.station_id = station_id
         self.cameras = {cam.camera_id: cam for cam in cameras}
         if len(self.cameras) != len(cameras):
             raise PerceptionError("camera ids must be unique")
+        self._sensors = tuple(
+            SensorInfo(sensor_id=cam.camera_id, sensor_type=SensorType.CAMERA,
+                       range_dm=int(round(cam.model.raw(cam.line.s_max) * 10)))
+            for cam in sorted(cameras, key=lambda c: c.camera_id))
         self.config = config or PerceptionConfig()
         self.tracks: dict[tuple[int, int], TrackWindow] = {}
 
@@ -186,10 +187,6 @@ class PerceptionPipeline:
         window.push(detection.time_s, est.meters,
                     min_gap_s=self.config.sample_gap_s)
         window.object_class = detection.object_class
-        # a projection pinned to either end of the line means the point sat
-        # outside the calibrated span
-        window.extrapolation_suspect = (
-            est.extrapolation_suspect or s <= 0.0 or s >= cam.line.s_max)
         return window
 
     def expire_tracks(self, now_s: float) -> None:
@@ -201,10 +198,6 @@ class PerceptionPipeline:
     def assemble_cpm(self, now_s: float) -> Message:
         """Build one CPM covering all cameras and all live tracks."""
         self.expire_tracks(now_s)
-        sensors = tuple(
-            SensorInfo(sensor_id=cam.camera_id, sensor_type=SensorType.CAMERA,
-                       range_dm=int(round(cam.model.raw(cam.line.s_max) * 10)))
-            for cam in sorted(self.cameras.values(), key=lambda c: c.camera_id))
         live = sorted(self.tracks.items())
         if len(live) > _CPM_MAX_OBJECTS:  # newest first; the stable sort keeps key order on ties
             newest = sorted(live, key=lambda item: -item[1].last_time)[:_CPM_MAX_OBJECTS]
@@ -229,7 +222,7 @@ class PerceptionPipeline:
             ))
         return Message(station_id=self.station_id,
                        timestamp_ms=int(round(now_s * 1000.0)),
-                       payload=CpmPayload(sensors, tuple(objects)))
+                       payload=CpmPayload(self._sensors, tuple(objects)))
 
 
 def _clamp_i16(value: int) -> int:

@@ -779,7 +779,7 @@ class _Engine:
                              for idx, ent in enumerate(scenario.entities) if ent.v2x_equipped]
         for idx, sid, _ in self.v2x_vehicles:
             self.labels[sid] = self.veh_label[idx]
-        self.listener_ids = sorted([robot_id, *(sid for _, sid, _ in self.v2x_vehicles)])
+        self.listener_ids = [robot_id, *(sid for _, sid, _ in self.v2x_vehicles)]
         self.receivers: list[tuple[int, tuple[float, float]]] = []  # set by world()
 
         # heap of (due time, push sequence, receiver id or None, message,
@@ -956,8 +956,7 @@ class _Engine:
         if i % self.decision_every:
             return
         stale = self.robot.zod.staleness_s
-        v2x_objs = [o for _, o in sorted(self.v2x_objects.items())
-                    if not now_s - o.last_update_s > stale]
+        v2x_objs = [o for o in self.v2x_objects.values() if not now_s - o.last_update_s > stale]
         cam_objs = [o for o in self.camera_objects if not now_s - o.last_update_s > stale]
         fused = fuse(v2x_objs, cam_objs, self.robot.fusion)
         self.log.append(now_s, "fusion_out", "robot",

@@ -1,5 +1,6 @@
 """Zone-of-Danger prediction and the STOP/HOLD/PASS state machine."""
 
+import dataclasses
 import math
 
 import pytest
@@ -22,6 +23,11 @@ def cam(ref_id, x, v, t=0.0):
 class TestZodConfig:
     def test_interval(self):
         assert ZOD.x_min == -25.0 and ZOD.x_max == 25.0
+
+    def test_replace_recomputes_bounds(self):
+        zod = dataclasses.replace(ZodConfig(), center_x_m=10.0)
+        assert (zod.x_min, zod.x_max) == (-15.0, 35.0)
+        assert zod.contains(-15.0) and zod.contains(35.0) and not zod.contains(-15.0001)
 
     def test_boundaries_inclusive(self):
         assert ZOD.contains(-25.0) and ZOD.contains(25.0)

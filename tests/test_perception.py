@@ -49,11 +49,6 @@ class TestProjectionToRoad:
         road_x = cam.road_position_m + cam.direction_sign * window.last_distance
         assert road_x == pytest.approx(84.0)
 
-    def test_projection_off_line_end_flags_suspect(self):
-        pipeline = make_pipeline()
-        window = pipeline.ingest(Detection(0, 2, (900.0, 0.0), 1, 0.0))
-        assert window.extrapolation_suspect
-
 
 class TestWindow:
     def test_velocity_example(self):

@@ -414,6 +414,15 @@ class TestValidation:
          "rsu.denm": obj["rsu"]["denm"]}[where]["extra"] = 1
         self.check(obj, f"{re.escape(where)}: unknown field 'extra'")
 
+    @pytest.mark.parametrize("where, key", [("robot.zod", "x_min"),
+                                            ("infra.cameras[0].line", "direction")])
+    def test_derived_field_is_not_a_key(self, where, key):
+        obj = with_infra(minimal())
+        obj["robot"]["zod"] = {}
+        {"robot.zod": obj["robot"]["zod"],
+         "infra.cameras[0].line": obj["infra"]["cameras"][0]["line"]}[where][key] = 1.0
+        self.check(obj, f"{re.escape(where)}: unknown field '{key}'")
+
     def test_composite_sections_ignore_unknown_keys(self):
         obj = with_infra(self.with_rsu(note="x"))
         obj["robot"]["station_id"] = 99  # not read: the id is robot.moderator.station_id
