@@ -120,7 +120,7 @@ def _cmd_report(args) -> int:
         header, events = sim.log_from_jsonl(text)
         report = kpi.compute(events, subject_station=args.subject,
                              end_time_s=header.get("duration_s"))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         return _fail(f"malformed log: {exc}", EXIT_INVALID)
     payload = dict(scenario=header.get("scenario"), seed=header.get("seed"),
                    **report.to_json_dict())

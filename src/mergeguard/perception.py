@@ -34,7 +34,6 @@ WINDOW_SIZE = 3
 # two bits carry the camera index so two cameras tracking the same
 # vehicle never collide within one message.
 _TRACK_ID_BITS = 14
-_TRACK_ID_MASK = (1 << _TRACK_ID_BITS) - 1
 _CPM_MAX_OBJECTS = 255
 
 
@@ -181,6 +180,9 @@ class PerceptionPipeline:
         key = (detection.camera_id, detection.track_id)
         window = self.tracks.get(key)
         if window is None:
+            if detection.track_id >> _TRACK_ID_BITS:  # also true for a negative id
+                raise PerceptionError(f"track id {detection.track_id} does not fit the "
+                                      f"CPM object_id ({_TRACK_ID_BITS} bits)")
             window = TrackWindow(detection.camera_id, detection.track_id,
                                  detection.object_class)
             self.tracks[key] = window
@@ -213,7 +215,7 @@ class PerceptionPipeline:
             if classify_motion(v_bar, self.config) is MotionClass.STATIONARY:
                 v_bar = 0.0
             objects.append(PerceivedObject(
-                object_id=(camera_id << _TRACK_ID_BITS) | (track_id & _TRACK_ID_MASK),
+                object_id=(camera_id << _TRACK_ID_BITS) | track_id,
                 object_class=window.object_class,
                 pos_x_cm=int(round(road_x * 100.0)),
                 pos_y_cm=0,

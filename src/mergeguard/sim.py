@@ -271,7 +271,7 @@ class RsuSetup:
     def notification(self, now_s: float, count: int) -> Message:
         """The DENM of the ``count``-th notification, sent at ``now_s``."""
         return Message(self.station_id, int(round(now_s * 1000.0)), DenmPayload(
-            cause_code=self.denm.cause_code, sequence_number=count % 65536,
+            cause_code=self.denm.cause_code, sequence_number=count,
             event_pos_x_cm=int(round(self.position[0] * 100.0)),
             event_pos_y_cm=int(round(self.position[1] * 100.0)),
             validity_s=self.denm.validity_s, hop_count=0, origin_station_id=self.station_id))
@@ -463,6 +463,10 @@ def scenario_from_dict(obj: dict) -> Scenario:
         _require(denm.repeat_count == 1 or denm.repeat_gap_s >= tick
                  and denm.repeat_count - 1 < denm.period_s / denm.repeat_gap_s,
                  "rsu.denm: repeat copies must be at least tick_s apart and fit in period_s")
+        # the u16 sequence number tells 65536 notifications apart; beacons()
+        # sends the next one when this holds
+        _require(not denm.start_s + 65536 * denm.period_s <= min(denm.end_s, duration),
+                 "rsu.denm: more than 65536 notifications in the run")
 
     # the messages the run sends, built as the engine builds them and encoded
     # once the station ids are known to fit: each V2X vehicle's CAM wherever
@@ -498,21 +502,22 @@ def scenario_from_dict(obj: dict) -> Scenario:
     if rsu:
         probes.append(("rsu", rsu.notification, (0.0, 0)))
     if infra:
-        probes.append(("infra.cameras", _widest_cpm, (infra,)))
+        probes.append(("infra.cameras", _widest_cpm, (infra, len(sc.entities))))
     for why, build, args in probes:
         try:
             encode_message(build(*args), max_hops=robot.moderator.max_hops)
-        except (InvalidMessage, OverflowError, ValueError) as exc:  # or not finite, scaled
+        except (InvalidMessage, OverflowError, ValueError,  # or not finite, scaled
+                PerceptionError) as exc:  # an entity index too wide for a track id
             raise ValidationError(f"{why}: {exc}") from None
     return sc
 
 
-def _widest_cpm(infra: InfraSetup) -> Message:
+def _widest_cpm(infra: InfraSetup, n_entities: int) -> Message:
     """The CPM with the widest values the cameras can send: a track at each
-    end of every line, aged to expiry."""
+    end of every line, one of them the last entity's, aged to expiry."""
     pipeline = PerceptionPipeline(infra.station_id, list(infra.cameras), infra.perception)
     for cam in infra.cameras:
-        for track_id, end in enumerate((cam.line.p0, cam.line.p1)):
+        for track_id, end in ((0, cam.line.p0), (max(n_entities - 1, 1), cam.line.p1)):
             pipeline.ingest(Detection(cam.camera_id, track_id, end, ObjectClass.CAR, 0.0))
     return pipeline.assemble_cpm(infra.perception.track_expiry_s)
 

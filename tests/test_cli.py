@@ -210,6 +210,23 @@ class TestReport:
         assert main(["report", str(log)]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: malformed log")
 
+    @pytest.mark.parametrize("kind, key", [
+        ({"type": "msg_rx", "actor": "robot", "msg_type": "CPM"}, "latency_s"),
+        ({"type": "zod_enter"}, "t"),
+    ], ids=["robot cpm latency", "zod_enter time"])
+    def test_integer_too_large_for_a_float(self, log_path, capsys, kind, key):
+        header, *lines = log_path.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines)
+                 if kind.items() <= json.loads(line).items())
+        event = json.loads(lines[i])
+        event[key] = 10 ** 400
+        lines[i] = json.dumps(event)
+        log_path.write_text("\n".join([header, *lines]) + "\n")
+        capsys.readouterr()
+        assert main(["report", str(log_path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed log") and err.count("\n") == 1
+
 
 class TestBatch:
     def test_runs_every_scenario(self, tmp_path, capsys):

@@ -175,6 +175,16 @@ class TestCpmAssembly:
         # the newest track stays; of the 256 tied at t=0 the lowest keys fill the rest
         assert ids == list(range(254)) + [1 << 14]
 
+    @pytest.mark.parametrize("track_id", [1 << 14, -1])
+    def test_track_id_must_fit_the_object_id(self, track_id):
+        # a wider id would share its CPM object_id with another track
+        pipeline = make_pipeline()
+        pipeline.ingest(Detection(0, (1 << 14) - 1, (550.0, 0.0), 1, 0.0))
+        with pytest.raises(PerceptionError, match="track id"):
+            pipeline.ingest(Detection(0, track_id, (550.0, 0.0), 1, 0.0))
+        ids = [o.object_id for o in pipeline.assemble_cpm(0.0).payload.objects]
+        assert ids == [(1 << 14) - 1]
+
     def test_sensor_list_covers_all_cameras(self):
         pipeline = make_pipeline()
         msg = pipeline.assemble_cpm(0.0)

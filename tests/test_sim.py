@@ -423,6 +423,28 @@ class TestValidation:
          "infra.cameras[0].line": obj["infra"]["cameras"][0]["line"]}[where][key] = 1.0
         self.check(obj, f"{re.escape(where)}: unknown field '{key}'")
 
+    @pytest.mark.parametrize("n, ok", [(1 << 14, True), ((1 << 14) + 1, False)])
+    def test_entity_index_must_fit_a_cpm_track_id(self, n, ok):
+        # entities 0 and 16,384 would share one CPM object id
+        obj = make_pass_scenario(1)
+        parked = [{"trajectory": [self.seg(0.0, -1000.0, 0.0)]}] * n
+        obj["entities"] = [{"trajectory": [self.seg(0.0, -74.0, 0.0)]}, *parked[2:],
+                           {"trajectory": [self.seg(0.0, -74.0, 0.0)]}]
+        if ok:
+            assert len(scenario_from_dict(obj).entities) == n
+        else:
+            self.check(obj, "infra.cameras: track id 16384 does not fit")
+
+    @pytest.mark.parametrize("duration, ok", [(65535.0, True), (65536.0, False)])
+    def test_denm_sequence_numbers_must_not_wrap(self, duration, ok):
+        # notifications at 0, 1, ..., duration s: 65,536 of them fit the u16
+        obj = {**self.with_rsu(denm={"period_s": 1.0}), "duration_s": duration, "tick_s": 1.0}
+        obj["robot"]["decision_period_s"] = 1.0
+        if ok:
+            assert scenario_from_dict(obj).rsu.denm.period_s == 1.0
+        else:
+            self.check(obj, "more than 65536 notifications")
+
     def test_composite_sections_ignore_unknown_keys(self):
         obj = with_infra(self.with_rsu(note="x"))
         obj["robot"]["station_id"] = 99  # not read: the id is robot.moderator.station_id
