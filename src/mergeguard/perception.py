@@ -121,17 +121,25 @@ class TrackWindow:
     def last_distance(self) -> float:
         return self.distances[-1]
 
+    def takes(self, time_s: float, min_gap_s: float = 0.0) -> bool:
+        """Whether ``push`` keeps a sample at ``time_s``: not when it falls
+        less than ``min_gap_s`` after the last kept sample, unless at the
+        same instant.  Raises StaleDetection for a time before the last."""
+        if not self.times:
+            return True
+        last = self.times[-1]
+        if time_s < last:
+            raise StaleDetection(f"track {self.track_id}: sample at {time_s} after {last}")
+        return time_s == last or not time_s - last < min_gap_s - 1e-9
+
     def push(self, time_s: float, distance_m: float,
              min_gap_s: float = 0.0) -> None:
-        if self.times and time_s < self.last_time:
-            raise StaleDetection(
-                f"track {self.track_id}: sample at {time_s} after {self.last_time}")
+        if not self.takes(time_s, min_gap_s):
+            return  # too close to the previous kept sample
         if self.times and time_s == self.last_time:
             # one sample per instant: a same-time detection replaces the last
             self.distances[-1] = distance_m
             return
-        if self.times and time_s - self.last_time < min_gap_s - 1e-9:
-            return  # too close to the previous kept sample
         self.times.append(time_s)
         self.distances.append(distance_m)
         if len(self.times) > WINDOW_SIZE:
@@ -173,10 +181,9 @@ class PerceptionPipeline:
         self.tracks: dict[tuple[int, int], TrackWindow] = {}
 
     def ingest(self, detection: Detection) -> TrackWindow:
-        """Project, estimate distance and append to the detection's track window."""
+        """Append the detection to its track window.  Only a sample the
+        window keeps is projected and turned into a distance."""
         cam = self.cameras[detection.camera_id]
-        s = project_to_line(detection.bottom_center, cam.line)
-        est = estimate_distance(cam.model, s)
         key = (detection.camera_id, detection.track_id)
         window = self.tracks.get(key)
         if window is None:
@@ -186,8 +193,10 @@ class PerceptionPipeline:
             window = TrackWindow(detection.camera_id, detection.track_id,
                                  detection.object_class)
             self.tracks[key] = window
-        window.push(detection.time_s, est.meters,
-                    min_gap_s=self.config.sample_gap_s)
+        time_s, gap_s = detection.time_s, self.config.sample_gap_s
+        if window.takes(time_s, gap_s):
+            s = project_to_line(detection.bottom_center, cam.line)
+            window.push(time_s, estimate_distance(cam.model, s).meters, min_gap_s=gap_s)
         window.object_class = detection.object_class
         return window
 

@@ -109,19 +109,26 @@ class TrajectorySegment:
     speed_mps: float
     accel_mps2: float
 
+    def at(self, t_s: float) -> tuple[float, float]:
+        """Position and signed velocity at time t, under this segment's motion."""
+        dt = t_s - self.start_time_s
+        return (self.start_x_m + self.speed_mps * dt + 0.5 * self.accel_mps2 * dt * dt,
+                self.speed_mps + self.accel_mps2 * dt)
+
 
 def eval_trajectory(segments: Sequence[TrajectorySegment], t_s: float) -> tuple[float, float]:
-    """Position and signed velocity at time t (piecewise constant acceleration)."""
+    """Position and signed velocity at time t (piecewise constant acceleration).
+
+    The segment in force is the last one starting no later than
+    ``t_s + _TIME_EPS``.
+    """
     seg = segments[0]
     for cand in segments:
         if cand.start_time_s <= t_s + _TIME_EPS:
             seg = cand
         else:
             break
-    dt = t_s - seg.start_time_s
-    x = seg.start_x_m + seg.speed_mps * dt + 0.5 * seg.accel_mps2 * dt * dt
-    v = seg.speed_mps + seg.accel_mps2 * dt
-    return x, v
+    return seg.at(t_s)
 
 
 def trajectory_summary(segments: Sequence[TrajectorySegment],
@@ -533,7 +540,8 @@ def load_scenario(path) -> Scenario:
         data = fh.read()
     try:
         obj = json.loads(data)
-    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, an integer too long
+    # bad JSON, bytes that are not UTF-8, an integer too long; or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ParseError(str(exc)) from None
     return scenario_from_dict(obj)
 
@@ -541,18 +549,24 @@ def load_scenario(path) -> Scenario:
 # ---------------------------------------------------------------------------
 # sensor model
 
+# pixel-noise draws per refill of a sensor's buffer, unless one tick needs more
+_NOISE_BLOCK = 1024
+
 
 class SensorModel:
     """Per-vehicle acquisition range plus pixel noise on the line coordinate.
 
     Each vehicle's maximum detection range is drawn once from
     N(mean, std) truncated to [detect_min, detect_max]; a camera sees the
-    vehicle whenever its distance lies between the near cutoff and that
-    range.  The reported image point is the true line coordinate plus
-    Gaussian pixel noise, one scalar draw per detection in camera-then-
-    entity order.  The true coordinate is the calibration's inverse at the
-    true distance (``CalibrationModel.inverse``: closed form up to order 2,
-    bisection above).
+    vehicle whenever its distance lies between the near cutoff and the
+    smaller of that range and the distance at the line's far end.  The
+    reported image point is the true line coordinate plus Gaussian pixel
+    noise, one draw per detection in camera-then-entity order.  The noise
+    is drawn from the stream in blocks, kept in a buffer that the model
+    owns, and used in stream order, so each detection gets the value that
+    one scalar draw would give.  The true coordinate is the calibration's
+    inverse at the true distance (``CalibrationModel.inverse``: closed
+    form up to order 2, bisection above).
     """
 
     def __init__(self, config: SensorConfig, cameras: Sequence[CameraSetup],
@@ -560,10 +574,15 @@ class SensorModel:
         self.config = config
         self.cameras = sorted(cameras, key=lambda c: c.camera_id)
         self.rng = rng
-        self.ranges = [self._draw_range() for _ in range(n_entities)]
-        self._near = {cam.camera_id: max(config.detect_near_m, cam.model.raw(0.0))
-                      for cam in self.cameras}
-        self._far = {cam.camera_id: cam.model.raw(cam.line.s_max) for cam in self.cameras}
+        ranges = [self._draw_range() for _ in range(n_entities)]
+        # (camera, near cutoff, the farthest distance it sees each entity at)
+        self._views = []
+        for cam in self.cameras:
+            far = cam.model.raw(cam.line.s_max)
+            self._views.append((cam, max(config.detect_near_m, cam.model.raw(0.0)),
+                                [min(r, far) for r in ranges]))
+        self._noise: list[float] = []  # drawn from rng, used from _next on
+        self._next = 0
 
     def _draw_range(self) -> float:
         cfg = self.config
@@ -578,22 +597,30 @@ class SensorModel:
                 classes: Sequence[int]) -> list[Detection]:
         """Detections for this tick, cameras in id order, entities in index order."""
         out = []
-        ranges, noise_std, normal = self.ranges, self.config.pixel_noise_std, self.rng.normal
-        for cam in self.cameras:
-            cam_id, sign, road_x = cam.camera_id, cam.direction_sign, cam.road_position_m
-            near, far, inverse = self._near[cam_id], self._far[cam_id], cam.model.inverse
+        noise_std, noise, pos = self.config.pixel_noise_std, self._noise, self._next
+        if noise_std > 0.0:
+            # at most one draw per camera and entity
+            need = len(self._views) * len(positions)
+            if pos + need > len(noise):
+                block = self.rng.normal(0.0, noise_std, max(_NOISE_BLOCK, need)).tolist()
+                noise = self._noise = noise[pos:] + block
+                pos = 0
+        for cam, near, reach in self._views:
+            cam_id, sign, road_x, inverse = (cam.camera_id, cam.direction_sign,
+                                             cam.road_position_m, cam.model.inverse)
             line = cam.line
             s_max, (x0, y0), (ux, uy) = line.s_max, line.p0, line.direction
             for idx, x in enumerate(positions):
                 dist = sign * (x - road_x)
-                if dist < near or dist > ranges[idx] or dist > far:
+                if not near <= dist <= reach[idx]:
                     continue
                 s = inverse(dist, s_max)
                 if noise_std > 0.0:
-                    s = min(max(s + float(normal(0.0, noise_std)), 0.0), s_max)
-                out.append(Detection(camera_id=cam_id, track_id=idx,
-                                     bottom_center=(x0 + s * ux, y0 + s * uy),
-                                     object_class=classes[idx], time_s=now_s))
+                    s = min(max(s + noise[pos], 0.0), s_max)
+                    pos += 1
+                out.append(Detection(cam_id, idx, (x0 + s * ux, y0 + s * uy),
+                                     classes[idx], now_s))
+        self._next = pos
         return out
 
 
@@ -687,10 +714,13 @@ def _log_lines_from_jsonl(text: str) -> tuple[dict, list[dict]]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty log")
-    header = _FROM_JSON(lines[0])
-    if not isinstance(header, dict):
-        raise ValueError("log header is not a JSON object")
-    return header, [_FROM_JSON(ln) for ln in lines[1:]]
+    try:
+        header = _FROM_JSON(lines[0])
+        if not isinstance(header, dict):
+            raise ValueError("log header is not a JSON object")
+        return header, [_FROM_JSON(ln) for ln in lines[1:]]
+    except RecursionError as exc:  # a value nested too deep
+        raise ValueError(str(exc)) from None
 
 
 def log_from_jsonl(text: str) -> tuple[dict, list[dict]]:
@@ -803,6 +833,8 @@ class _Engine:
         self.state = DecisionState()
         self.last_action: Action | None = None
         n = len(scenario.entities)
+        self.segment = [0] * n  # the index of each entity's segment in force
+        self.station_ids = [e.station_id for e in scenario.entities]
         self.entity_x = [0.0] * n
         self.entity_v = [0.0] * n
         self.in_zone = [False] * n
@@ -891,15 +923,25 @@ class _Engine:
                 self.deliver(receiver_id, msg, type_name, time_s)
 
     def world(self, now_s: float) -> None:
+        # time only grows, so each entity's segment cursor only advances; it
+        # stops where eval_trajectory's scan would
+        due, t = now_s + _TIME_EPS, round(now_s, 9)
+        contains, add = self.robot.zod.contains, self.log.add
+        segment, entity_x, entity_v, in_zone = (self.segment, self.entity_x,
+                                                self.entity_v, self.in_zone)
         for idx, ent in enumerate(self.scenario.entities):
-            x, v = eval_trajectory(ent.trajectory, now_s)
-            self.entity_x[idx], self.entity_v[idx] = x, v
-            inside = self.robot.zod.contains(x)
-            if inside != self.in_zone[idx]:
-                self.log.append(now_s, "zod_enter" if inside else "zod_exit",
-                                self.veh_label[idx], station_id=ent.station_id,
-                                road_x_m=round(x, 6))
-            self.in_zone[idx] = inside
+            segs, k = ent.trajectory, segment[idx]
+            while k + 1 < len(segs) and segs[k + 1].start_time_s <= due:
+                k += 1
+            segment[idx] = k
+            x, v = segs[k].at(now_s)
+            entity_x[idx], entity_v[idx] = x, v
+            inside = contains(x)
+            if inside != in_zone[idx]:
+                add(now_s, {"t": t, "type": "zod_enter" if inside else "zod_exit",
+                            "actor": self.veh_label[idx], "station_id": self.station_ids[idx],
+                            "road_x_m": round(x, 6)})
+                in_zone[idx] = inside
         self.merging = self.scenario.merging_seen(now_s)
         positions, entity_x = self.positions, self.entity_x
         for idx, sid, _ in self.v2x_vehicles:
@@ -910,17 +952,18 @@ class _Engine:
     def sense(self, i: int, now_s: float) -> None:
         if self.sensor is None:
             return
-        for det in self.sensor.observe(now_s, self.entity_x, self.classes):
-            cam = self.perception.cameras[det.camera_id]
-            x = self.entity_x[det.track_id]
-            truth_dist = cam.direction_sign * (x - cam.road_position_m)
-            self.log.append(now_s, "detection", "infra",
-                            camera_id=det.camera_id, track_id=det.track_id,
-                            station_id=self.scenario.entities[det.track_id].station_id,
-                            cam_distance_m=round(truth_dist, 6), road_x_m=round(x, 6),
-                            first=not self.first_detected[det.track_id])
-            self.first_detected[det.track_id] = True
-            self.perception.ingest(det)
+        t, add, ingest = round(now_s, 9), self.log.add, self.perception.ingest
+        cameras, station_ids = self.perception.cameras, self.station_ids
+        entity_x, first_detected = self.entity_x, self.first_detected
+        for det in self.sensor.observe(now_s, entity_x, self.classes):
+            cam_id, idx = det.camera_id, det.track_id
+            cam, x = cameras[cam_id], entity_x[idx]
+            add(now_s, {"t": t, "type": "detection", "actor": "infra",
+                        "camera_id": cam_id, "track_id": idx, "station_id": station_ids[idx],
+                        "cam_distance_m": round(cam.direction_sign * (x - cam.road_position_m), 6),
+                        "road_x_m": round(x, 6), "first": not first_detected[idx]})
+            first_detected[idx] = True
+            ingest(det)
         if i % self.cpm_every == 0:
             cpm = self.perception.assemble_cpm(now_s)
             self.log.append(now_s, "cpm_gen", "infra", timestamp_ms=cpm.timestamp_ms,

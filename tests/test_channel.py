@@ -109,3 +109,42 @@ class TestConfigValidation:
     def test_bad_latency(self):
         with pytest.raises(ChannelError):
             ChannelConfig(latency_base_s=-0.01)
+
+
+def scalar_broadcast(ch, tx_pos, tx_time_s, receivers):
+    """``Channel.broadcast`` with one scalar draw per loss and per jitter: the
+    reference that the block-drawn buffer must reproduce."""
+    cfg = ch.config
+    in_range = sorted(rid for rid, (x, y) in receivers
+                      if math.hypot(x - tx_pos[0], y - tx_pos[1]) <= cfg.comm_range_m)
+    deliveries = []
+    for rid in in_range:
+        if ch.rng.random() < cfg.loss_prob:
+            continue
+        deliveries.append((rid, tx_time_s + cfg.latency_base_s
+                           + ch.rng.random() * cfg.latency_jitter_s))
+    return deliveries
+
+
+def next_uniform(ch):
+    """The uniform that the channel's next draw takes; consumes it."""
+    if ch._next < len(ch._uniforms):
+        ch._next += 1
+        return ch._uniforms[ch._next - 1]
+    return ch.rng.random()
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("loss_prob", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("jitter_s", [0.005, 0.0])
+    def test_deliveries_equal_scalar_draws(self, loss_prob, jitter_s):
+        cfg = dict(comm_range_m=150.0, loss_prob=loss_prob, latency_jitter_s=jitter_s)
+        block, scalar = make_channel(seed=11, **cfg), make_channel(seed=11, **cfg)
+        # receiver counts vary, reach none, and exceed one block of uniforms
+        counts = [3, 0, 17, 1, 700, 40, 0, 2] * 12
+        for k, n in enumerate(counts):
+            receivers = [(i, (float(i % 200), 0.0)) for i in range(n)]
+            args = ((0.0, 0.0), 0.1 * k, receivers)
+            assert block.broadcast(*args) == scalar_broadcast(scalar, *args), k
+            # both are at the same place in the stream, whatever the outcome
+            assert next_uniform(block) == scalar.rng.random(), k

@@ -15,6 +15,7 @@ from mergeguard.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 ROTTERDAM = str(SCENARIO_DIR / "rotterdam_run.json")
 REPEATER = str(SCENARIO_DIR / "denm_repeater.json")
+DEEP = "[" * 200_000  # nested deeper than the JSON decoder can recurse
 
 
 def quick_scenario(tmp_path, name="quick.json", duration=2.0):
@@ -110,6 +111,15 @@ class TestMalformedScenario:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("bad.json") == 1
 
+    @pytest.mark.parametrize("command", ["run", "validate", "batch"])
+    def test_deeply_nested_file_is_one_error_line(self, tmp_path, capsys, command):
+        deep = tmp_path / "ddir" / "deep.json"
+        deep.parent.mkdir()
+        deep.write_text(DEEP)
+        assert main([command, str(deep.parent if command == "batch" else deep)]) == EXIT_INVALID
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
 
 class TestCalibrate:
     def write_csv(self, tmp_path, rows):
@@ -197,6 +207,16 @@ class TestReport:
         bad.write_text(text)
         assert main(["report", str(bad)]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: malformed log")
+
+    @pytest.mark.parametrize("line", [0, 1], ids=["header", "event"])
+    def test_deeply_nested_line_is_one_error_line(self, log_path, capsys, line):
+        lines = log_path.read_text().splitlines()
+        lines[line] = DEEP
+        log_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["report", str(log_path)]) == EXIT_INVALID
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: malformed log")
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_json_number(self, tmp_path, capsys, token):

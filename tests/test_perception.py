@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mergeguard.calibration import CalibrationModel, ReferenceLine
+from mergeguard import perception
+from mergeguard.calibration import (CalibrationModel, ReferenceLine, estimate_distance,
+                                    project_to_line)
 from mergeguard.messages import MsgType
 from mergeguard.perception import (CameraSetup, Detection, InsufficientSamples,
                                    MotionClass, PerceptionConfig,
@@ -191,6 +193,65 @@ class TestCpmAssembly:
         assert [s.sensor_id for s in msg.payload.sensors] == [0, 1]
         # advertised range is the calibrated span end in decimeters
         assert msg.payload.sensors[0].range_dm == int(round((5.0 + 0.1 * 800) * 10))
+
+
+def ingest_projecting_first(pipeline, det):
+    """``ingest`` that projects every detection before the window's rules
+    decide on it: the reference for what the track windows hold."""
+    cam = pipeline.cameras[det.camera_id]
+    distance = estimate_distance(cam.model, project_to_line(det.bottom_center, cam.line))
+    window = pipeline.tracks.setdefault((det.camera_id, det.track_id),
+                                        TrackWindow(det.camera_id, det.track_id,
+                                                    det.object_class))
+    window.push(det.time_s, distance.meters, min_gap_s=pipeline.config.sample_gap_s)
+    window.object_class = det.object_class
+
+
+class TestGapFirstIngest:
+    # (time, pixel, class): frame-rate detections inside the sample gap, a
+    # same-time replacement, a stale detection, a class change on a dropped one
+    STREAM = [(0.0, 500.0, 1), (0.05, 498.0, 1), (0.1, 496.0, 1), (0.15, 494.0, 1),
+              (0.2, 492.0, 1), (0.2, 491.0, 1), (0.25, 490.0, 1), (0.4, 484.0, 1),
+              (0.3, 488.0, 1), (0.45, 482.0, 2), (0.6, 476.0, 2)]
+    KEPT = 5  # 0.0, 0.2 and its replacement, 0.4, 0.6
+
+    def test_only_kept_samples_are_projected(self, monkeypatch):
+        calls = {"project": 0, "estimate": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(perception, "project_to_line",
+                            counting("project", project_to_line))
+        monkeypatch.setattr(perception, "estimate_distance",
+                            counting("estimate", estimate_distance))
+        pipeline = make_pipeline()
+        for t, px, cls in self.STREAM:
+            try:
+                pipeline.ingest(Detection(0, 3, (px, 0.0), cls, t))
+            except StaleDetection:
+                pass
+        assert calls == {"project": self.KEPT, "estimate": self.KEPT}
+
+    def test_windows_equal_projecting_first(self):
+        gap_first, reference = make_pipeline(), make_pipeline()
+        for t, px, cls in self.STREAM:
+            det = Detection(0, 3, (px, 0.0), cls, t)
+            outcomes = []
+            for ingest in (gap_first.ingest, lambda d: ingest_projecting_first(reference, d)):
+                try:
+                    ingest(det)
+                    outcomes.append(None)
+                except StaleDetection as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            assert gap_first.tracks == reference.tracks, t
+        window = gap_first.tracks[(0, 3)]
+        assert window.times == [0.2, 0.4, 0.6] and window.object_class == 2
+        assert window.distances[0] == 5.0 + 0.1 * 491.0  # the replacement
 
 
 class TestCameraSpeedToRoad:

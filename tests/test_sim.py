@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from mergeguard import sim
 from mergeguard.channel import Channel, ChannelConfig
 from mergeguard.messages import CpmPayload, Message, PerceivedObject
+from mergeguard.perception import Detection
 from mergeguard.sim import (LOG_FORMAT_VERSION, EventLog, ParseError,
                             TrajectorySegment, ValidationError, eval_trajectory,
                             load_scenario, log_from_jsonl, make_pass_scenario,
@@ -78,6 +80,42 @@ class TestEvalTrajectory:
 
     def test_at_rest_after_stop(self):
         assert eval_trajectory(SEGS, 12.0) == (65.0, 0.0)
+
+
+TICK = 0.05
+CURSOR_TICKS = 40
+
+
+@st.composite
+def trajectories(draw):
+    """Continuous trajectories whose later segments start on a tick, within
+    _TIME_EPS of one, or between two."""
+    finite = functools.partial(st.floats, allow_nan=False, allow_infinity=False)
+    segs = [TrajectorySegment(0.0, draw(finite(-300.0, 300.0)), draw(finite(-30.0, 30.0)),
+                              draw(finite(-5.0, 5.0)))]
+    ticks = draw(st.lists(st.integers(1, CURSOR_TICKS), min_size=1, max_size=4, unique=True))
+    for k in sorted(ticks):
+        offset = draw(st.one_of(
+            st.sampled_from([0.0, 0.5e-9, -0.5e-9, 0.99e-9, -0.99e-9, 1.5e-9]),
+            finite(0.0, 0.9).map(lambda f: f * TICK)))
+        t = k * TICK + offset
+        x, v = eval_trajectory(segs, t)
+        segs.append(TrajectorySegment(t, x, v, draw(finite(-5.0, 5.0))))
+    return tuple(segs)
+
+
+class TestSegmentCursor:
+    @given(st.lists(trajectories(), min_size=1, max_size=3))
+    def test_world_matches_eval_trajectory(self, trajs):
+        sc = sim.Scenario(duration_s=CURSOR_TICKS * TICK, tick_s=TICK, rng_seed=0,
+                          robot=sim.RobotSetup(),
+                          entities=tuple(sim.Entity(trajectory=t) for t in trajs))
+        engine = sim._Engine(sc, 0, False)
+        for i in range(engine.n_ticks + 1):
+            now = i * TICK
+            engine.world(now)
+            assert engine.entity_x == [eval_trajectory(t, now)[0] for t in trajs], now
+            assert engine.entity_v == [eval_trajectory(t, now)[1] for t in trajs], now
 
 
 class TestTrajectorySummary:
@@ -570,6 +608,61 @@ class TestCrowdedCamera:
         assert [(e["t"], e["n_objects"]) for e in res.log.of_type("cpm_gen")] == [
             (t, 255) for t in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)]
         assert sum(e["msg_type"] == "CPM" for e in res.log.of_type("msg_tx")) == 6
+
+
+def scalar_observe(sensor, now_s, positions, classes):
+    """``SensorModel.observe`` with one scalar pixel-noise draw per detection:
+    the reference that the block-drawn buffer must reproduce."""
+    out, std = [], sensor.config.pixel_noise_std
+    for cam, near, reach in sensor._views:
+        line = cam.line
+        for idx, x in enumerate(positions):
+            dist = cam.direction_sign * (x - cam.road_position_m)
+            if not near <= dist <= reach[idx]:
+                continue
+            s = cam.model.inverse(dist, line.s_max)
+            if std > 0.0:
+                s = min(max(s + float(sensor.rng.normal(0.0, std)), 0.0), line.s_max)
+            point = (line.p0[0] + s * line.direction[0], line.p0[1] + s * line.direction[1])
+            out.append(Detection(cam.camera_id, idx, point, classes[idx], now_s))
+    return out
+
+
+class TestSensorDraws:
+    def sensor(self, pixel_noise_std, n_entities):
+        obj = with_infra(minimal())
+        obj["infra"]["cameras"] = [camera(0, -24.0, -1), camera(1, 24.0, 1)]
+        cameras = scenario_from_dict(obj).infra.cameras
+        config = sim.SensorConfig(pixel_noise_std=pixel_noise_std)
+        return sim.SensorModel(config, cameras, n_entities, np.random.default_rng(5))
+
+    @staticmethod
+    def positions(n_entities, now_s):
+        # vehicles on both approaches, 0-200 m beyond their camera, driving
+        # toward the gate, so the detections per tick vary
+        return [(-1.0) ** idx * (24.0 + (idx * 37.0) % 200.0 - 8.0 * now_s)
+                for idx in range(n_entities)]
+
+    @pytest.mark.parametrize("n_entities, n_ticks", [(30, 150), (600, 6)],
+                             ids=["many refills", "one tick needs more than a block"])
+    def test_detections_equal_scalar_draws(self, n_entities, n_ticks):
+        block, scalar = self.sensor(2.0, n_entities), self.sensor(2.0, n_entities)
+        classes = [1 + idx % 3 for idx in range(n_entities)]
+        for i in range(n_ticks):
+            now = i * TICK
+            positions = self.positions(n_entities, now)
+            got = block.observe(now, positions, classes)
+            assert got and got == scalar_observe(scalar, now, positions, classes), now
+
+    def test_zero_noise_draws_nothing(self):
+        sensor = self.sensor(0.0, 30)
+        state = sensor.rng.bit_generator.state
+        classes = [1] * 30
+        for i in range(20):
+            positions = self.positions(30, i * TICK)
+            assert sensor.observe(i * TICK, positions, classes) == scalar_observe(
+                sensor, i * TICK, positions, classes)
+        assert sensor.rng.bit_generator.state == state
 
 
 ORACLE = {
