@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .calibration import CalibrationModel, ReferenceLine, estimate_distance, project_to_line
 from .messages import (CpmPayload, Message, PerceivedObject, SensorInfo, SensorType)
@@ -94,8 +95,7 @@ class CameraSetup:
             raise PerceptionError("camera_id must fit the object_id namespace (0..3)")
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     camera_id: int
     track_id: int
     bottom_center: tuple[float, float]  # pixels
@@ -196,7 +196,7 @@ class PerceptionPipeline:
         time_s, gap_s = detection.time_s, self.config.sample_gap_s
         if window.takes(time_s, gap_s):
             s = project_to_line(detection.bottom_center, cam.line)
-            window.push(time_s, estimate_distance(cam.model, s).meters, min_gap_s=gap_s)
+            window.push(time_s, estimate_distance(cam.model, s).meters)
         window.object_class = detection.object_class
         return window
 

@@ -189,7 +189,7 @@ class Entity:
         for prev, nxt in zip(segs, segs[1:]):
             if not nxt.start_time_s > prev.start_time_s:
                 raise ValueError(f"overlapping segments at t={nxt.start_time_s}")
-            x_end, v_end = eval_trajectory((prev,), nxt.start_time_s)
+            x_end, v_end = prev.at(nxt.start_time_s)
             if not abs(x_end - nxt.start_x_m) <= 1e-6:
                 raise ValueError(f"position discontinuity at t={nxt.start_time_s}")
             if not abs(v_end - nxt.speed_mps) <= 1e-6:
@@ -491,7 +491,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
             turn = t0 - v0 / a if a else t0
             for t in (t0, end, turn) if t0 < turn < end else (t0, end):
                 probes.append((f"entities[{i}]", vehicle_cam,
-                               (ent.station_id, t, *eval_trajectory((seg,), t))))
+                               (ent.station_id, t, *seg.at(t))))
 
     station_ids = {"robot.moderator.station_id": robot.moderator.station_id,
                    **({"infra.station_id": infra.station_id} if infra else {}),
@@ -632,24 +632,21 @@ class SensorModel:
 class EventLog:
     events: list[dict] = field(default_factory=list)
 
-    def append(self, time_s: float, event_type: str, actor: str, **payload: Any) -> None:
-        self.add(time_s, {"t": round(time_s, 9), "type": event_type,
-                          "actor": actor, **payload})
-
-    def add(self, time_s: float, event: dict) -> None:
-        """Append ``event``, a dict whose first keys are ``t`` (equal to
-        ``round(time_s, 9)``), ``type`` and ``actor``.
+    def append(self, event: dict) -> None:
+        """Append ``event``, a dict whose first keys are ``t`` (a time
+        rounded to 9 decimals), ``type`` and ``actor``.
 
         Every event passes here, so every event is checked: its type must
         be known and its time finite and no earlier than the last one's.
         """
         if event["type"] not in EVENT_TYPES:
             raise ValueError(f"unknown event type: {event['type']!r}")
-        if not math.isfinite(time_s):
-            raise ValueError(f"event log time is not finite: {time_s}")
+        t = event["t"]
+        if not math.isfinite(t):
+            raise ValueError(f"event log time is not finite: {t}")
         events = self.events
-        if events and not time_s >= events[-1]["t"] - _TIME_EPS:
-            raise ValueError(f"event log time regression: {time_s} after {events[-1]['t']}")
+        if events and not t >= events[-1]["t"] - _TIME_EPS:
+            raise ValueError(f"event log time regression: {t} after {events[-1]['t']}")
         events.append(event)
 
     def of_type(self, event_type: str) -> list[dict]:
@@ -860,9 +857,10 @@ class _Engine:
         sender_id = msg.station_id
         type_name = msg.msg_type.name
         data = encode_message(msg, max_hops=self.max_hops)
-        self.log.append(tx_time, "msg_tx", self.labels[sender_id],
-                        msg_type=type_name, station_id=sender_id,
-                        timestamp_ms=msg.timestamp_ms, size_b=len(data))
+        self.log.append({"t": round(tx_time, 9), "type": "msg_tx",
+                         "actor": self.labels[sender_id], "msg_type": type_name,
+                         "station_id": sender_id, "timestamp_ms": msg.timestamp_ms,
+                         "size_b": len(data)})
         receivers = [r for r in self.receivers if r[0] != sender_id]
         deliveries = self.channel.broadcast(self.positions[sender_id], tx_time, receivers)
         if not deliveries:
@@ -885,7 +883,7 @@ class _Engine:
             event.update(origin=p.origin_station_id, sequence=p.sequence_number,
                          hop_count=p.hop_count, duplicate=seen in self.denm_seen)
             self.denm_seen.add(seen)
-        self.log.add(rx_time, event)
+        self.log.append(event)
         if receiver_id != self.robot_id:
             return
         if type_name == "CAM":
@@ -907,10 +905,10 @@ class _Engine:
         else:
             relayed = self.moderator.relay_denm(msg)
             if relayed is not None:
-                self.log.append(rx_time, "denm_relay", "robot",
-                                origin=relayed.payload.origin_station_id,
-                                sequence=relayed.payload.sequence_number,
-                                hop_count=relayed.payload.hop_count)
+                p = relayed.payload
+                self.log.append({"t": event["t"], "type": "denm_relay", "actor": "robot",
+                                 "origin": p.origin_station_id,
+                                 "sequence": p.sequence_number, "hop_count": p.hop_count})
                 self.transmit(relayed, rx_time)
 
     def flush(self, now_s: float) -> None:
@@ -926,7 +924,7 @@ class _Engine:
         # time only grows, so each entity's segment cursor only advances; it
         # stops where eval_trajectory's scan would
         due, t = now_s + _TIME_EPS, round(now_s, 9)
-        contains, add = self.robot.zod.contains, self.log.add
+        contains, append = self.robot.zod.contains, self.log.append
         segment, entity_x, entity_v, in_zone = (self.segment, self.entity_x,
                                                 self.entity_v, self.in_zone)
         for idx, ent in enumerate(self.scenario.entities):
@@ -938,9 +936,9 @@ class _Engine:
             entity_x[idx], entity_v[idx] = x, v
             inside = contains(x)
             if inside != in_zone[idx]:
-                add(now_s, {"t": t, "type": "zod_enter" if inside else "zod_exit",
-                            "actor": self.veh_label[idx], "station_id": self.station_ids[idx],
-                            "road_x_m": round(x, 6)})
+                append({"t": t, "type": "zod_enter" if inside else "zod_exit",
+                        "actor": self.veh_label[idx], "station_id": self.station_ids[idx],
+                        "road_x_m": round(x, 6)})
                 in_zone[idx] = inside
         self.merging = self.scenario.merging_seen(now_s)
         positions, entity_x = self.positions, self.entity_x
@@ -952,40 +950,41 @@ class _Engine:
     def sense(self, i: int, now_s: float) -> None:
         if self.sensor is None:
             return
-        t, add, ingest = round(now_s, 9), self.log.add, self.perception.ingest
+        t, append, ingest = round(now_s, 9), self.log.append, self.perception.ingest
         cameras, station_ids = self.perception.cameras, self.station_ids
         entity_x, first_detected = self.entity_x, self.first_detected
         for det in self.sensor.observe(now_s, entity_x, self.classes):
             cam_id, idx = det.camera_id, det.track_id
             cam, x = cameras[cam_id], entity_x[idx]
-            add(now_s, {"t": t, "type": "detection", "actor": "infra",
-                        "camera_id": cam_id, "track_id": idx, "station_id": station_ids[idx],
-                        "cam_distance_m": round(cam.direction_sign * (x - cam.road_position_m), 6),
-                        "road_x_m": round(x, 6), "first": not first_detected[idx]})
+            append({"t": t, "type": "detection", "actor": "infra",
+                    "camera_id": cam_id, "track_id": idx, "station_id": station_ids[idx],
+                    "cam_distance_m": round(cam.direction_sign * (x - cam.road_position_m), 6),
+                    "road_x_m": round(x, 6), "first": not first_detected[idx]})
             first_detected[idx] = True
             ingest(det)
         if i % self.cpm_every == 0:
             cpm = self.perception.assemble_cpm(now_s)
-            self.log.append(now_s, "cpm_gen", "infra", timestamp_ms=cpm.timestamp_ms,
-                            n_objects=len(cpm.payload.objects))
+            append({"t": t, "type": "cpm_gen", "actor": "infra",
+                    "timestamp_ms": cpm.timestamp_ms, "n_objects": len(cpm.payload.objects)})
             self.send_at(now_s + self.scenario.infra.cpm_processing_delay_s, cpm)
 
     def beacons(self, i: int, now_s: float) -> None:
         # vehicle CAMs at their configured period, then the robot's own
         # (ETSI-rule generation), then due roadworks notifications
+        t, append = round(now_s, 9), self.log.append
         for idx, sid, every in self.v2x_vehicles:
             if i % every == 0:
                 x, v = self.entity_x[idx], self.entity_v[idx]
                 cam_msg = vehicle_cam(sid, now_s, x, v)
-                self.log.append(now_s, "cam_gen", self.veh_label[idx],
-                                station_id=sid, pos_x_m=round(x, 6),
-                                speed_mps=round(v, 6), timestamp_ms=cam_msg.timestamp_ms)
+                append({"t": t, "type": "cam_gen", "actor": self.veh_label[idx],
+                        "station_id": sid, "pos_x_m": round(x, 6),
+                        "speed_mps": round(v, 6), "timestamp_ms": cam_msg.timestamp_ms})
                 self.send_at(now_s, cam_msg)
         robot_cam = self.moderator.cam_tick(now_s, self.pose)
         if robot_cam is not None:
-            self.log.append(now_s, "cam_gen", "robot", station_id=self.robot_id,
-                            pos_x_m=round(self.pose.pos_x_m, 6), speed_mps=0.0,
-                            timestamp_ms=robot_cam.timestamp_ms)
+            append({"t": t, "type": "cam_gen", "actor": "robot", "station_id": self.robot_id,
+                    "pos_x_m": round(self.pose.pos_x_m, 6), "speed_mps": 0.0,
+                    "timestamp_ms": robot_cam.timestamp_ms})
             self.send_at(now_s, robot_cam)
         r = self.scenario.rsu
         while r is not None:
@@ -1007,26 +1006,27 @@ class _Engine:
         v2x_objs = [o for o in self.v2x_objects.values() if not now_s - o.last_update_s > stale]
         cam_objs = [o for o in self.camera_objects if not now_s - o.last_update_s > stale]
         fused = fuse(v2x_objs, cam_objs, self.robot.fusion)
-        self.log.append(now_s, "fusion_out", "robot",
-                        n_v2x=len(v2x_objs), n_camera=len(cam_objs),
-                        objects=[{"src": o.source.value, "id": o.ref_id,
-                                  "x": round(o.road_x_m, 3), "v": round(o.speed_mps, 3)}
-                                 for o in fused])
+        t, append = round(now_s, 9), self.log.append
+        append({"t": t, "type": "fusion_out", "actor": "robot",
+                "n_v2x": len(v2x_objs), "n_camera": len(cam_objs),
+                "objects": [{"src": o.source.value, "id": o.ref_id,
+                             "x": round(o.road_x_m, 3), "v": round(o.speed_mps, 3)}
+                            for o in fused]})
         self.state, action = step(self.state, fused, self.merging, now_s, self.robot.zod)
         if action is not self.last_action and action in (Action.STOP, Action.PASS):
             blocking = self.state.blocking_key
-            self.log.append(now_s, "decision", "robot", mode=self.state.mode.value,
-                            action=action.value, merging_seen=self.merging,
-                            blocking=list(blocking) if blocking else None)
+            append({"t": t, "type": "decision", "actor": "robot", "mode": self.state.mode.value,
+                    "action": action.value, "merging_seen": self.merging,
+                    "blocking": list(blocking) if blocking else None})
             for ev in self.moderator.actuate(action, now_s):
-                self.log.append(now_s, "actuation", "robot",
-                                phase=f"{action.value}_issued",
-                                completes_at=round(ev.due_s, 9))
+                append({"t": t, "type": "actuation", "actor": "robot",
+                        "phase": f"{action.value}_issued", "completes_at": round(ev.due_s, 9)})
         self.last_action = action
 
     def actuate(self, now_s: float) -> None:
+        t = round(now_s, 9)
         for ev in self.moderator.due_actuations(now_s):
-            self.log.append(now_s, "actuation", "robot", phase=ev.phase)
+            self.log.append({"t": t, "type": "actuation", "actor": "robot", "phase": ev.phase})
 
     def record(self, now_s: float) -> None:
         if self.series is None:

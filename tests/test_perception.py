@@ -51,6 +51,14 @@ class TestProjectionToRoad:
         road_x = cam.road_position_m + cam.direction_sign * window.last_distance
         assert road_x == pytest.approx(84.0)
 
+    def test_detection_is_immutable(self):
+        det = Detection(camera_id=1, track_id=2, bottom_center=(3.0, 4.0),
+                        object_class=1, time_s=0.5)
+        assert det == Detection(1, 2, (3.0, 4.0), 1, 0.5)
+        assert (det.camera_id, det.track_id, det.time_s) == (1, 2, 0.5)
+        with pytest.raises(AttributeError):
+            det.time_s = 1.0
+
 
 class TestWindow:
     def test_velocity_example(self):

@@ -765,36 +765,50 @@ class TestLogDiscipline:
     def test_append_rejects_unknown_type(self):
         log = EventLog()
         with pytest.raises(ValueError, match="unknown event type"):
-            log.append(0.0, "lunch_break", "robot")
+            log.append({"t": 0.0, "type": "lunch_break", "actor": "robot"})
 
     def test_append_rejects_time_regression(self):
         log = EventLog()
-        log.append(5.0, "decision", "robot")
+        log.append({"t": 5.0, "type": "decision", "actor": "robot"})
         with pytest.raises(ValueError, match="time regression"):
-            log.append(4.0, "decision", "robot")
+            log.append({"t": 4.0, "type": "decision", "actor": "robot"})
+
+    def test_append_allows_regression_within_time_eps(self):
+        # a time up to sim._TIME_EPS (1e-9) before the last one is accepted
+        log = EventLog()
+        log.append({"t": 1.0, "type": "decision", "actor": "robot"})
+        log.append({"t": 1.0 - 5e-10, "type": "decision", "actor": "robot"})
+        with pytest.raises(ValueError, match="time regression"):
+            log.append({"t": 1.0 - 2e-9, "type": "decision", "actor": "robot"})
+        assert [e["t"] for e in log.events] == [1.0, 1.0 - 5e-10]
 
     def test_every_event_passes_the_log_checks(self, monkeypatch):
-        # msg_rx events are built in place; they still go through add
+        # every event site builds its dict and hands it to append
         checked = []
-        add = EventLog.add
+        append = EventLog.append
 
-        def spy(log, time_s, event):
+        def spy(log, event):
             checked.append(event)
-            add(log, time_s, event)
+            append(log, event)
 
-        monkeypatch.setattr(EventLog, "add", spy)
-        res = run(v2x_cell(rsu=DENSE_RSU))
-        assert res.log.of_type("msg_rx")
-        assert checked == res.log.events
+        monkeypatch.setattr(EventLog, "append", spy)
+        scenarios = [load_scenario(path) for path in sorted(SCENARIO_DIR.glob("*.json"))]
+        seen = set()
+        for scenario in [*scenarios, v2x_cell(rsu=DENSE_RSU)]:
+            checked.clear()
+            res = run(scenario)
+            assert checked == res.log.events
+            seen |= {e["type"] for e in checked}
+        assert seen == sim.EVENT_TYPES
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_append_rejects_non_finite_time(self, bad):
         log = EventLog()
         with pytest.raises(ValueError, match="not finite"):
-            log.append(bad, "decision", "robot")
-        log.append(0.0, "decision", "robot")
+            log.append({"t": bad, "type": "decision", "actor": "robot"})
+        log.append({"t": 0.0, "type": "decision", "actor": "robot"})
         with pytest.raises(ValueError, match="not finite"):
-            log.append(bad, "decision", "robot")
+            log.append({"t": bad, "type": "decision", "actor": "robot"})
         assert [e["t"] for e in log.events] == [0.0]
 
     def test_append_checks_survive_optimized_mode(self):
@@ -804,9 +818,9 @@ class TestLogDiscipline:
                 "    log = EventLog()\n"
                 "    *ok, bad = times\n"
                 "    for t in ok:\n"
-                "        log.append(t, 'decision', 'robot')\n"
+                "        log.append({'t': t, 'type': 'decision', 'actor': 'robot'})\n"
                 "    try:\n"
-                "        log.append(bad, 'decision', 'robot')\n"
+                "        log.append({'t': bad, 'type': 'decision', 'actor': 'robot'})\n"
                 "    except ValueError:\n"
                 "        print('rejected')\n")
         src = str(pathlib.Path(sim.__file__).resolve().parent.parent)
