@@ -21,6 +21,7 @@ cancels any pending completion of the opposite kind.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -104,7 +105,7 @@ class Moderator:
             due = True
         elif now_s - self._last_cam_time >= cfg.cam_min_interval_s:
             prev = self._last_cam_pose
-            moved = np.hypot(pose.pos_x_m - prev.pos_x_m, pose.pos_y_m - prev.pos_y_m)
+            moved = math.hypot(pose.pos_x_m - prev.pos_x_m, pose.pos_y_m - prev.pos_y_m)
             dspeed = abs(pose.speed_mps - prev.speed_mps)
             dheading = abs((pose.heading_deg - prev.heading_deg + 180.0) % 360.0 - 180.0)
             due = (moved >= cfg.cam_pos_trigger_m
@@ -158,6 +159,8 @@ class Moderator:
 
     def due_actuations(self, now_s: float) -> list[ActuationEvent]:
         """Pop every pending completion whose time has come."""
+        if not self._pending:
+            return []
         cutoff = now_s + 1e-9  # absorb float drift in tick arithmetic
         due = sorted((e for e in self._pending if e.due_s <= cutoff),
                      key=lambda e: (e.due_s, e.phase))

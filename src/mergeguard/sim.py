@@ -22,7 +22,11 @@ entries, ordered by (due time, push sequence); that order is part of the
 contract too.  A receiver id of None means "transmit the message"; any
 other entry delivers it.  What falls due at one time runs in the order it
 was pushed, so the deliveries of one broadcast run in ascending receiver
-order, after those of every earlier broadcast due at that time.
+order, after those of every earlier broadcast due at that time.  Nothing
+due after the last tick's flush is queued, since it would never run.
+``flush`` builds and logs the ``msg_rx`` event of each reception;
+``deliver`` applies what a DENM or a reception by the robot adds: the
+DENM fields of the event, the robot's road picture and its DENM relay.
 
 All randomness (sensor draws, channel loss and jitter, CAM generation
 jitter) comes from streams spawned off one seed, so a given (scenario,
@@ -848,12 +852,16 @@ class _Engine:
         self.decision_every = int(round(robot_cfg.decision_period_s / tick))
 
     def send_at(self, time_s: float, msg: Message) -> None:
-        """Queue the transmission of ``msg`` at the flush due at ``time_s``."""
-        heapq.heappush(self.pending, (time_s, self.pushed, None, msg, None))
-        self.pushed += 1
+        """Queue the transmission of ``msg`` at the flush due at ``time_s``,
+        unless that falls after the last flush."""
+        if time_s <= self.last_flush_s:
+            heapq.heappush(self.pending, (time_s, self.pushed, None, msg, None))
+            self.pushed += 1
 
     def transmit(self, msg: Message, tx_time: float) -> None:
-        """Send from ``msg.station_id``; all deliveries share one decoded copy."""
+        """Send from ``msg.station_id`` and queue its deliveries, all sharing
+        one decoded copy.  A delivery due after the last flush would never
+        be popped, so it is not queued; the channel still draws for it."""
         sender_id = msg.station_id
         type_name = msg.msg_type.name
         data = encode_message(msg, max_hops=self.max_hops)
@@ -862,7 +870,9 @@ class _Engine:
                          "station_id": sender_id, "timestamp_ms": msg.timestamp_ms,
                          "size_b": len(data)})
         receivers = [r for r in self.receivers if r[0] != sender_id]
-        deliveries = self.channel.broadcast(self.positions[sender_id], tx_time, receivers)
+        last = self.last_flush_s
+        deliveries = [d for d in self.channel.broadcast(self.positions[sender_id], tx_time,
+                                                        receivers) if d[1] <= last]
         if not deliveries:
             return
         received = decode_message(data, max_hops=self.max_hops)
@@ -872,11 +882,16 @@ class _Engine:
             seq += 1
         self.pushed = seq
 
-    def deliver(self, receiver_id: int, msg: Message, type_name: str, rx_time: float) -> None:
-        event = {"t": round(rx_time, 9), "type": "msg_rx", "actor": self.labels[receiver_id],
-                 "msg_type": type_name, "from_station": msg.station_id,
-                 "timestamp_ms": msg.timestamp_ms,
-                 "latency_s": round(rx_time - msg.timestamp_ms / 1000.0, 9)}
+    def deliver(self, receiver_id: int, msg: Message, type_name: str, rx_time: float,
+                event: dict) -> None:
+        """Log ``event``, the ``msg_rx`` that ``flush`` built for a reception
+        by the robot or of a DENM, and apply what that reception changes.
+
+        A DENM's event gains its origin, sequence, hop count and whether
+        the receiver had it already.  The robot keeps each station's last
+        CAM and the newest CPM's objects as its road picture, and relays a
+        fresh DENM at ``rx_time``.
+        """
         if type_name == "DENM":
             p = msg.payload
             seen = (receiver_id, p.origin_station_id, p.sequence_number)
@@ -912,13 +927,27 @@ class _Engine:
                 self.transmit(relayed, rx_time)
 
     def flush(self, now_s: float) -> None:
+        """Run every queue entry due by ``now_s``: transmit a queued send,
+        and build and log the ``msg_rx`` event of a delivery.  A vehicle's
+        CAM or CPM reception changes nothing else; the robot's receptions
+        and every DENM go on to ``deliver``."""
         heap, due = self.pending, now_s + _TIME_EPS
+        if not heap or heap[0][0] > due:
+            return
+        append, labels, robot_id, pop = self.log.append, self.labels, self.robot_id, heapq.heappop
         while heap and heap[0][0] <= due:
-            time_s, _, receiver_id, msg, type_name = heapq.heappop(heap)
+            time_s, _, receiver_id, msg, type_name = pop(heap)
             if receiver_id is None:
                 self.transmit(msg, time_s)
+                continue
+            event = {"t": round(time_s, 9), "type": "msg_rx", "actor": labels[receiver_id],
+                     "msg_type": type_name, "from_station": msg.station_id,
+                     "timestamp_ms": msg.timestamp_ms,
+                     "latency_s": round(time_s - msg.timestamp_ms / 1000.0, 9)}
+            if receiver_id == robot_id or type_name == "DENM":
+                self.deliver(receiver_id, msg, type_name, time_s, event)
             else:
-                self.deliver(receiver_id, msg, type_name, time_s)
+                append(event)
 
     def world(self, now_s: float) -> None:
         # time only grows, so each entity's segment cursor only advances; it

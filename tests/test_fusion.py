@@ -118,3 +118,36 @@ class TestProperties:
     def test_idempotent_and_deterministic(self, vs, cs):
         assert fuse(vs, cs) == fuse(vs, cs)
         assert fuse(list(reversed(vs)), list(reversed(cs))) == fuse(vs, cs)
+
+
+def all_pairs(vs, cs, epsilon):
+    """The module docstring's rule, every camera object against every V2X one."""
+    return sorted(vs, key=lambda o: o.ref_id) + [
+        c for c in sorted(cs, key=lambda o: o.ref_id)
+        if all(joint_distance(c, v) >= epsilon for v in vs)]
+
+
+class TestWindowBoundary:
+    """The x-window leaves out only V2X objects that the rule would pass."""
+
+    @pytest.mark.parametrize("epsilon", [0.0, 5.0])
+    @pytest.mark.parametrize("dv", [0.0, 3.0])
+    @pytest.mark.parametrize("x_v", [50.0, -0.1, 1e17])
+    def test_camera_objects_around_each_edge(self, epsilon, dv, x_v):
+        xs = []
+        for edge in (x_v - 2 * epsilon, x_v - epsilon, x_v + epsilon, x_v + 2 * epsilon):
+            xs += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+        vs = [v2x(1, x_v, 0.0), v2x(2, x_v + 3 * epsilon, -dv)]
+        cs = [cam(j, x, dv) for j, x in enumerate(xs)]
+        cfg = FusionConfig(epsilon=epsilon)
+        assert fuse(vs, cs, cfg) == all_pairs(vs, cs, epsilon)
+
+    @given(st.lists(st.tuples(st.booleans(), st.integers(-12, 12), st.integers(-3, 3)),
+                    max_size=40),
+           st.sampled_from([0.0, 2.5, 5.0]))
+    def test_matches_all_pairs_on_a_coarse_grid(self, rows, epsilon):
+        # a 2.5 m and 2.5 m/s grid: ties, gaps of exactly epsilon and of
+        # exactly 2 * epsilon all occur
+        vs = [v2x(j, 2.5 * x, 2.5 * v) for j, (is_v2x, x, v) in enumerate(rows) if is_v2x]
+        cs = [cam(j, 2.5 * x, 2.5 * v) for j, (is_v2x, x, v) in enumerate(rows) if not is_v2x]
+        assert fuse(vs, cs, FusionConfig(epsilon=epsilon)) == all_pairs(vs, cs, epsilon)

@@ -1142,6 +1142,65 @@ class TestDenmCopies:
         assert len(sent) == int(round(30.0 / 0.05)) + 1
 
 
+@pytest.fixture
+def engines(monkeypatch):
+    """The engines that ``run`` builds, in order."""
+    built = []
+
+    class Engine(sim._Engine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(sim, "_Engine", Engine)
+    return built
+
+
+class TestQueueEnd:
+    def test_no_delivery_is_queued_past_the_end(self, engines):
+        # every vehicle sends a CAM on the last tick; their deliveries fall
+        # due after the last flush, so they are not queued
+        sc = v2x_cell()
+        res = run(sc)
+        assert [e for e in res.log.of_type("msg_tx") if e["t"] == sc.duration_s]
+        assert engines[0].pending == []
+
+    def test_no_send_is_queued_past_the_end(self, engines):
+        # the last CPMs would go out after the last flush
+        sc = load_scenario(SCENARIO_DIR / "rotterdam_run.json")
+        res = run(sc)
+        delay = sc.infra.cpm_processing_delay_s
+        assert [e for e in res.log.of_type("cpm_gen") if e["t"] + delay > sc.duration_s]
+        assert engines[0].pending == []
+
+    def test_deliveries_due_in_the_flush_that_sends_them(self):
+        # with no latency each reception is due in the flush that transmits
+        # it, and the log still follows (due time, push sequence): every
+        # msg_rx after its msg_tx, each broadcast's receptions in send order
+        # and ascending receiver order, and a relay's receptions after those
+        # of every broadcast before it, in the same tick
+        sc = v2x_cell(rsu=DENSE_RSU, loss_prob=0.0, latency_base_s=0.0,
+                      latency_jitter_s=0.0)
+        res = run(sc)
+        station = {f"veh{k}": ent.station_id for k, ent in enumerate(sc.entities)}
+        robot_id = station["robot"] = sc.robot.moderator.station_id
+        sent, keys = [], []
+        for e in res.log.events:
+            if e["type"] == "msg_tx":
+                sent.append((e["t"], e["station_id"], e["msg_type"], e["timestamp_ms"]))
+            elif e["type"] == "msg_rx":
+                (k,) = [k for k, tx in enumerate(sent)
+                        if tx == (e["t"], e["from_station"], e["msg_type"], e["timestamp_ms"])]
+                keys.append((e["t"], k, station[e["actor"]]))
+        assert len(keys) == len(res.log.of_type("msg_rx")) > 0
+        assert keys == sorted(set(keys))
+        relays = res.log.of_type("denm_relay")
+        assert relays
+        for relay in relays:
+            assert any(e["t"] == relay["t"] and e["from_station"] == robot_id
+                       for e in res.log.of_type("msg_rx"))
+
+
 def cpm(timestamp_ms, *objects):
     """A CPM from station 100; each object is (object id, road x in cm, age in ms)."""
     return Message(100, timestamp_ms, CpmPayload(sensors=(), objects=tuple(
@@ -1165,7 +1224,8 @@ class TestRoadPicture:
 
     @staticmethod
     def receive(engine, msg, rx_time):
-        engine.deliver(engine.robot_id, msg, msg.msg_type.name, rx_time)
+        event = {"t": round(rx_time, 9), "type": "msg_rx", "actor": "robot"}
+        engine.deliver(engine.robot_id, msg, msg.msg_type.name, rx_time, event)
 
     def test_an_older_cpm_is_ignored_and_an_equal_one_replaces(self, engine):
         self.receive(engine, cpm(1000, (1, -5000, 0)), 1.0)
