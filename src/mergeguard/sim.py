@@ -24,9 +24,9 @@ other entry delivers it.  What falls due at one time runs in the order it
 was pushed, so the deliveries of one broadcast run in ascending receiver
 order, after those of every earlier broadcast due at that time.  Nothing
 due after the last tick's flush is queued, since it would never run.
-``flush`` builds and logs the ``msg_rx`` event of each reception;
-``deliver`` applies what a DENM or a reception by the robot adds: the
-DENM fields of the event, the robot's road picture and its DENM relay.
+``flush`` builds, completes and logs the ``msg_rx`` event of each
+reception, a DENM's fields included; ``hear`` applies what a reception
+by the robot changes: its road picture and its DENM relay.
 
 All randomness (sensor draws, channel loss and jitter, CAM generation
 jitter) comes from streams spawned off one seed, so a given (scenario,
@@ -67,7 +67,7 @@ import numpy as np
 
 from .calibration import CalibrationError, CalibrationModel, ReferenceLine
 from .channel import Channel, ChannelConfig, ChannelError
-from .decision import Action, DecisionState, Mode, ZodConfig, step
+from .decision import Action, DecisionState, ZodConfig, step
 from .fusion import FusedObject, FusionConfig, Source, fuse
 from .messages import (CamPayload, DenmPayload, InvalidMessage, Message,
                        ObjectClass, StationType, decode_message, encode_message)
@@ -801,8 +801,8 @@ class _Engine:
         }
 
         tick = scenario.tick_s
-        # station labels and current radio positions; world() moves each
-        # V2X vehicle's position to its road position every tick
+        # station labels and current radio positions; world() sets the
+        # listeners' positions every tick
         self.labels: dict[int, str] = {robot_id: "robot"}
         self.positions: dict[int, tuple[float, float]] = {robot_id: robot_cfg.position}
         for label, setup in (("infra", infra), ("rsu", scenario.rsu)):
@@ -815,7 +815,6 @@ class _Engine:
                              for idx, ent in enumerate(scenario.entities) if ent.v2x_equipped]
         for idx, sid, _ in self.v2x_vehicles:
             self.labels[sid] = self.veh_label[idx]
-        self.listener_ids = [robot_id, *(sid for _, sid, _ in self.v2x_vehicles)]
         self.receivers: list[tuple[int, tuple[float, float]]] = []  # set by world()
 
         # heap of (due time, push sequence, receiver id or None, message,
@@ -882,25 +881,13 @@ class _Engine:
             seq += 1
         self.pushed = seq
 
-    def deliver(self, receiver_id: int, msg: Message, type_name: str, rx_time: float,
-                event: dict) -> None:
-        """Log ``event``, the ``msg_rx`` that ``flush`` built for a reception
-        by the robot or of a DENM, and apply what that reception changes.
+    def hear(self, msg: Message, type_name: str, rx_time: float) -> None:
+        """Apply what the robot's reception of ``msg`` at ``rx_time`` changes;
+        ``flush`` has logged its ``msg_rx``.
 
-        A DENM's event gains its origin, sequence, hop count and whether
-        the receiver had it already.  The robot keeps each station's last
-        CAM and the newest CPM's objects as its road picture, and relays a
-        fresh DENM at ``rx_time``.
+        The robot keeps each station's last CAM and the newest CPM's
+        objects as its road picture, and relays a fresh DENM at ``rx_time``.
         """
-        if type_name == "DENM":
-            p = msg.payload
-            seen = (receiver_id, p.origin_station_id, p.sequence_number)
-            event.update(origin=p.origin_station_id, sequence=p.sequence_number,
-                         hop_count=p.hop_count, duplicate=seen in self.denm_seen)
-            self.denm_seen.add(seen)
-        self.log.append(event)
-        if receiver_id != self.robot_id:
-            return
         if type_name == "CAM":
             p = msg.payload
             heading_rad = math.radians(p.heading_cdeg / 100.0)
@@ -921,16 +908,17 @@ class _Engine:
             relayed = self.moderator.relay_denm(msg)
             if relayed is not None:
                 p = relayed.payload
-                self.log.append({"t": event["t"], "type": "denm_relay", "actor": "robot",
+                self.log.append({"t": round(rx_time, 9), "type": "denm_relay", "actor": "robot",
                                  "origin": p.origin_station_id,
                                  "sequence": p.sequence_number, "hop_count": p.hop_count})
                 self.transmit(relayed, rx_time)
 
     def flush(self, now_s: float) -> None:
         """Run every queue entry due by ``now_s``: transmit a queued send,
-        and build and log the ``msg_rx`` event of a delivery.  A vehicle's
-        CAM or CPM reception changes nothing else; the robot's receptions
-        and every DENM go on to ``deliver``."""
+        or build, complete and log the ``msg_rx`` event of a delivery.  A
+        DENM's event gains its origin, sequence, hop count and whether the
+        receiver had it already.  Only the robot's receptions change
+        anything else; they go on to ``hear``."""
         heap, due = self.pending, now_s + _TIME_EPS
         if not heap or heap[0][0] > due:
             return
@@ -944,10 +932,15 @@ class _Engine:
                      "msg_type": type_name, "from_station": msg.station_id,
                      "timestamp_ms": msg.timestamp_ms,
                      "latency_s": round(time_s - msg.timestamp_ms / 1000.0, 9)}
-            if receiver_id == robot_id or type_name == "DENM":
-                self.deliver(receiver_id, msg, type_name, time_s, event)
-            else:
-                append(event)
+            if type_name == "DENM":
+                p = msg.payload
+                seen = (receiver_id, p.origin_station_id, p.sequence_number)
+                event.update(origin=p.origin_station_id, sequence=p.sequence_number,
+                             hop_count=p.hop_count, duplicate=seen in self.denm_seen)
+                self.denm_seen.add(seen)
+            append(event)
+            if receiver_id == robot_id:
+                self.hear(msg, type_name, time_s)
 
     def world(self, now_s: float) -> None:
         # time only grows, so each entity's segment cursor only advances; it
@@ -970,11 +963,11 @@ class _Engine:
                         "road_x_m": round(x, 6)})
                 in_zone[idx] = inside
         self.merging = self.scenario.merging_seen(now_s)
-        positions, entity_x = self.positions, self.entity_x
-        for idx, sid, _ in self.v2x_vehicles:
-            positions[sid] = (entity_x[idx], 0.0)
         # radio positions hold until the next tick
-        self.receivers = [(sid, positions[sid]) for sid in self.listener_ids]
+        self.receivers = receivers = [
+            (self.robot_id, self.robot.position),
+            *((sid, (entity_x[idx], 0.0)) for idx, sid, _ in self.v2x_vehicles)]
+        self.positions.update(receivers)
 
     def sense(self, i: int, now_s: float) -> None:
         if self.sensor is None:
@@ -1023,7 +1016,9 @@ class _Engine:
             denm = r.notification(now_s, self.rsu_sent)
             for rep in range(r.denm.repeat_count):
                 due = now_s + rep * r.denm.repeat_gap_s
-                if due > self.last_flush_s:  # this copy and the later ones never go out
+                # this copy and the later ones never go out; stopping also keeps
+                # the loop finite, as the loader lets repeat_count grow with period_s
+                if due > self.last_flush_s:
                     break
                 self.send_at(due, denm)
             self.rsu_sent += 1

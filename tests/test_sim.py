@@ -519,6 +519,12 @@ class TestLoadScenario:
         with pytest.raises(OSError):
             load_scenario(tmp_path / "nope.json")
 
+    def test_schema_doc_names_every_scenario_key(self):
+        doc = (SCENARIO_DIR.parent / "docs" / "scenario_schema.md").read_text()
+        words = set(re.findall(r"\w+", doc))
+        keys = {key for table, _ in sim._FIELDS.values() for _, key, *_ in table}
+        assert sorted(keys - words) == []
+
 
 JSON_VALUES = [None, True, False, 0, -1, 7, 2.5, "", "x", [], [0], {}, {"x": 1}]
 EXTREME_NUMBERS = [1e308, -1e308, 2**64, -2**64]
@@ -1141,6 +1147,56 @@ class TestDenmCopies:
         sent = [e for e in res.log.of_type("msg_tx") if e["station_id"] == 200]
         assert len(sent) == int(round(30.0 / 0.05)) + 1
 
+    def test_copy_loop_ends_with_the_run(self):
+        # repeat_count may grow with period_s, so 10**12 copies validate;
+        # only the stop at the last flush keeps the run finite.  It runs in
+        # a child process so that a loop without that stop fails here
+        # instead of hanging the suite.
+        obj = copy.deepcopy(SHIPPED["denm_repeater"])
+        obj["rsu"]["denm"] = {"repeat_count": 10**12, "repeat_gap_s": 0.05,
+                              "period_s": 1e300}
+        scenario_from_dict(obj)
+        code = ("import json, sys\n"
+                "from mergeguard.sim import run, scenario_from_dict\n"
+                "res = run(scenario_from_dict(json.load(sys.stdin)))\n"
+                "print(sum(e['station_id'] == 200 for e in res.log.of_type('msg_tx')))\n")
+        src = str(pathlib.Path(sim.__file__).resolve().parent.parent)
+        try:
+            out = subprocess.run([sys.executable, "-c", code], input=json.dumps(obj),
+                                 capture_output=True, text=True, timeout=30,
+                                 env={**os.environ, "PYTHONPATH": src})
+        except subprocess.TimeoutExpired:
+            pytest.fail("a run with 10**12 DENM copies did not end within 30 s")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == [str(int(round(30.0 / 0.05)) + 1)]
+
+
+class TestDenmReceptions:
+    """DENM receptions by the robot and the vehicles, and the robot's relays."""
+
+    @pytest.fixture(scope="class")
+    def events(self):
+        return run(v2x_cell(rsu=DENSE_RSU)).log.events
+
+    def test_every_denm_reception_carries_the_denm_fields(self, events):
+        rx = [e for e in events if e["type"] == "msg_rx" and e["msg_type"] == "DENM"]
+        assert {"robot", "veh0"} <= {e["actor"] for e in rx}
+        for e in rx:
+            assert {"origin", "sequence", "hop_count", "duplicate"} <= e.keys(), e
+        assert any(e["duplicate"] for e in rx if e["actor"] == "robot")
+
+    def test_each_relay_follows_a_fresh_robot_reception(self, events):
+        relays = [(k, e) for k, e in enumerate(events) if e["type"] == "denm_relay"]
+        assert relays
+        for k, relay in relays:
+            rx = events[k - 1]
+            assert (rx["type"], rx["actor"], rx.get("msg_type"), rx.get("duplicate")) == (
+                "msg_rx", "robot", "DENM", False)
+            assert (rx["t"], rx["origin"], rx["sequence"]) == (
+                relay["t"], relay["origin"], relay["sequence"])
+        keys = [(e["origin"], e["sequence"]) for _, e in relays]
+        assert len(keys) == len(set(keys))
+
 
 @pytest.fixture
 def engines(monkeypatch):
@@ -1224,8 +1280,7 @@ class TestRoadPicture:
 
     @staticmethod
     def receive(engine, msg, rx_time):
-        event = {"t": round(rx_time, 9), "type": "msg_rx", "actor": "robot"}
-        engine.deliver(engine.robot_id, msg, msg.msg_type.name, rx_time, event)
+        engine.hear(msg, msg.msg_type.name, rx_time)
 
     def test_an_older_cpm_is_ignored_and_an_equal_one_replaces(self, engine):
         self.receive(engine, cpm(1000, (1, -5000, 0)), 1.0)
