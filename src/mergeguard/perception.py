@@ -217,10 +217,7 @@ class PerceptionPipeline:
         for (camera_id, track_id), window in live:
             cam = self.cameras[camera_id]
             road_x = cam.road_position_m + cam.direction_sign * window.last_distance
-            try:
-                v_bar = estimate_velocity(window)
-            except InsufficientSamples:
-                v_bar = 0.0
+            v_bar = estimate_velocity(window) if len(window.times) == WINDOW_SIZE else 0.0
             if classify_motion(v_bar, self.config) is MotionClass.STATIONARY:
                 v_bar = 0.0
             objects.append(PerceivedObject(

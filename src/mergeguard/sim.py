@@ -482,7 +482,10 @@ def scenario_from_dict(obj: dict) -> Scenario:
     # the messages the run sends, built as the engine builds them and encoded
     # once the station ids are known to fit: each V2X vehicle's CAM wherever
     # its speed or position can peak (a segment's ends and where its speed
-    # crosses zero), the robot's CAM, the RSU's DENM and the widest CPM
+    # crosses zero), then the robot's CAM, the RSU's DENM and the widest CPM.
+    # The engine delivers the message it sent, not a decoded copy, so those
+    # last three are also decoded, as a spot check that each kind of message
+    # comes back from the wire unchanged
     probes = []
     for i, ent in enumerate(sc.entities):
         if not ent.v2x_equipped:
@@ -508,18 +511,23 @@ def scenario_from_dict(obj: dict) -> Scenario:
     _require(len(set(station_ids.values())) == len(station_ids),
              "station ids must be unique across robot, infra, rsu and entities")
 
+    n_vehicle_cams = len(probes)
     probes.append(("robot.position", robot_cam,
                    (robot.moderator.station_id, 0.0, RobotPose(*robot.position))))
     if rsu:
         probes.append(("rsu", rsu.notification, (0.0, 0)))
     if infra:
         probes.append(("infra.cameras", _widest_cpm, (infra, len(sc.entities))))
-    for why, build, args in probes:
+    max_hops = robot.moderator.max_hops
+    for k, (why, build, args) in enumerate(probes):
         try:
-            encode_message(build(*args), max_hops=robot.moderator.max_hops)
+            msg = build(*args)
+            data = encode_message(msg, max_hops=max_hops)
         except (InvalidMessage, OverflowError, ValueError,  # or not finite, scaled
                 PerceptionError) as exc:  # an entity index too wide for a track id
             raise ValidationError(f"{why}: {exc}") from None
+        if k >= n_vehicle_cams and decode_message(data, max_hops=max_hops) != msg:
+            raise ValidationError(f"{why}: does not survive the wire")
     return sc
 
 
@@ -858,9 +866,11 @@ class _Engine:
             self.pushed += 1
 
     def transmit(self, msg: Message, tx_time: float) -> None:
-        """Send from ``msg.station_id`` and queue its deliveries, all sharing
-        one decoded copy.  A delivery due after the last flush would never
-        be popped, so it is not queued; the channel still draws for it."""
+        """Send from ``msg.station_id`` and queue its deliveries, all of the
+        sent message.  It is encoded for its size and its checks, not
+        decoded: a valid message decodes to itself, and the loader spot
+        checks that.  A delivery due after the last flush would never be
+        popped, so it is not queued; the channel still draws for it."""
         sender_id = msg.station_id
         type_name = msg.msg_type.name
         data = encode_message(msg, max_hops=self.max_hops)
@@ -869,16 +879,12 @@ class _Engine:
                          "station_id": sender_id, "timestamp_ms": msg.timestamp_ms,
                          "size_b": len(data)})
         receivers = [r for r in self.receivers if r[0] != sender_id]
-        last = self.last_flush_s
-        deliveries = [d for d in self.channel.broadcast(self.positions[sender_id], tx_time,
-                                                        receivers) if d[1] <= last]
-        if not deliveries:
-            return
-        received = decode_message(data, max_hops=self.max_hops)
-        heap, seq = self.pending, self.pushed
-        for receiver_id, due in deliveries:
-            heapq.heappush(heap, (due, seq, receiver_id, received, type_name))
-            seq += 1
+        heap, seq, last = self.pending, self.pushed, self.last_flush_s
+        for receiver_id, due in self.channel.broadcast(self.positions[sender_id], tx_time,
+                                                       receivers):
+            if due <= last:
+                heapq.heappush(heap, (due, seq, receiver_id, msg, type_name))
+                seq += 1
         self.pushed = seq
 
     def hear(self, msg: Message, type_name: str, rx_time: float) -> None:
@@ -944,8 +950,9 @@ class _Engine:
 
     def world(self, now_s: float) -> None:
         # time only grows, so each entity's segment cursor only advances; it
-        # stops where eval_trajectory's scan would
-        due, t = now_s + _TIME_EPS, round(now_s, 9)
+        # stops where eval_trajectory's scan would; the log time is rounded
+        # only when a crossing is logged
+        due, t = now_s + _TIME_EPS, None
         contains, append = self.robot.zod.contains, self.log.append
         segment, entity_x, entity_v, in_zone = (self.segment, self.entity_x,
                                                 self.entity_v, self.in_zone)
@@ -958,6 +965,8 @@ class _Engine:
             entity_x[idx], entity_v[idx] = x, v
             inside = contains(x)
             if inside != in_zone[idx]:
+                if t is None:
+                    t = round(now_s, 9)
                 append({"t": t, "type": "zod_enter" if inside else "zod_exit",
                         "actor": self.veh_label[idx], "station_id": self.station_ids[idx],
                         "road_x_m": round(x, 6)})
@@ -992,10 +1001,13 @@ class _Engine:
 
     def beacons(self, i: int, now_s: float) -> None:
         # vehicle CAMs at their configured period, then the robot's own
-        # (ETSI-rule generation), then due roadworks notifications
-        t, append = round(now_s, 9), self.log.append
+        # (ETSI-rule generation), then due roadworks notifications; the log
+        # time is rounded only when a CAM is logged
+        t, append = None, self.log.append
         for idx, sid, every in self.v2x_vehicles:
             if i % every == 0:
+                if t is None:
+                    t = round(now_s, 9)
                 x, v = self.entity_x[idx], self.entity_v[idx]
                 cam_msg = vehicle_cam(sid, now_s, x, v)
                 append({"t": t, "type": "cam_gen", "actor": self.veh_label[idx],
@@ -1004,7 +1016,8 @@ class _Engine:
                 self.send_at(now_s, cam_msg)
         robot_cam = self.moderator.cam_tick(now_s, self.pose)
         if robot_cam is not None:
-            append({"t": t, "type": "cam_gen", "actor": "robot", "station_id": self.robot_id,
+            append({"t": round(now_s, 9) if t is None else t, "type": "cam_gen",
+                    "actor": "robot", "station_id": self.robot_id,
                     "pos_x_m": round(self.pose.pos_x_m, 6), "speed_mps": 0.0,
                     "timestamp_ms": robot_cam.timestamp_ms})
             self.send_at(now_s, robot_cam)
@@ -1048,9 +1061,12 @@ class _Engine:
         self.last_action = action
 
     def actuate(self, now_s: float) -> None:
-        t = round(now_s, 9)
-        for ev in self.moderator.due_actuations(now_s):
-            self.log.append({"t": t, "type": "actuation", "actor": "robot", "phase": ev.phase})
+        due = self.moderator.due_actuations(now_s)
+        if due:
+            t = round(now_s, 9)
+            for ev in due:
+                self.log.append({"t": t, "type": "actuation", "actor": "robot",
+                                 "phase": ev.phase})
 
     def record(self, now_s: float) -> None:
         if self.series is None:

@@ -54,6 +54,16 @@ class TestCamCadence:
         assert mod.cam_tick(0.05, moved) is None  # min interval not yet reached
         assert mod.cam_tick(0.10, moved) is not None
 
+    def test_position_trigger_away_from_the_origin(self):
+        # the trigger is the distance moved since the last CAM, not from x = 0
+        at_ten = RobotPose(10.0, 0.0, 0.0, 0.0)
+        assert gen_times(Moderator(ModeratorConfig()), at_ten, 1.5) == [0.0, 1.0]
+        mod = Moderator(ModeratorConfig())
+        assert mod.cam_tick(0.0, at_ten) is not None
+        moved = RobotPose(14.0, 0.0, 0.0, 0.0)
+        assert mod.cam_tick(0.05, moved) is None  # min interval not yet reached
+        assert mod.cam_tick(0.10, moved) is not None
+
     def test_sub_trigger_motion_waits_for_max_interval(self):
         mod = Moderator(ModeratorConfig())
         mod.cam_tick(0.0, STILL)

@@ -163,6 +163,11 @@ class TestCpmAssembly:
         pipeline.ingest(Detection(0, 1, (550.0, 0.0), 1, 0.0))
         msg = pipeline.assemble_cpm(0.0)
         assert msg.payload.objects[0].speed_cms == 0
+        # two samples 10 m apart in 0.2 s: moving, but one sample short of a speed
+        pipeline.ingest(Detection(0, 1, (450.0, 0.0), 1, 0.2))
+        assert len(pipeline.tracks[(0, 1)].times) == 2
+        obj = pipeline.assemble_cpm(0.2).payload.objects[0]
+        assert (obj.pos_x_cm, obj.speed_cms) == (-7400, 0)
 
     def test_meas_delta_tracks_sample_age(self):
         pipeline = make_pipeline()

@@ -1,6 +1,7 @@
 """Scenario validation, trajectory math and end-to-end engine behaviour."""
 
 import copy
+import dataclasses
 import functools
 import hashlib
 import json
@@ -305,6 +306,44 @@ class TestValidation:
     def test_station_id_must_fit_u32(self, where, sid):
         self.check(self.every_station(where, sid), r"station_id must be an integer")
         scenario_from_dict(self.every_station(where, 2**32 - 1))
+
+    def spot_checked(self):
+        obj = with_infra(minimal())
+        obj["rsu"] = {"station_id": 200, "position": [10.0, 0.0]}
+        obj["entities"] = [{"station_id": 7 + k, "trajectory": [self.seg(0.0, -50.0, 10.0)]}
+                           for k in range(5)]
+        return obj
+
+    @pytest.mark.parametrize("msg_type,why", [
+        ("CAM", "robot.position"), ("DENM", "rsu"), ("CPM", "infra.cameras")])
+    def test_loader_spot_checks_the_wire(self, monkeypatch, msg_type, why):
+        # the engine delivers the sent message, relying on it decoding to
+        # itself; a codec that changes one field of one kind fails the load
+        obj = self.spot_checked()
+        scenario_from_dict(obj)
+        decode = sim.decode_message
+
+        def changing(data, **kwargs):
+            msg = decode(data, **kwargs)
+            if msg.msg_type.name == msg_type:
+                msg = dataclasses.replace(msg, timestamp_ms=msg.timestamp_ms + 1)
+            return msg
+
+        monkeypatch.setattr(sim, "decode_message", changing)
+        self.check(obj, rf"^{re.escape(why)}: does not survive the wire$")
+
+    def test_loader_decodes_one_message_of_each_kind(self, monkeypatch):
+        # vehicle CAMs are only encoded, however many vehicles there are
+        decoded, decode = [], sim.decode_message
+
+        def recording(data, **kwargs):
+            msg = decode(data, **kwargs)
+            decoded.append(msg.msg_type.name)
+            return msg
+
+        monkeypatch.setattr(sim, "decode_message", recording)
+        scenario_from_dict(self.spot_checked())
+        assert decoded == ["CAM", "DENM", "CPM"]
 
     @pytest.mark.parametrize("segments", [
         [{"start_time_s": 0.0, "start_x_m": 0.0, "speed_mps": 700.0, "accel_mps2": 0.0}],
@@ -1076,7 +1115,8 @@ def v2x_cell(rsu=None, **channel):
 
 
 class TestRadio:
-    def test_each_broadcast_is_decoded_once(self, monkeypatch):
+    def test_no_broadcast_is_decoded(self, monkeypatch):
+        # each delivery carries the sent message itself, not a decoded copy
         sc = v2x_cell()
         plain = run(sc)
         calls = {"encode": 0, "decode": 0}
@@ -1093,8 +1133,27 @@ class TestRadio:
         n_tx = len(counted.log.of_type("msg_tx"))
         assert len(counted.log.of_type("msg_rx")) >= 3 * n_tx > 0
         assert calls["encode"] == n_tx
-        assert calls["decode"] <= calls["encode"]
+        assert calls["decode"] == 0
         assert counted.to_jsonl() == plain.to_jsonl()
+
+    @pytest.mark.parametrize("name", [*SHIPPED, "dense_cell"])
+    def test_every_sent_message_survives_the_wire(self, monkeypatch, name):
+        # what the engine delivers without decoding is what decoding gives
+        sc = (v2x_cell(rsu=DENSE_RSU) if name == "dense_cell"
+              else scenario_from_dict(SHIPPED[name]))
+        sent, encode = [], sim.encode_message
+
+        def recording(msg, **kwargs):
+            data = encode(msg, **kwargs)
+            sent.append((msg, data, kwargs))
+            return data
+
+        monkeypatch.setattr(sim, "encode_message", recording)
+        res = run(sc)
+        assert len(sent) == len(res.log.of_type("msg_tx")) > 0
+        assert all(sim.decode_message(data, **kwargs) == msg for msg, data, kwargs in sent)
+        assert {msg.msg_type.name for msg, _, _ in sent} >= (
+            {"CAM", "CPM"} if sc.infra else {"CAM", "DENM"})
 
     def test_simultaneous_deliveries_keep_broadcast_then_receiver_order(self):
         # without jitter every broadcast of a tick lands at one time; the
