@@ -99,12 +99,10 @@ def _cmd_batch(args) -> int:
             out_path = out_dir / (path.stem + ".log.jsonl")
             out_path.write_text(result.to_jsonl())
         except OSError as exc:  # its text names the file it could not open
-            print(f"error: {exc}", file=sys.stderr)
-            worst = max(worst, EXIT_IO)
+            worst = max(worst, _fail(str(exc), EXIT_IO))
             continue
         except sim.ScenarioError as exc:
-            print(f"error: {path.name}: {exc}", file=sys.stderr)
-            worst = max(worst, EXIT_INVALID)
+            worst = max(worst, _fail(f"{path.name}: {exc}", EXIT_INVALID))
             continue
         print(f"{path.name}: {len(result.log.events)} events -> {out_path.name}",
               file=sys.stderr)
@@ -118,6 +116,8 @@ def _cmd_report(args) -> int:
         return _fail(str(exc), EXIT_IO)
     try:
         header, events = sim.log_from_jsonl(text)
+        if header.get("log_format") != sim.LOG_FORMAT_VERSION:
+            raise ValueError(f"unsupported log_format {header.get('log_format')!r}")
         report = kpi.compute(events, subject_station=args.subject,
                              end_time_s=header.get("duration_s"))
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
@@ -160,12 +160,10 @@ def _cmd_validate(args) -> int:
         try:
             scenario = sim.load_scenario(path)
         except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            worst = max(worst, EXIT_IO)
+            worst = max(worst, _fail(str(exc), EXIT_IO))
             continue
         except sim.ScenarioError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            worst = max(worst, EXIT_INVALID)
+            worst = max(worst, _fail(f"{path}: {exc}", EXIT_INVALID))
             continue
         print(f"ok: {path} ({scenario.name}, {len(scenario.entities)} entities, "
               f"{scenario.duration_s:g} s)")

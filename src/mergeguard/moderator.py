@@ -9,9 +9,9 @@ so an optional seeded processing-delay jitter max(0, N(0.10, 0.05)) s can
 be added per interval to mimic measured generation gaps around 1.1 s.
 
 DENM relaying extends single-hop hazard warnings around the corner: a
-DENM whose (origin, sequence) pair is new and whose hop budget allows it
-is rebroadcast once with hop_count + 1 and the robot as sender, keeping
-the origin station and timestamp intact.
+DENM from another origin whose hop budget allows it is rebroadcast with
+hop_count + 1 and the robot as sender, keeping the origin station and
+timestamp intact; the engine hands over each (origin, sequence) once.
 
 Actuation turns decisions into timed posture changes: a STOP is complete
 after moving to lane center and raising the flag (defaults summing to
@@ -82,7 +82,6 @@ class Moderator:
     _last_cam_time: float | None = field(default=None, init=False)
     _last_cam_pose: RobotPose | None = field(default=None, init=False)
     _next_due: float = field(default=0.0, init=False)
-    _seen_denms: set[tuple[int, int]] = field(default_factory=set, init=False)
     _pending: list[ActuationEvent] = field(default_factory=list, init=False)
 
     def __post_init__(self):
@@ -123,12 +122,8 @@ class Moderator:
     # -- DENM relaying -----------------------------------------------------
 
     def relay_denm(self, msg: Message) -> Message | None:
-        """One-shot relay of a fresh DENM; None when dedup or hop budget says no."""
+        """The relayed copy of ``msg``; None for our own DENM or a spent hop budget."""
         denm: DenmPayload = msg.payload
-        key = (denm.origin_station_id, denm.sequence_number)
-        if key in self._seen_denms:
-            return None
-        self._seen_denms.add(key)
         if denm.origin_station_id == self.config.station_id:
             return None  # never relay our own notifications back out
         if denm.hop_count + 1 > self.config.max_hops:

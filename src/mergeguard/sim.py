@@ -26,11 +26,15 @@ order, after those of every earlier broadcast due at that time.  Nothing
 due after the last tick's flush is queued, since it would never run.
 ``flush`` builds, completes and logs the ``msg_rx`` event of each
 reception, a DENM's fields included; ``hear`` applies what a reception
-by the robot changes: its road picture and its DENM relay.
+by the robot changes: its road picture and the relay of a new DENM.
 
 All randomness (sensor draws, channel loss and jitter, CAM generation
 jitter) comes from streams spawned off one seed, so a given (scenario,
-seed) pair always produces a byte-identical event log.
+seed) pair always produces a byte-identical event log.  Besides the
+stage order above, the bytes rest on inputs from outside the package:
+NumPy's ``SeedSequence.spawn`` and ``Generator`` ``random`` and
+``normal`` streams (a test pins their first draws), ``float.__repr__``
+and ``json``, and ``math`` (``hypot`` in the channel, ``cos`` in ``hear``).
 
 Scenario layout (see docs/scenario_schema.md for the field-by-field
 reference)::
@@ -830,7 +834,7 @@ class _Engine:
         # to the engine
         self.pending: list[tuple[float, int, int | None, Message, str | None]] = []
         self.pushed = 0
-        self.denm_seen: set[tuple[int, int, int]] = set()  # (receiver, origin, sequence)
+        self.denm_seen: set[tuple[int, int, int]] = set()  # (receiver, origin, sequence) heard
 
         # the robot's road picture: one object per station from the last
         # CAM received, and the objects of the newest CPM received
@@ -889,10 +893,10 @@ class _Engine:
 
     def hear(self, msg: Message, type_name: str, rx_time: float) -> None:
         """Apply what the robot's reception of ``msg`` at ``rx_time`` changes;
-        ``flush`` has logged its ``msg_rx``.
+        ``flush`` has logged its ``msg_rx`` and held back a duplicate DENM.
 
         The robot keeps each station's last CAM and the newest CPM's
-        objects as its road picture, and relays a fresh DENM at ``rx_time``.
+        objects as its road picture, and relays a DENM at ``rx_time``.
         """
         if type_name == "CAM":
             p = msg.payload
@@ -924,7 +928,7 @@ class _Engine:
         or build, complete and log the ``msg_rx`` event of a delivery.  A
         DENM's event gains its origin, sequence, hop count and whether the
         receiver had it already.  Only the robot's receptions change
-        anything else; they go on to ``hear``."""
+        anything else; all but duplicate DENMs go on to ``hear``."""
         heap, due = self.pending, now_s + _TIME_EPS
         if not heap or heap[0][0] > due:
             return
@@ -945,7 +949,7 @@ class _Engine:
                              hop_count=p.hop_count, duplicate=seen in self.denm_seen)
                 self.denm_seen.add(seen)
             append(event)
-            if receiver_id == robot_id:
+            if receiver_id == robot_id and not event.get("duplicate"):
                 self.hear(msg, type_name, time_s)
 
     def world(self, now_s: float) -> None:
@@ -981,10 +985,12 @@ class _Engine:
     def sense(self, i: int, now_s: float) -> None:
         if self.sensor is None:
             return
-        t, append, ingest = round(now_s, 9), self.log.append, self.perception.ingest
+        t, append, ingest = None, self.log.append, self.perception.ingest
         cameras, station_ids = self.perception.cameras, self.station_ids
         entity_x, first_detected = self.entity_x, self.first_detected
         for det in self.sensor.observe(now_s, entity_x, self.classes):
+            if t is None:
+                t = round(now_s, 9)
             cam_id, idx = det.camera_id, det.track_id
             cam, x = cameras[cam_id], entity_x[idx]
             append({"t": t, "type": "detection", "actor": "infra",
@@ -995,8 +1001,9 @@ class _Engine:
             ingest(det)
         if i % self.cpm_every == 0:
             cpm = self.perception.assemble_cpm(now_s)
-            append({"t": t, "type": "cpm_gen", "actor": "infra",
-                    "timestamp_ms": cpm.timestamp_ms, "n_objects": len(cpm.payload.objects)})
+            append({"t": round(now_s, 9) if t is None else t, "type": "cpm_gen",
+                    "actor": "infra", "timestamp_ms": cpm.timestamp_ms,
+                    "n_objects": len(cpm.payload.objects)})
             self.send_at(now_s + self.scenario.infra.cpm_processing_delay_s, cpm)
 
     def beacons(self, i: int, now_s: float) -> None:

@@ -198,8 +198,8 @@ class TestReport:
         assert main(["report", str(tmp_path / "none.jsonl")]) == EXIT_IO
 
     @pytest.mark.parametrize("text", [
-        '{"scenario": "x"}\n{"t": 0.0, "actor": "robot"}\n',
-        '{"scenario": "x"}\n[1, 2]\n',
+        '{"log_format": 1, "scenario": "x"}\n{"t": 0.0, "actor": "robot"}\n',
+        '{"log_format": 1, "scenario": "x"}\n[1, 2]\n',
         '[1, 2]\n',
     ], ids=["event without type", "non-object event", "non-object header"])
     def test_malformed_event(self, tmp_path, capsys, text):
@@ -207,6 +207,21 @@ class TestReport:
         bad.write_text(text)
         assert main(["report", str(bad)]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: malformed log")
+
+    @pytest.mark.parametrize("log_format", [99, None], ids=["99", "missing"])
+    def test_log_in_another_format(self, tmp_path, capsys, log_format):
+        log = tmp_path / "run.jsonl"
+        assert main(["run", REPEATER, "--out", str(log)]) == EXIT_OK
+        header, *lines = log.read_text().splitlines()
+        fields = json.loads(header)
+        assert fields.pop("log_format") == 1
+        if log_format is not None:
+            fields["log_format"] = log_format
+        log.write_text("\n".join([json.dumps(fields), *lines]) + "\n")
+        capsys.readouterr()
+        assert main(["report", str(log)]) == EXIT_INVALID
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: malformed log: unsupported log_format {log_format!r}"]
 
     @pytest.mark.parametrize("line", [0, 1], ids=["header", "event"])
     def test_deeply_nested_line_is_one_error_line(self, log_path, capsys, line):

@@ -138,11 +138,14 @@ class TestDenmRelay:
         assert out.payload.sequence_number == 17
         assert out.payload.cause_code == 3
 
-    def test_duplicate_key_is_dropped(self):
+    def test_the_same_denm_is_relayed_each_time(self):
+        # the moderator keeps no DENM memory: the engine's per-receiver key
+        # set passes on only the first copy of each (origin, sequence)
         mod = Moderator(ModeratorConfig())
-        assert mod.relay_denm(denm()) is not None
-        assert mod.relay_denm(denm()) is None
-        assert mod.relay_denm(denm(ts=9999)) is None  # key is (origin, seq)
+        first = mod.relay_denm(denm())
+        assert first is not None
+        assert mod.relay_denm(denm()) == first
+        assert mod.relay_denm(denm(ts=9999)) is not None
 
     def test_new_sequence_or_origin_is_fresh(self):
         mod = Moderator(ModeratorConfig())
@@ -159,11 +162,6 @@ class TestDenmRelay:
         out = mod.relay_denm(denm(hop=1))
         assert out is not None and out.payload.hop_count == 2
         assert mod.relay_denm(denm(seq=18, hop=2)) is None
-
-    def test_exhausted_copy_still_marks_key_seen(self):
-        mod = Moderator(ModeratorConfig())
-        assert mod.relay_denm(denm(hop=1)) is None  # budget spent, but now known
-        assert mod.relay_denm(denm(hop=0)) is None  # duplicate, not relayed
 
     def test_self_originated_is_never_relayed(self):
         mod = Moderator(ModeratorConfig())

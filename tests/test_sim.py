@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import functools
 import hashlib
+import heapq
 import json
 import math
 import os
@@ -18,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mergeguard import sim
-from mergeguard.channel import Channel, ChannelConfig
-from mergeguard.messages import CpmPayload, Message, PerceivedObject
+from mergeguard.channel import _DRAW_BLOCK, Channel, ChannelConfig
+from mergeguard.messages import CpmPayload, DenmPayload, Message, PerceivedObject
 from mergeguard.perception import Detection
 from mergeguard.sim import (LOG_FORMAT_VERSION, EventLog, ParseError,
                             TrajectorySegment, ValidationError, eval_trajectory,
@@ -875,6 +876,63 @@ class TestLogDiscipline:
         assert out.stdout.split() == ["rejected", "rejected"]
 
 
+# ---------------------------------------------------------------------------
+# the NumPy streams every log draws from
+
+
+N_DRAWS = 10_000
+# SHA-256 of the first N_DRAWS draws, as little-endian float64, of each
+# stream _Engine spawns off SeedSequence(seed), taken in the engine's block
+# sizes.  The normal streams are drawn with loc 0 and scale 1; the engine's
+# normal(loc, scale) is loc + scale times the same draw.
+STREAM_DIGESTS = {
+    1: {"channel random": "699b8e6319822164915d3c87526143335a1e8ac3ef0c75469ae7427fc913c583",
+        "sensor normal": "f2790f56106165152ab15fa8376499a9b05cda821bfc2e5d4a05232d0ca56904",
+        "moderator-jitter normal":
+            "06df54147a3ed9cf41536e408ce8e2ae0ccd111fdb9905093cbfd64c147864bf"},
+    7: {"channel random": "a0554e706b267aa8ba095883068dc9cacc6ac0b761402c5dd2a2ed781255cf93",
+        "sensor normal": "ddb5c6883b0517fb83a2e517c6a93bb1b7a0725e29f3639d50a15b358d9a607d",
+        "moderator-jitter normal":
+            "7724647421edeaa8cf66b44c2dc6222012268b465081207668e7ee886b429e64"},
+    2026: {"channel random": "f5615672c89ebc3c518d324c57218d50ab97d5ba22e8cf97bcfce693d7aadf6b",
+           "sensor normal": "c3dddc19e6bcfd1bce99792c08af3d4b2418fa86ce2fa1b23db34cded63b1066",
+           "moderator-jitter normal":
+               "299b0062e1263c1d0b415c71f3e500b0f38576bf22ca272a24a6b4e03db10431"},
+}
+
+
+def stream_draws(seed):
+    """The first N_DRAWS draws of each stream of an engine built for ``seed``:
+    the channel's uniforms and the sensor's noise in blocks, the moderator's
+    jitter one at a time.  With no entities the engine has drawn nothing yet."""
+    engine = sim._Engine(scenario_from_dict(with_infra(minimal())), seed, False)
+    sensor, jitter = engine.sensor.rng, engine.moderator._rng
+
+    def blocks(draw, size):
+        out = []
+        while len(out) < N_DRAWS:
+            out += draw(size).tolist()
+        return out[:N_DRAWS]
+
+    return {"channel random": blocks(engine.channel.rng.random, _DRAW_BLOCK),
+            "sensor normal": blocks(lambda n: sensor.normal(0.0, 1.0, n), sim._NOISE_BLOCK),
+            "moderator-jitter normal": [float(jitter.normal(0.0, 1.0))
+                                        for _ in range(N_DRAWS)]}
+
+
+class TestRandomStreams:
+    """Log bytes rest on NumPy's Generator streams, which NumPy does not
+    promise to keep across releases; this names the stream that moved."""
+
+    @pytest.mark.parametrize("seed", sorted(STREAM_DIGESTS))
+    def test_first_draws_match_their_digests(self, seed):
+        for name, draws in stream_draws(seed).items():
+            digest = hashlib.sha256(np.asarray(draws, dtype="<f8").tobytes()).hexdigest()
+            assert digest == STREAM_DIGESTS[seed][name], (
+                f"the {name} stream of seed {seed} differs under NumPy {np.__version__}, "
+                "so every log that draws from it differs too")
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical(self):
         sc = load_scenario(SCENARIO_DIR / "rotterdam_run.json")
@@ -1255,6 +1313,69 @@ class TestDenmReceptions:
                 relay["t"], relay["origin"], relay["sequence"])
         keys = [(e["origin"], e["sequence"]) for _, e in relays]
         assert len(keys) == len(set(keys))
+
+
+def denm_from_rsu(hop):
+    return Message(200, 5000, DenmPayload(3, 17, 13430, 0, 60, hop, 200))
+
+
+class TestRobotDenmMemory:
+    """The engine's (receiver, origin, sequence) set is the only DENM memory:
+    a duplicate reception by the robot is logged and goes no further."""
+
+    @staticmethod
+    def flush(*copies):
+        """Deliver ``copies`` to the robot 10 ms apart and flush them all;
+        returns the engine and the hop count of each ``relay_denm`` call."""
+        engine = sim._Engine(scenario_from_dict(minimal()), 0, False)
+        calls, relay = [], engine.moderator.relay_denm
+
+        def spy(msg):
+            calls.append(msg.payload.hop_count)
+            return relay(msg)
+
+        engine.moderator.relay_denm = spy
+        for k, msg in enumerate(copies):
+            heapq.heappush(engine.pending, (1.0 + 0.01 * k, k, engine.robot_id, msg, "DENM"))
+        engine.pushed = len(copies)
+        engine.flush(1.0 + 0.01 * len(copies))
+        assert [e["duplicate"] for e in engine.log.of_type("msg_rx")] == [
+            k > 0 for k in range(len(copies))]
+        return engine, calls
+
+    def test_the_same_key_twice_is_relayed_once(self):
+        engine, calls = self.flush(denm_from_rsu(0), denm_from_rsu(0))
+        (relay,) = engine.log.of_type("denm_relay")
+        assert (relay["origin"], relay["sequence"], relay["hop_count"]) == (200, 17, 1)
+        assert calls == [0]
+
+    def test_a_spent_copy_still_holds_back_its_key(self):
+        # the hop-1 copy is not relayed, and the hop-0 copy after it is a duplicate
+        engine, _ = self.flush(denm_from_rsu(1), denm_from_rsu(0))
+        assert engine.log.of_type("denm_relay") == []
+
+
+class TestSenseRounding:
+    def test_an_idle_camera_tick_rounds_nothing(self, monkeypatch):
+        # the only vehicle is far out of every camera's view, and tick 1 is no
+        # CPM tick, so sense logs nothing and rounds no time
+        obj = with_infra(minimal())
+        obj["entities"] = [{"trajectory": [{"start_time_s": 0.0, "start_x_m": -1000.0,
+                                            "speed_mps": 0.0, "accel_mps2": 0.0}]}]
+        engine = sim._Engine(scenario_from_dict(obj), 0, False)
+        engine.world(0.05)
+        calls = []
+
+        def counting_round(*args):
+            calls.append(args)
+            return round(*args)
+
+        monkeypatch.setattr(sim, "round", counting_round, raising=False)
+        assert 1 % engine.cpm_every
+        engine.sense(1, 0.05)
+        assert calls == [] and engine.log.events == []
+        engine.sense(engine.cpm_every, 0.2)  # a CPM tick: one rounding for its event
+        assert calls == [(0.2, 9)] and len(engine.log.of_type("cpm_gen")) == 1
 
 
 @pytest.fixture
