@@ -45,7 +45,20 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _seed_error(seed: int | None) -> str | None:
+    """Why ``sim.run`` would refuse the ``--seed`` given, or None."""
+    try:
+        if seed is not None:
+            sim.check_seed(seed)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def _cmd_run(args) -> int:
+    bad_seed = _seed_error(args.seed)
+    if bad_seed:
+        return _fail(bad_seed, EXIT_INVALID)
     path = _resolve_scenario(args.scenario)
     try:
         scenario = sim.load_scenario(path)
@@ -80,6 +93,9 @@ def _write_series(path: Path, rows: list[dict]) -> None:
 
 
 def _cmd_batch(args) -> int:
+    bad_seed = _seed_error(args.seed)
+    if bad_seed:
+        return _fail(bad_seed, EXIT_INVALID)
     directory = Path(args.dir)
     if not directory.is_dir():
         return _fail(f"not a directory: {directory}", EXIT_IO)

@@ -98,7 +98,7 @@ class CameraSetup:
 class Detection(NamedTuple):
     camera_id: int
     track_id: int
-    bottom_center: tuple[float, float]  # pixels
+    bottom_center: tuple[float, float] | None  # pixels; None if never built
     object_class: int
     time_s: float
 
@@ -180,11 +180,20 @@ class PerceptionPipeline:
         self.config = config or PerceptionConfig()
         self.tracks: dict[tuple[int, int], TrackWindow] = {}
 
+    def keeps(self, camera_id: int, track_id: int, time_s: float) -> bool:
+        """Whether ``ingest`` keeps a sample of this track at ``time_s``: a
+        new track always does, a live one by ``TrackWindow.takes``.  A
+        dropped sample changes nothing but its track's class, so a caller
+        whose tracks keep one class may skip its ``ingest``."""
+        window = self.tracks.get((camera_id, track_id))
+        return window is None or window.takes(time_s, self.config.sample_gap_s)
+
     def ingest(self, detection: Detection) -> TrackWindow:
         """Append the detection to its track window.  Only a sample the
         window keeps is projected and turned into a distance."""
         cam = self.cameras[detection.camera_id]
         key = (detection.camera_id, detection.track_id)
+        keep = self.keeps(*key, detection.time_s)
         window = self.tracks.get(key)
         if window is None:
             if detection.track_id >> _TRACK_ID_BITS:  # also true for a negative id
@@ -193,10 +202,9 @@ class PerceptionPipeline:
             window = TrackWindow(detection.camera_id, detection.track_id,
                                  detection.object_class)
             self.tracks[key] = window
-        time_s, gap_s = detection.time_s, self.config.sample_gap_s
-        if window.takes(time_s, gap_s):
+        if keep:
             s = project_to_line(detection.bottom_center, cam.line)
-            window.push(time_s, estimate_distance(cam.model, s).meters)
+            window.push(detection.time_s, estimate_distance(cam.model, s).meters)
         window.object_class = detection.object_class
         return window
 

@@ -16,6 +16,21 @@ contract:
 
 ``collect_series`` adds one row per tick just before the last flush.
 
+Two stages skip work that cannot change a byte of the log.  ``world``
+does not evaluate a radio-less vehicle while it lies outside the span:
+the zone plus every camera's view (from the near cutoff to the farthest
+reach), widened by 1 m.  It wakes at the earliest time its top speed,
+the largest |v| at the ends of its segments, could bring it back.  This
+is exact: until then it stays more than the margin outside, so no zone
+edge is crossed and no camera sees it, and the margin is far larger than
+the rounding of a computed position (vehicles whose positions could grow
+past 1e12 m are never skipped).  ``sense`` scans only the vehicles inside
+the span, and a sample that perception's gap rule drops gets no image
+point and no ``ingest``; it still takes its pixel-noise draw, so the
+stream that later detections read does not change, and its ``detection``
+event is logged as before.  A run with ``collect_series`` evaluates every
+vehicle on every tick, since its rows hold every position.
+
 Radio deliveries and queued sends (CPMs, CAMs, DENM copies) wait in one
 queue of ``(due time, push sequence, receiver id, message, type name)``
 entries, ordered by (due time, push sequence); that order is part of the
@@ -65,7 +80,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Sequence, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -89,6 +104,12 @@ EVENT_TYPES = frozenset({
 })
 
 _TIME_EPS = 1e-9
+
+# a radio-less vehicle is skipped while it is farther than this outside the
+# zone and every camera's view, and only while its positions stay below the
+# scale limit, where rounding moves a computed position by far less
+_SPAN_MARGIN_M = 1.0
+_SPAN_SCALE_MAX_M = 1e12
 
 _STATION_ID_MAX = 0xFFFFFFFF  # the u32 station_id wire field
 _OBJECT_CLASSES = frozenset(ObjectClass)  # the CPM object_class rule
@@ -137,6 +158,30 @@ def eval_trajectory(segments: Sequence[TrajectorySegment], t_s: float) -> tuple[
         else:
             break
     return seg.at(t_s)
+
+
+def _pace(segments: Sequence[TrajectorySegment], horizon_s: float) -> float | None:
+    """Seconds per metre at the top speed of a trajectory up to ``horizon_s``
+    (inf if it never moves), or None if its positions may grow so large
+    that rounding could reach the span margin.
+
+    The speed changes linearly within a segment, so its largest magnitude
+    over a piece is at one of the piece's ends.  The terms that
+    ``TrajectorySegment.at`` adds are bounded by the starts' magnitudes
+    and twice the top speed times the horizon.
+    """
+    top = start = 0.0
+    ends = [seg.start_time_s for seg in segments[1:]] + [horizon_s]
+    for seg, end in zip(segments, ends):
+        if seg.start_time_s > horizon_s:
+            break
+        end = min(end, horizon_s)
+        top = max(top, abs(seg.speed_mps),
+                  abs(seg.speed_mps + seg.accel_mps2 * (end - seg.start_time_s)))
+        start = max(start, abs(seg.start_x_m))
+    if not start + 2.0 * top * horizon_s < _SPAN_SCALE_MAX_M:
+        return None
+    return 1.0 / top if top else math.inf
 
 
 def trajectory_summary(segments: Sequence[TrajectorySegment],
@@ -575,14 +620,24 @@ class SensorModel:
     Each vehicle's maximum detection range is drawn once from
     N(mean, std) truncated to [detect_min, detect_max]; a camera sees the
     vehicle whenever its distance lies between the near cutoff and the
-    smaller of that range and the distance at the line's far end.  The
-    reported image point is the true line coordinate plus Gaussian pixel
-    noise, one draw per detection in camera-then-entity order.  The noise
-    is drawn from the stream in blocks, kept in a buffer that the model
-    owns, and used in stream order, so each detection gets the value that
-    one scalar draw would give.  The true coordinate is the calibration's
-    inverse at the true distance (``CalibrationModel.inverse``: closed
-    form up to order 2, bisection above).
+    smaller of that range and the distance at the line's far end, so no
+    camera sees a vehicle outside ``view_span``.  The reported image
+    point is the true line coordinate plus Gaussian pixel noise, one draw
+    per detection in camera-then-entity order.  The noise is drawn from
+    the stream in blocks, kept in a buffer that the model owns, and used
+    in stream order, so each detection gets the value that one scalar
+    draw would give.  The true coordinate is the calibration's inverse at
+    the true distance (``CalibrationModel.inverse``: closed form up to
+    order 2, bisection above).
+
+    Two skips rest on this model and leave every detection as it was.
+    The engine does not evaluate a radio-less vehicle while it is more
+    than 1 m outside ``view_span`` and the zone, until its top speed could
+    bring it back: before then no camera can see it.  And ``observe`` may
+    be told which vehicles to scan, and which samples perception keeps.
+    A dropped sample still takes its noise draw, so the stream that later
+    detections read does not change, but it gets no image point: its
+    inverse and its point are never computed.
     """
 
     def __init__(self, config: SensorConfig, cameras: Sequence[CameraSetup],
@@ -593,10 +648,19 @@ class SensorModel:
         ranges = [self._draw_range() for _ in range(n_entities)]
         # (camera, near cutoff, the farthest distance it sees each entity at)
         self._views = []
+        # (lowest, highest) road x that some camera may see, None if none
+        self.view_span: tuple[float, float] | None = None
+        ends = []
         for cam in self.cameras:
             far = cam.model.raw(cam.line.s_max)
-            self._views.append((cam, max(config.detect_near_m, cam.model.raw(0.0)),
-                                [min(r, far) for r in ranges]))
+            near = max(config.detect_near_m, cam.model.raw(0.0))
+            reach = [min(r, far) for r in ranges]
+            self._views.append((cam, near, reach))
+            farthest = max(reach, default=-math.inf)
+            if near <= farthest:
+                ends += (cam.road_position_m + cam.direction_sign * d for d in (near, farthest))
+        if ends:
+            self.view_span = (min(ends), max(ends))
         self._noise: list[float] = []  # drawn from rng, used from _next on
         self._next = 0
 
@@ -609,14 +673,22 @@ class SensorModel:
             if cfg.detect_min_m <= r <= cfg.detect_max_m:
                 return r
 
-    def observe(self, now_s: float, positions: Sequence[float],
-                classes: Sequence[int]) -> list[Detection]:
-        """Detections for this tick, cameras in id order, entities in index order."""
+    def observe(self, now_s: float, positions: Sequence[float], classes: Sequence[int],
+                indices: Sequence[int] | None = None,
+                keeps: Callable[[int, int, float], bool] | None = None) -> list[Detection]:
+        """Detections for this tick, cameras in id order, entities in index order.
+
+        Only the entities in ``indices`` (ascending; all by default) are
+        scanned.  When ``keeps(camera_id, entity_index, now_s)`` is false
+        the detection's ``bottom_center`` is None.
+        """
         out = []
+        if indices is None:
+            indices = range(len(positions))
         noise_std, noise, pos = self.config.pixel_noise_std, self._noise, self._next
         if noise_std > 0.0:
             # at most one draw per camera and entity
-            need = len(self._views) * len(positions)
+            need = len(self._views) * len(indices)
             if pos + need > len(noise):
                 block = self.rng.normal(0.0, noise_std, max(_NOISE_BLOCK, need)).tolist()
                 noise = self._noise = noise[pos:] + block
@@ -626,9 +698,14 @@ class SensorModel:
                                              cam.road_position_m, cam.model.inverse)
             line = cam.line
             s_max, (x0, y0), (ux, uy) = line.s_max, line.p0, line.direction
-            for idx, x in enumerate(positions):
-                dist = sign * (x - road_x)
+            for idx in indices:
+                dist = sign * (positions[idx] - road_x)
                 if not near <= dist <= reach[idx]:
+                    continue
+                if keeps is not None and not keeps(cam_id, idx, now_s):
+                    if noise_std > 0.0:
+                        pos += 1
+                    out.append(Detection(cam_id, idx, None, classes[idx], now_s))
                     continue
                 s = inverse(dist, s_max)
                 if noise_std > 0.0:
@@ -859,6 +936,21 @@ class _Engine:
         self.max_hops = robot_cfg.moderator.max_hops
         self.n_ticks = int(round(scenario.duration_s / tick))
         self.last_flush_s = self.n_ticks * tick + _TIME_EPS
+
+        # the span where a vehicle can change the log: the zone and every
+        # camera's view, widened by the margin.  world() skips a radio-less
+        # vehicle outside it until ``wake_s``, the earliest time its top
+        # speed (``pace`` is its inverse; None: never skipped) could bring
+        # it back, and lists the vehicles inside it for sense()
+        lo, hi = robot_cfg.zod.x_min, robot_cfg.zod.x_max
+        if self.sensor is not None and self.sensor.view_span is not None:
+            lo, hi = min(lo, self.sensor.view_span[0]), max(hi, self.sensor.view_span[1])
+        self.span = (lo - _SPAN_MARGIN_M, hi + _SPAN_MARGIN_M)
+        self.wake_s = [0.0] * n
+        self.pace = [None if collect_series or ent.v2x_equipped
+                     else _pace(ent.trajectory, self.last_flush_s)
+                     for ent in scenario.entities]
+        self.in_span: list[int] = []
         self.cpm_every = int(round(infra.perception.cpm_period_s / tick)) if infra else 0
         self.decision_every = int(round(robot_cfg.decision_period_s / tick))
 
@@ -955,12 +1047,17 @@ class _Engine:
     def world(self, now_s: float) -> None:
         # time only grows, so each entity's segment cursor only advances; it
         # stops where eval_trajectory's scan would; the log time is rounded
-        # only when a crossing is logged
+        # only when a crossing is logged.  A skipped vehicle keeps its last
+        # position, outside the span and the zone
         due, t = now_s + _TIME_EPS, None
         contains, append = self.robot.zod.contains, self.log.append
         segment, entity_x, entity_v, in_zone = (self.segment, self.entity_x,
                                                 self.entity_v, self.in_zone)
+        wake, pace, (lo, hi) = self.wake_s, self.pace, self.span
+        self.in_span = in_span = []
         for idx, ent in enumerate(self.scenario.entities):
+            if now_s < wake[idx]:
+                continue
             segs, k = ent.trajectory, segment[idx]
             while k + 1 < len(segs) and segs[k + 1].start_time_s <= due:
                 k += 1
@@ -975,6 +1072,10 @@ class _Engine:
                         "actor": self.veh_label[idx], "station_id": self.station_ids[idx],
                         "road_x_m": round(x, 6)})
                 in_zone[idx] = inside
+            if lo <= x <= hi:
+                in_span.append(idx)
+            elif pace[idx] is not None:
+                wake[idx] = now_s + (lo - x if x < lo else x - hi) * pace[idx]
         self.merging = self.scenario.merging_seen(now_s)
         # radio positions hold until the next tick
         self.receivers = receivers = [
@@ -985,10 +1086,13 @@ class _Engine:
     def sense(self, i: int, now_s: float) -> None:
         if self.sensor is None:
             return
-        t, append, ingest = None, self.log.append, self.perception.ingest
-        cameras, station_ids = self.perception.cameras, self.station_ids
+        perception = self.perception
+        t, append, ingest = None, self.log.append, perception.ingest
+        cameras, station_ids = perception.cameras, self.station_ids
         entity_x, first_detected = self.entity_x, self.first_detected
-        for det in self.sensor.observe(now_s, entity_x, self.classes):
+        # a sample that perception drops gets no image point and no ingest
+        for det in self.sensor.observe(now_s, entity_x, self.classes, self.in_span,
+                                       perception.keeps):
             if t is None:
                 t = round(now_s, 9)
             cam_id, idx = det.camera_id, det.track_id
@@ -998,7 +1102,8 @@ class _Engine:
                     "cam_distance_m": round(cam.direction_sign * (x - cam.road_position_m), 6),
                     "road_x_m": round(x, 6), "first": not first_detected[idx]})
             first_detected[idx] = True
-            ingest(det)
+            if det.bottom_center is not None:
+                ingest(det)
         if i % self.cpm_every == 0:
             cpm = self.perception.assemble_cpm(now_s)
             append({"t": round(now_s, 9) if t is None else t, "type": "cpm_gen",
@@ -1086,14 +1191,23 @@ class _Engine:
         self.series.append(row)
 
 
+def check_seed(seed) -> int:
+    """``seed`` if it is a non-negative integer; else ValueError."""
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def run(scenario: Scenario, seed: int | None = None,
         collect_series: bool = False) -> RunResult:
     """Execute one scenario and return its event log.
 
     ``seed`` overrides the scenario's rng_seed; the seed actually used is
-    echoed in the returned header.
+    echoed in the returned header.  ``collect_series`` skips no vehicle,
+    as its rows hold every position; the log is the same either way.
     """
-    engine = _Engine(scenario, scenario.rng_seed if seed is None else seed, collect_series)
+    engine = _Engine(scenario, check_seed(scenario.rng_seed if seed is None else seed),
+                     collect_series)
     for i in range(engine.n_ticks + 1):
         now = i * scenario.tick_s
         engine.flush(now)

@@ -46,6 +46,14 @@ class TestRun:
         main(["run", str(quick_scenario(tmp_path)), "--seed", "99", "--out", str(out)])
         assert json.loads(out.read_text().splitlines()[0])["seed"] == 99
 
+    @pytest.mark.parametrize("seed", ["-1", "-3"])
+    def test_negative_seed_is_one_error_line(self, tmp_path, capsys, seed):
+        out = tmp_path / "run.jsonl"
+        assert main(["run", ROTTERDAM, "--seed", seed, "--out", str(out)]) == EXIT_INVALID
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and seed in err[0]
+        assert not out.exists()
+
     def test_series_csv(self, tmp_path):
         out, series = tmp_path / "r.jsonl", tmp_path / "r.csv"
         main(["run", str(quick_scenario(tmp_path, duration=1.0)),
@@ -286,6 +294,15 @@ class TestBatch:
         assert (tmp_path / "logs" / "a.log.jsonl").exists()
         err = [line for line in capsys.readouterr().err.splitlines() if "x.json" in line]
         assert len(err) == 1 and err[0].startswith("error: ") and err[0].count("x.json") == 1
+
+    def test_negative_seed_is_one_error_line(self, tmp_path, capsys):
+        quick_scenario(tmp_path, "a.json")
+        out_dir = tmp_path / "logs"
+        assert main(["batch", str(tmp_path), "--seed", "-3",
+                     "--out-dir", str(out_dir)]) == EXIT_INVALID
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "-3" in err[0]
+        assert not list(out_dir.glob("*.jsonl"))
 
     def test_not_a_directory(self, tmp_path):
         assert main(["batch", str(tmp_path / "none")]) == EXIT_IO

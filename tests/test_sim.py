@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mergeguard import sim
+from mergeguard import perception, sim
 from mergeguard.channel import _DRAW_BLOCK, Channel, ChannelConfig
 from mergeguard.messages import CpmPayload, DenmPayload, Message, PerceivedObject
 from mergeguard.perception import Detection
@@ -107,17 +107,30 @@ def trajectories(draw):
 
 
 class TestSegmentCursor:
-    @given(st.lists(trajectories(), min_size=1, max_size=3))
-    def test_world_matches_eval_trajectory(self, trajs):
+    @given(st.lists(trajectories(), min_size=1, max_size=3), st.booleans())
+    def test_world_matches_eval_trajectory(self, trajs, collect_series):
+        """With series every vehicle is evaluated on every tick; without,
+        every vehicle evaluated matches, and every one skipped lies
+        outside the span."""
         sc = sim.Scenario(duration_s=CURSOR_TICKS * TICK, tick_s=TICK, rng_seed=0,
                           robot=sim.RobotSetup(),
                           entities=tuple(sim.Entity(trajectory=t) for t in trajs))
-        engine = sim._Engine(sc, 0, False)
+        engine = sim._Engine(sc, 0, collect_series)
+        lo, hi = engine.span
         for i in range(engine.n_ticks + 1):
             now = i * TICK
+            skipped = {idx for idx, wake in enumerate(engine.wake_s) if now < wake}
             engine.world(now)
-            assert engine.entity_x == [eval_trajectory(t, now)[0] for t in trajs], now
-            assert engine.entity_v == [eval_trajectory(t, now)[1] for t in trajs], now
+            expected = [eval_trajectory(t, now) for t in trajs]
+            if collect_series:
+                assert not skipped
+                assert engine.entity_x == [x for x, _ in expected], now
+                assert engine.entity_v == [v for _, v in expected], now
+            for idx, (x, v) in enumerate(expected):
+                if idx in skipped:
+                    assert not lo <= x <= hi, (now, idx)
+                else:
+                    assert (engine.entity_x[idx], engine.entity_v[idx]) == (x, v), (now, idx)
 
 
 class TestTrajectorySummary:
@@ -700,6 +713,25 @@ class TestSensorDraws:
             got = block.observe(now, positions, classes)
             assert got and got == scalar_observe(scalar, now, positions, classes), now
 
+    def test_a_subset_and_dropped_samples_keep_the_stream(self):
+        # scanning only the vehicles a camera can reach, and building no
+        # point for the samples perception drops, leaves every kept
+        # detection's draw where the full scan puts it
+        lazy, scalar = self.sensor(2.0, 30), self.sensor(2.0, 30)
+        classes = [1] * 30
+
+        def keeps(cam_id, idx, now_s):
+            return (cam_id + idx + round(now_s / TICK)) % 3 == 0
+
+        for i in range(150):
+            now = i * TICK
+            positions = self.positions(30, now)
+            visible = [idx for idx, x in enumerate(positions) if 29.0 <= abs(x) <= 154.0]
+            want = [det if keeps(det.camera_id, det.track_id, now)
+                    else det._replace(bottom_center=None)
+                    for det in scalar_observe(scalar, now, positions, classes)]
+            assert lazy.observe(now, positions, classes, visible, keeps) == want, now
+
     def test_zero_noise_draws_nothing(self):
         sensor = self.sensor(0.0, 30)
         state = sensor.rng.bit_generator.state
@@ -943,6 +975,11 @@ class TestDeterminism:
     def test_different_seed_differs(self):
         sc = load_scenario(SCENARIO_DIR / "rotterdam_run.json")
         assert run(sc).to_jsonl() != run(sc, seed=1).to_jsonl()
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "1"])
+    def test_a_seed_that_is_not_a_non_negative_integer_is_refused(self, seed):
+        with pytest.raises(ValueError, match=re.escape(repr(seed))):
+            run(scenario_from_dict(minimal()), seed=seed)
 
     def test_jsonl_round_trip(self):
         res = run(scenario_from_dict(ORACLE))
@@ -1376,6 +1413,117 @@ class TestSenseRounding:
         assert calls == [] and engine.log.events == []
         engine.sense(engine.cpm_every, 0.2)  # a CPM tick: one rounding for its event
         assert calls == [(0.2, 9)] and len(engine.log.of_type("cpm_gen")) == 1
+
+
+# two cameras whose every vehicle's reach is 110.1 m, so that a vehicle at
+# the road x below is just outside the widened span
+EDGE = 24.0 + 110.1 + 1.0
+SKIP_DURATION_S = 12.0
+
+
+def skip_world():
+    obj = with_infra({**minimal(), "duration_s": SKIP_DURATION_S})
+    obj["infra"]["cameras"] = [camera(0, -24.0, -1), camera(1, 24.0, 1)]
+    obj["infra"]["sensor"] = {"max_detect_std_m": 0.0}
+    return obj
+
+
+@st.composite
+def skip_trajectories(draw):
+    """One to three segments toward the gate from either side: a far start,
+    an accelerating approach, a turn at a turning point, a stop just
+    outside the span, or a slow start and a faster later segment."""
+    side = draw(st.sampled_from([-1.0, 1.0]))  # -1: starts at negative x
+    unit = functools.partial(st.floats, allow_nan=False, allow_infinity=False)
+    kind = draw(st.sampled_from(["far", "accelerating", "turning", "parking", "faster"]))
+    t1 = draw(unit(0.5, SKIP_DURATION_S - 0.5))
+    if kind == "far":
+        pieces = [(side * draw(unit(200.0, 700.0)), -side * draw(unit(10.0, 40.0)), 0.0)]
+    elif kind == "accelerating":
+        pieces = [(side * draw(unit(150.0, 600.0)), -side * draw(unit(0.0, 5.0)),
+                   -side * draw(unit(0.5, 10.0)))]
+    elif kind == "turning":
+        pieces = [(side * draw(unit(60.0, 400.0)), -side * draw(unit(5.0, 30.0)),
+                   side * draw(unit(1.0, 10.0)))]
+    elif kind == "parking":
+        decel = draw(unit(1.0, 6.0))
+        park_x = side * (EDGE + draw(unit(-3.0, 3.0)))
+        pieces = [(park_x + side * 0.5 * decel * t1 * t1, -side * decel * t1, side * decel),
+                  (t1, 0.0)]
+    else:
+        pieces = [(side * draw(unit(150.0, 800.0)), -side * draw(unit(0.0, 5.0)), 0.0),
+                  (t1, -side * draw(unit(1.0, 8.0)))]
+        if draw(st.booleans()):
+            pieces.append((draw(unit(t1 + 0.1, SKIP_DURATION_S)), 0.0))
+    x0, v0, a0 = pieces[0]
+    segs = [TrajectorySegment(0.0, x0, v0, a0)]
+    for start, accel in pieces[1:]:
+        x, v = segs[-1].at(start)
+        segs.append(TrajectorySegment(start, x, v, accel))
+    return [{"start_time_s": seg.start_time_s, "start_x_m": seg.start_x_m,
+             "speed_mps": seg.speed_mps, "accel_mps2": seg.accel_mps2} for seg in segs]
+
+
+class TestSkippedWork:
+    @settings(deadline=None, max_examples=80)
+    @given(st.lists(st.tuples(skip_trajectories(), st.sampled_from([False, False, True])),
+                    min_size=1, max_size=5),
+           st.integers(0, 2**16))
+    def test_log_is_that_of_a_run_that_skips_nothing(self, vehicles, seed):
+        obj = skip_world()
+        obj["entities"] = [{"station_id": 10 + idx if radio else 0, "trajectory": traj}
+                           for idx, (traj, radio) in enumerate(vehicles)]
+        sc = scenario_from_dict(obj)
+        assert run(sc, seed).to_jsonl() == run(sc, seed, collect_series=True).to_jsonl()
+
+    def test_span_is_the_zone_and_every_view_widened(self):
+        obj = skip_world()
+        obj["entities"] = [{"trajectory": [{"start_time_s": 0.0, "start_x_m": -1000.0,
+                                            "speed_mps": 0.0, "accel_mps2": 0.0}]}]
+        engine = sim._Engine(scenario_from_dict(obj), 0, False)
+        assert engine.span == pytest.approx((-EDGE, EDGE))
+        # without vehicles no camera reaches anywhere: the zone alone is left
+        engine = sim._Engine(scenario_from_dict(skip_world()), 0, False)
+        assert engine.span == (-26.0, 26.0)
+
+    def test_a_car_parked_far_away_is_evaluated_a_handful_of_times(self, monkeypatch):
+        obj = skip_world()
+        obj["entities"] = [{"trajectory": [{"start_time_s": 0.0, "start_x_m": -1000.0,
+                                            "speed_mps": 0.0, "accel_mps2": 0.0}]}]
+        sc = scenario_from_dict(obj)
+        at, calls = TrajectorySegment.at, []
+
+        def counted_at(seg, t_s):
+            calls.append(t_s)
+            return at(seg, t_s)
+
+        monkeypatch.setattr(TrajectorySegment, "at", counted_at)
+        run(sc)
+        assert 1 <= len(calls) <= 3  # not one per tick
+        calls.clear()
+        run(sc, collect_series=True)
+        assert len(calls) == int(round(SKIP_DURATION_S / TICK)) + 1
+
+    def test_only_kept_samples_get_an_image_point(self, monkeypatch):
+        sc = scenario_from_dict(make_pass_scenario(3))
+        counts = {"inverse": 0, "ingest": 0, "kept": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(sim.CalibrationModel, "inverse",
+                            counted("inverse", sim.CalibrationModel.inverse))
+        monkeypatch.setattr(sim.PerceptionPipeline, "ingest",
+                            counted("ingest", sim.PerceptionPipeline.ingest))
+        # ingest turns each kept sample, and only those, into a distance
+        monkeypatch.setattr(perception, "estimate_distance",
+                            counted("kept", perception.estimate_distance))
+        detections = run(sc).log.of_type("detection")
+        assert counts["inverse"] == counts["ingest"] == counts["kept"] > 0
+        assert counts["kept"] < len(detections)
 
 
 @pytest.fixture
