@@ -48,19 +48,17 @@ def main() -> None:
     for pixel in ((321.0, 650.0), (330.0, 340.0), (340.0, 90.0)):
         s = project_to_line(pixel, line)
         # rescale image arclength (0..600 px) to the surveyed range 0..10
-        est = estimate_distance(model, s * 10.0 / line.s_max)
-        print(f"  pixel {pixel}  ->  s = {s:7.2f} px  ->  "
-              f"d = {est.meters:6.2f} m  suspect={est.extrapolation_suspect}")
+        d = estimate_distance(model, s * 10.0 / line.s_max)
+        print(f"  pixel {pixel}  ->  s = {s:7.2f} px  ->  d = {d:6.2f} m")
 
-    print("\n=== extrapolation guard ===")
+    print("\n=== clamp at zero ===")
     # a decreasing fit goes negative past the calibrated range; the
-    # estimate clamps to zero and raises the suspect flag instead of
-    # reporting an impossible negative distance
+    # estimate clamps to zero instead of reporting an impossible negative
+    # distance
     falling = fit(CalibrationSet((0.0, 5.0, 10.0), (20.0, 11.0, 2.0)), order=1)
     for s in (8.0, 14.0):
-        est = estimate_distance(falling, s)
-        print(f"  s = {s:5.1f}  ->  d = {est.meters:6.2f} m  "
-              f"suspect={est.extrapolation_suspect}")
+        print(f"  s = {s:5.1f}  ->  polynomial {falling.raw(s):6.2f} m  ->  "
+              f"d = {estimate_distance(falling, s):6.2f} m")
 
     print("\n=== survey file round trip ===")
     with tempfile.NamedTemporaryFile("w", suffix=".csv", delete=False,

@@ -2,9 +2,9 @@
 vision, fusion, Zone-of-Danger decisions and a deterministic simulator."""
 
 from .calibration import (CalibrationError, CalibrationModel, CalibrationSet,
-                          DistanceEstimate, InsufficientPoints, ReferenceLine,
-                          SingularSystem, estimate_distance, fit,
-                          load_calibration_csv, project_to_line)
+                          InsufficientPoints, ReferenceLine, SingularSystem,
+                          estimate_distance, fit, load_calibration_csv,
+                          project_to_line)
 from .channel import Channel, ChannelConfig
 from .decision import (Action, DecisionState, Mode, ZodConfig, ZodCrossing,
                        predict_crossing, step)

@@ -7,6 +7,8 @@ polynomial maps s to metric distance from the camera:
 
     d_hat(s) = w^T phi(s),   phi(s) = [1, s, s^2, ..., s^k]
 
+estimate_distance reports d_hat(s) in metres, clamped at 0.
+
 The weights come from ground-truth pairs (s_i, d_i) by ordinary least
 squares on the normal equations:
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -140,11 +142,6 @@ class CalibrationModel:
         return 0.5 * (lo + hi)
 
 
-class DistanceEstimate(NamedTuple):
-    meters: float
-    extrapolation_suspect: bool
-
-
 def fit(calib: CalibrationSet, order: int = DEFAULT_MAX_ORDER) -> CalibrationModel:
     """Least-squares polynomial fit of distance against line coordinate.
 
@@ -175,17 +172,10 @@ def fit(calib: CalibrationSet, order: int = DEFAULT_MAX_ORDER) -> CalibrationMod
     return CalibrationModel(order, tuple(float(x) for x in w))
 
 
-def estimate_distance(model: CalibrationModel, s: float) -> DistanceEstimate:
-    """Evaluate the model at s.
-
-    A negative polynomial value is physically meaningless (it means s sits
-    outside the calibrated range), so it is clamped to 0 and the estimate
-    is flagged extrapolation-suspect.
-    """
-    value = model.raw(s)
-    if value < 0.0:
-        return DistanceEstimate(0.0, True)
-    return DistanceEstimate(value, False)
+def estimate_distance(model: CalibrationModel, s: float) -> float:
+    """The model's distance at s in metres, clamped at 0: a negative value
+    is physically meaningless and only means s lies outside the calibrated range."""
+    return max(model.raw(s), 0.0)
 
 
 def load_calibration_csv(path) -> CalibrationSet:

@@ -48,6 +48,8 @@ class ModeratorConfig:
     def __post_init__(self):
         if self.max_hops < 0:
             raise ValueError("max_hops must be non-negative")
+        if self.cam_jitter_std_s < 0:
+            raise ValueError("cam_jitter_std_s must be non-negative")
 
 
 @dataclass(frozen=True)

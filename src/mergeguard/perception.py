@@ -98,7 +98,7 @@ class CameraSetup:
 class Detection(NamedTuple):
     camera_id: int
     track_id: int
-    bottom_center: tuple[float, float] | None  # pixels; None if never built
+    bottom_center: tuple[float, float]  # pixels
     object_class: int
     time_s: float
 
@@ -121,8 +121,8 @@ class TrackWindow:
     def last_distance(self) -> float:
         return self.distances[-1]
 
-    def takes(self, time_s: float, min_gap_s: float = 0.0) -> bool:
-        """Whether ``push`` keeps a sample at ``time_s``: not when it falls
+    def takes(self, time_s: float, min_gap_s: float) -> bool:
+        """Whether the window keeps a sample at ``time_s``: not when it falls
         less than ``min_gap_s`` after the last kept sample, unless at the
         same instant.  Raises StaleDetection for a time before the last."""
         if not self.times:
@@ -132,10 +132,9 @@ class TrackWindow:
             raise StaleDetection(f"track {self.track_id}: sample at {time_s} after {last}")
         return time_s == last or not time_s - last < min_gap_s - 1e-9
 
-    def push(self, time_s: float, distance_m: float,
-             min_gap_s: float = 0.0) -> None:
-        if not self.takes(time_s, min_gap_s):
-            return  # too close to the previous kept sample
+    def push(self, time_s: float, distance_m: float) -> None:
+        """Append a sample; the gap rule is ``takes``, which the caller asks first."""
+        self.takes(time_s, 0.0)  # raises StaleDetection for a time before the last
         if self.times and time_s == self.last_time:
             # one sample per instant: a same-time detection replaces the last
             self.distances[-1] = distance_m
@@ -204,7 +203,7 @@ class PerceptionPipeline:
             self.tracks[key] = window
         if keep:
             s = project_to_line(detection.bottom_center, cam.line)
-            window.push(detection.time_s, estimate_distance(cam.model, s).meters)
+            window.push(detection.time_s, estimate_distance(cam.model, s))
         window.object_class = detection.object_class
         return window
 

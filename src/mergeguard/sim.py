@@ -25,11 +25,12 @@ is exact: until then it stays more than the margin outside, so no zone
 edge is crossed and no camera sees it, and the margin is far larger than
 the rounding of a computed position (vehicles whose positions could grow
 past 1e12 m are never skipped).  ``sense`` scans only the vehicles inside
-the span, and a sample that perception's gap rule drops gets no image
-point and no ``ingest``; it still takes its pixel-noise draw, so the
-stream that later detections read does not change, and its ``detection``
-event is logged as before.  A run with ``collect_series`` evaluates every
-vehicle on every tick, since its rows hold every position.
+the span.  Each sighting logs a ``detection`` event with its camera
+distance; only a sample that perception's gap rule keeps gets an image
+point and becomes a ``Detection`` to ``ingest``.  A dropped one still
+takes its pixel-noise draw, so the stream that later samples read does
+not change.  A run with ``collect_series`` evaluates every vehicle on
+every tick, since its rows hold every position.
 
 Radio deliveries and queued sends (CPMs, CAMs, DENM copies) wait in one
 queue of ``(due time, push sequence, receiver id, message, type name)``
@@ -582,7 +583,9 @@ def scenario_from_dict(obj: dict) -> Scenario:
 
 def _widest_cpm(infra: InfraSetup, n_entities: int) -> Message:
     """The CPM with the widest values the cameras can send: a track at each
-    end of every line, one of them the last entity's, aged to expiry."""
+    end of every line, one of them the last entity's, aged to expiry.  Its
+    ``ingest`` calls are how the loader enforces the 16,384-entity track-id
+    rule, so they are meant to show in a count of ``ingest`` calls."""
     pipeline = PerceptionPipeline(infra.station_id, list(infra.cameras), infra.perception)
     for cam in infra.cameras:
         for track_id, end in ((0, cam.line.p0), (max(n_entities - 1, 1), cam.line.p1)):
@@ -621,23 +624,24 @@ class SensorModel:
     N(mean, std) truncated to [detect_min, detect_max]; a camera sees the
     vehicle whenever its distance lies between the near cutoff and the
     smaller of that range and the distance at the line's far end, so no
-    camera sees a vehicle outside ``view_span``.  The reported image
-    point is the true line coordinate plus Gaussian pixel noise, one draw
-    per detection in camera-then-entity order.  The noise is drawn from
-    the stream in blocks, kept in a buffer that the model owns, and used
-    in stream order, so each detection gets the value that one scalar
-    draw would give.  The true coordinate is the calibration's inverse at
+    camera sees a vehicle outside ``view_span``.  ``observe`` reports
+    each such sighting with the true camera distance and an image point:
+    the true line coordinate plus Gaussian pixel noise, one draw per
+    sighting in camera-then-entity order.  The noise is drawn from the
+    stream in blocks, kept in a buffer that the model owns, and used in
+    stream order, so each sighting gets the value that one scalar draw
+    would give.  The true coordinate is the calibration's inverse at
     the true distance (``CalibrationModel.inverse``: closed form up to
     order 2, bisection above).
 
-    Two skips rest on this model and leave every detection as it was.
+    Two skips rest on this model and leave every sighting as it was.
     The engine does not evaluate a radio-less vehicle while it is more
     than 1 m outside ``view_span`` and the zone, until its top speed could
-    bring it back: before then no camera can see it.  And ``observe`` may
-    be told which vehicles to scan, and which samples perception keeps.
-    A dropped sample still takes its noise draw, so the stream that later
-    detections read does not change, but it gets no image point: its
-    inverse and its point are never computed.
+    bring it back: before then no camera can see it.  And ``observe`` is
+    told which vehicles to scan, and which samples perception keeps.  A
+    dropped sample still takes its noise draw, so the stream that later
+    sightings read does not change, but its point is None: its inverse
+    and its point are never computed.
     """
 
     def __init__(self, config: SensorConfig, cameras: Sequence[CameraSetup],
@@ -673,18 +677,16 @@ class SensorModel:
             if cfg.detect_min_m <= r <= cfg.detect_max_m:
                 return r
 
-    def observe(self, now_s: float, positions: Sequence[float], classes: Sequence[int],
-                indices: Sequence[int] | None = None,
-                keeps: Callable[[int, int, float], bool] | None = None) -> list[Detection]:
-        """Detections for this tick, cameras in id order, entities in index order.
-
-        Only the entities in ``indices`` (ascending; all by default) are
-        scanned.  When ``keeps(camera_id, entity_index, now_s)`` is false
-        the detection's ``bottom_center`` is None.
+    def observe(self, now_s: float, positions: Sequence[float], indices: Sequence[int],
+                keeps: Callable[[int, int, float], bool]
+                ) -> list[tuple[int, int, float, tuple[float, float] | None]]:
+        """This tick's sightings of the entities in ``indices`` (ascending),
+        cameras in id order, entities in index order: one ``(camera_id,
+        entity_index, distance_m, point)`` per in-view sample, with the true
+        camera distance and the noisy image point, or None for a point when
+        ``keeps(camera_id, entity_index, now_s)`` is false.
         """
         out = []
-        if indices is None:
-            indices = range(len(positions))
         noise_std, noise, pos = self.config.pixel_noise_std, self._noise, self._next
         if noise_std > 0.0:
             # at most one draw per camera and entity
@@ -702,17 +704,16 @@ class SensorModel:
                 dist = sign * (positions[idx] - road_x)
                 if not near <= dist <= reach[idx]:
                     continue
-                if keeps is not None and not keeps(cam_id, idx, now_s):
+                if not keeps(cam_id, idx, now_s):
                     if noise_std > 0.0:
                         pos += 1
-                    out.append(Detection(cam_id, idx, None, classes[idx], now_s))
+                    out.append((cam_id, idx, dist, None))
                     continue
                 s = inverse(dist, s_max)
                 if noise_std > 0.0:
                     s = min(max(s + noise[pos], 0.0), s_max)
                     pos += 1
-                out.append(Detection(cam_id, idx, (x0 + s * ux, y0 + s * uy),
-                                     classes[idx], now_s))
+                out.append((cam_id, idx, dist, (x0 + s * ux, y0 + s * uy)))
         self._next = pos
         return out
 
@@ -1088,22 +1089,20 @@ class _Engine:
             return
         perception = self.perception
         t, append, ingest = None, self.log.append, perception.ingest
-        cameras, station_ids = perception.cameras, self.station_ids
+        classes, station_ids = self.classes, self.station_ids
         entity_x, first_detected = self.entity_x, self.first_detected
         # a sample that perception drops gets no image point and no ingest
-        for det in self.sensor.observe(now_s, entity_x, self.classes, self.in_span,
-                                       perception.keeps):
+        for cam_id, idx, dist, point in self.sensor.observe(now_s, entity_x, self.in_span,
+                                                            perception.keeps):
             if t is None:
                 t = round(now_s, 9)
-            cam_id, idx = det.camera_id, det.track_id
-            cam, x = cameras[cam_id], entity_x[idx]
             append({"t": t, "type": "detection", "actor": "infra",
                     "camera_id": cam_id, "track_id": idx, "station_id": station_ids[idx],
-                    "cam_distance_m": round(cam.direction_sign * (x - cam.road_position_m), 6),
-                    "road_x_m": round(x, 6), "first": not first_detected[idx]})
+                    "cam_distance_m": round(dist, 6),
+                    "road_x_m": round(entity_x[idx], 6), "first": not first_detected[idx]})
             first_detected[idx] = True
-            if det.bottom_center is not None:
-                ingest(det)
+            if point is not None:
+                ingest(Detection(cam_id, idx, point, classes[idx], now_s))
         if i % self.cpm_every == 0:
             cpm = self.perception.assemble_cpm(now_s)
             append({"t": round(now_s, 9) if t is None else t, "type": "cpm_gen",

@@ -96,7 +96,8 @@ class TestWindow:
     def test_min_gap_drops_dense_samples(self):
         w = TrackWindow(0, 1, 1)
         for i in range(9):
-            w.push(0.05 * i, 100.0 - i, min_gap_s=0.2)
+            if w.takes(0.05 * i, 0.2):
+                w.push(0.05 * i, 100.0 - i)
         assert w.times == pytest.approx([0.0, 0.2, 0.4])
         # dropped samples leave no trace in the distances either
         assert w.distances == [100.0, 96.0, 92.0]
@@ -216,7 +217,8 @@ def ingest_projecting_first(pipeline, det):
     window = pipeline.tracks.setdefault((det.camera_id, det.track_id),
                                         TrackWindow(det.camera_id, det.track_id,
                                                     det.object_class))
-    window.push(det.time_s, distance.meters, min_gap_s=pipeline.config.sample_gap_s)
+    if window.takes(det.time_s, pipeline.config.sample_gap_s):
+        window.push(det.time_s, distance)
     window.object_class = det.object_class
 
 

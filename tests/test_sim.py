@@ -12,6 +12,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from hypothesis import strategies as st
 from mergeguard import perception, sim
 from mergeguard.channel import _DRAW_BLOCK, Channel, ChannelConfig
 from mergeguard.messages import CpmPayload, DenmPayload, Message, PerceivedObject
-from mergeguard.perception import Detection
 from mergeguard.sim import (LOG_FORMAT_VERSION, EventLog, ParseError,
                             TrajectorySegment, ValidationError, eval_trajectory,
                             load_scenario, log_from_jsonl, make_pass_scenario,
@@ -453,6 +453,10 @@ class TestValidation:
                                 r"infra\.cameras: CPM message does not fit the wire"),
             "max_hops_negative": ({**self.with_rsu(), "robot": {"moderator": {"max_hops": -1}}},
                                   r"robot\.moderator: max_hops must be non-negative"),
+            "cam_jitter_std_negative": (
+                {**self.with_rsu(), "robot": {"moderator": {"cam_jitter_enabled": True,
+                                                            "cam_jitter_std_s": -0.05}}},
+                r"robot\.moderator: cam_jitter_std_s must be non-negative"),
             "track_expiry_100": (expiring, r"infra\.cameras: CPM message does not fit the wire"),
             "camera_reach_3e7": (far_road, r"infra\.cameras: CPM message does not fit the wire"),
             "robot_position_1e308": (self.with_robot(position=[1e308, 0.0]),
@@ -476,7 +480,8 @@ class TestValidation:
         "staleness_not_number", "object_class_4", "object_class_0", "sensor_mean_far_outside",
         "comm_range_nan", "object_class_float", "tick_string", "denm_cause_code_300",
         "denm_validity_70000", "robot_position_3e7", "rsu_position_3e7", "v2x_position_3e7",
-        "v2x_turning_point", "camera_range_dm", "max_hops_negative", "track_expiry_100",
+        "v2x_turning_point", "camera_range_dm", "max_hops_negative",
+        "cam_jitter_std_negative", "track_expiry_100",
         "camera_reach_3e7", "robot_position_1e308", "rsu_position_1e308",
         "camera_position_1e308", "denm_repeat_count_2e64", "denm_repeat_gap_below_tick",
         "track_expiry_negative", "denm_period_below_tick"])
@@ -630,6 +635,24 @@ class TestLoaderIsTotal:
             run(sc)
 
 
+MODERATOR_NUMBERS = [name for name, hint in typing.get_type_hints(sim.ModeratorConfig).items()
+                     if hint in (int, float)]
+
+
+class TestModeratorExtremes:
+    @pytest.mark.parametrize("value", [-1, 0, 1e-12, 1e12, -1e12, 10**12])
+    @pytest.mark.parametrize("name", MODERATOR_NUMBERS)
+    def test_extreme_value_is_rejected_or_runs(self, name, value):
+        obj = copy.deepcopy(SHIPPED["denm_repeater"])
+        obj["duration_s"] = 6.0
+        obj["robot"]["moderator"].update({"cam_jitter_enabled": True, name: value})
+        try:
+            sc = scenario_from_dict(obj)
+        except ValidationError:
+            return
+        run(sc)
+
+
 # ---------------------------------------------------------------------------
 # engine runs
 
@@ -669,9 +692,10 @@ class TestCrowdedCamera:
         assert sum(e["msg_type"] == "CPM" for e in res.log.of_type("msg_tx")) == 6
 
 
-def scalar_observe(sensor, now_s, positions, classes):
-    """``SensorModel.observe`` with one scalar pixel-noise draw per detection:
-    the reference that the block-drawn buffer must reproduce."""
+def scalar_observe(sensor, positions):
+    """``SensorModel.observe`` of every entity, each sample kept, with one
+    scalar pixel-noise draw per sighting: the reference that the
+    block-drawn buffer must reproduce."""
     out, std = [], sensor.config.pixel_noise_std
     for cam, near, reach in sensor._views:
         line = cam.line
@@ -683,8 +707,12 @@ def scalar_observe(sensor, now_s, positions, classes):
             if std > 0.0:
                 s = min(max(s + float(sensor.rng.normal(0.0, std)), 0.0), line.s_max)
             point = (line.p0[0] + s * line.direction[0], line.p0[1] + s * line.direction[1])
-            out.append(Detection(cam.camera_id, idx, point, classes[idx], now_s))
+            out.append((cam.camera_id, idx, dist, point))
     return out
+
+
+def keep_all(cam_id, idx, now_s):
+    return True
 
 
 class TestSensorDraws:
@@ -698,7 +726,7 @@ class TestSensorDraws:
     @staticmethod
     def positions(n_entities, now_s):
         # vehicles on both approaches, 0-200 m beyond their camera, driving
-        # toward the gate, so the detections per tick vary
+        # toward the gate, so the sightings per tick vary
         return [(-1.0) ** idx * (24.0 + (idx * 37.0) % 200.0 - 8.0 * now_s)
                 for idx in range(n_entities)]
 
@@ -706,19 +734,17 @@ class TestSensorDraws:
                              ids=["many refills", "one tick needs more than a block"])
     def test_detections_equal_scalar_draws(self, n_entities, n_ticks):
         block, scalar = self.sensor(2.0, n_entities), self.sensor(2.0, n_entities)
-        classes = [1 + idx % 3 for idx in range(n_entities)]
         for i in range(n_ticks):
             now = i * TICK
             positions = self.positions(n_entities, now)
-            got = block.observe(now, positions, classes)
-            assert got and got == scalar_observe(scalar, now, positions, classes), now
+            got = block.observe(now, positions, range(n_entities), keep_all)
+            assert got and got == scalar_observe(scalar, positions), now
 
     def test_a_subset_and_dropped_samples_keep_the_stream(self):
         # scanning only the vehicles a camera can reach, and building no
         # point for the samples perception drops, leaves every kept
-        # detection's draw where the full scan puts it
+        # sample's draw where the full scan puts it
         lazy, scalar = self.sensor(2.0, 30), self.sensor(2.0, 30)
-        classes = [1] * 30
 
         def keeps(cam_id, idx, now_s):
             return (cam_id + idx + round(now_s / TICK)) % 3 == 0
@@ -727,19 +753,17 @@ class TestSensorDraws:
             now = i * TICK
             positions = self.positions(30, now)
             visible = [idx for idx, x in enumerate(positions) if 29.0 <= abs(x) <= 154.0]
-            want = [det if keeps(det.camera_id, det.track_id, now)
-                    else det._replace(bottom_center=None)
-                    for det in scalar_observe(scalar, now, positions, classes)]
-            assert lazy.observe(now, positions, classes, visible, keeps) == want, now
+            want = [(cam_id, idx, dist, point if keeps(cam_id, idx, now) else None)
+                    for cam_id, idx, dist, point in scalar_observe(scalar, positions)]
+            assert lazy.observe(now, positions, visible, keeps) == want, now
 
     def test_zero_noise_draws_nothing(self):
         sensor = self.sensor(0.0, 30)
         state = sensor.rng.bit_generator.state
-        classes = [1] * 30
         for i in range(20):
             positions = self.positions(30, i * TICK)
-            assert sensor.observe(i * TICK, positions, classes) == scalar_observe(
-                sensor, i * TICK, positions, classes)
+            assert sensor.observe(i * TICK, positions, range(30), keep_all) == scalar_observe(
+                sensor, positions)
         assert sensor.rng.bit_generator.state == state
 
 
