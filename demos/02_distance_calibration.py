@@ -16,6 +16,7 @@ Run from anywhere:  python3 demos/02_distance_calibration.py
 
 import csv
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -61,16 +62,16 @@ def main() -> None:
               f"d = {estimate_distance(falling, s):6.2f} m")
 
     print("\n=== survey file round trip ===")
-    with tempfile.NamedTemporaryFile("w", suffix=".csv", delete=False,
-                                     newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "d"])
-        for s in marks:
-            writer.writerow([s, survey(s)])
-        path = fh.name
-    loaded = load_calibration_csv(path)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "survey.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["s", "d"])
+            for s in marks:
+                writer.writerow([s, survey(s)])
+        loaded = load_calibration_csv(path)
     refit = fit(loaded, order=2)
-    print(f"  reloaded {len(loaded.s)} pairs from {path}")
+    print(f"  reloaded {len(loaded.s)} pairs from {path.name}")
     print(f"  refit weights match: {np.allclose(refit.weights, model.weights)}")
 
     print("\n=== guarded failure modes ===")

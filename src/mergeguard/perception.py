@@ -180,19 +180,17 @@ class PerceptionPipeline:
         self.tracks: dict[tuple[int, int], TrackWindow] = {}
 
     def keeps(self, camera_id: int, track_id: int, time_s: float) -> bool:
-        """Whether ``ingest`` keeps a sample of this track at ``time_s``: a
-        new track always does, a live one by ``TrackWindow.takes``.  A
-        dropped sample changes nothing but its track's class, so a caller
-        whose tracks keep one class may skip its ``ingest``."""
+        """The gap rule: whether a sample of this track at ``time_s`` belongs
+        in its window.  A new track's always does, a live one's by
+        ``TrackWindow.takes``.  ``ingest`` does not ask it; its caller does."""
         window = self.tracks.get((camera_id, track_id))
         return window is None or window.takes(time_s, self.config.sample_gap_s)
 
     def ingest(self, detection: Detection) -> TrackWindow:
-        """Append the detection to its track window.  Only a sample the
-        window keeps is projected and turned into a distance."""
+        """Record the detection in its track window, opening the track if it
+        is new: project its point, turn that into a distance and push it."""
         cam = self.cameras[detection.camera_id]
         key = (detection.camera_id, detection.track_id)
-        keep = self.keeps(*key, detection.time_s)
         window = self.tracks.get(key)
         if window is None:
             if detection.track_id >> _TRACK_ID_BITS:  # also true for a negative id
@@ -201,9 +199,8 @@ class PerceptionPipeline:
             window = TrackWindow(detection.camera_id, detection.track_id,
                                  detection.object_class)
             self.tracks[key] = window
-        if keep:
-            s = project_to_line(detection.bottom_center, cam.line)
-            window.push(detection.time_s, estimate_distance(cam.model, s))
+        s = project_to_line(detection.bottom_center, cam.line)
+        window.push(detection.time_s, estimate_distance(cam.model, s))
         window.object_class = detection.object_class
         return window
 

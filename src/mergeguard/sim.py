@@ -25,12 +25,12 @@ is exact: until then it stays more than the margin outside, so no zone
 edge is crossed and no camera sees it, and the margin is far larger than
 the rounding of a computed position (vehicles whose positions could grow
 past 1e12 m are never skipped).  ``sense`` scans only the vehicles inside
-the span.  Each sighting logs a ``detection`` event with its camera
-distance; only a sample that perception's gap rule keeps gets an image
-point and becomes a ``Detection`` to ``ingest``.  A dropped one still
-takes its pixel-noise draw, so the stream that later samples read does
-not change.  A run with ``collect_series`` evaluates every vehicle on
-every tick, since its rows hold every position.
+the span.  Each sighting takes one pixel-noise draw (zeros for a zero
+std) and logs a ``detection`` event with its camera distance.  It asks
+perception's gap rule, ``keeps``, once: only a sample it keeps gets an
+image point and becomes a ``Detection`` to ``ingest``.  A run with
+``collect_series`` evaluates every vehicle on every tick, since its rows
+hold every position.
 
 Radio deliveries and queued sends (CPMs, CAMs, DENM copies) wait in one
 queue of ``(due time, push sequence, receiver id, message, type name)``
@@ -274,6 +274,8 @@ class SensorConfig:
             raise ValueError("detect_min_m must not exceed detect_max_m")
         if self.max_detect_std_m < 0:
             raise ValueError("max_detect_std_m must be non-negative")
+        if self.pixel_noise_std < 0:  # SensorModel draws from N(0, pixel_noise_std)
+            raise ValueError("pixel_noise_std must be non-negative")
         if self.max_detect_std_m > 0:
             # SensorModel draws until a range falls inside the window
             scale = self.max_detect_std_m * math.sqrt(2.0)
@@ -504,6 +506,10 @@ def scenario_from_dict(obj: dict) -> Scenario:
     _require(tick > 0, "tick_s must be positive")
     _require(_divisible(duration, tick), "tick_s must divide duration_s")
     _require(sc.rng_seed >= 0, "rng_seed must be non-negative")
+    # a STOP issued at any tick, the first to the last, completes at a writable time
+    last, mod = round(duration / tick) * tick, robot.moderator  # the last tick's time
+    _require(all(math.isfinite(t + mod.move_to_center_s + mod.raise_flag_s) for t in (0.0, last)),
+             "duration_s + robot.moderator.move_to_center_s + raise_flag_s must be finite")
     _require(_divisible(robot.decision_period_s, tick),
              "tick_s must divide robot.decision_period_s")
     if infra:
@@ -550,7 +556,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
                 probes.append((f"entities[{i}]", vehicle_cam,
                                (ent.station_id, t, *seg.at(t))))
 
-    station_ids = {"robot.moderator.station_id": robot.moderator.station_id,
+    station_ids = {"robot.moderator.station_id": mod.station_id,
                    **({"infra.station_id": infra.station_id} if infra else {}),
                    **({"rsu.station_id": rsu.station_id} if rsu else {}),
                    **{f"entities[{i}].station_id": e.station_id
@@ -561,22 +567,23 @@ def scenario_from_dict(obj: dict) -> Scenario:
     _require(len(set(station_ids.values())) == len(station_ids),
              "station ids must be unique across robot, infra, rsu and entities")
 
+    # the last tick's timestamps fit the wire (the pose is robot.position's to check)
+    probes.append(("duration_s", robot_cam, (mod.station_id, last, RobotPose())))
     n_vehicle_cams = len(probes)
     probes.append(("robot.position", robot_cam,
-                   (robot.moderator.station_id, 0.0, RobotPose(*robot.position))))
+                   (mod.station_id, 0.0, RobotPose(*robot.position))))
     if rsu:
         probes.append(("rsu", rsu.notification, (0.0, 0)))
     if infra:
         probes.append(("infra.cameras", _widest_cpm, (infra, len(sc.entities))))
-    max_hops = robot.moderator.max_hops
     for k, (why, build, args) in enumerate(probes):
         try:
             msg = build(*args)
-            data = encode_message(msg, max_hops=max_hops)
+            data = encode_message(msg, max_hops=mod.max_hops)
         except (InvalidMessage, OverflowError, ValueError,  # or not finite, scaled
                 PerceptionError) as exc:  # an entity index too wide for a track id
             raise ValidationError(f"{why}: {exc}") from None
-        if k >= n_vehicle_cams and decode_message(data, max_hops=max_hops) != msg:
+        if k >= n_vehicle_cams and decode_message(data, max_hops=mod.max_hops) != msg:
             raise ValidationError(f"{why}: does not survive the wire")
     return sc
 
@@ -627,7 +634,8 @@ class SensorModel:
     camera sees a vehicle outside ``view_span``.  ``observe`` reports
     each such sighting with the true camera distance and an image point:
     the true line coordinate plus Gaussian pixel noise, one draw per
-    sighting in camera-then-entity order.  The noise is drawn from the
+    sighting in camera-then-entity order, whatever the std (a zero std
+    draws zeros, which move no point).  The noise is drawn from the
     stream in blocks, kept in a buffer that the model owns, and used in
     stream order, so each sighting gets the value that one scalar draw
     would give.  The true coordinate is the calibration's inverse at
@@ -638,10 +646,10 @@ class SensorModel:
     The engine does not evaluate a radio-less vehicle while it is more
     than 1 m outside ``view_span`` and the zone, until its top speed could
     bring it back: before then no camera can see it.  And ``observe`` is
-    told which vehicles to scan, and which samples perception keeps.  A
-    dropped sample still takes its noise draw, so the stream that later
-    sightings read does not change, but its point is None: its inverse
-    and its point are never computed.
+    told which vehicles to scan, and asks perception's gap rule once per
+    sighting.  A dropped sample still takes its noise draw, so the stream
+    that later sightings read does not change, but its point is None: its
+    inverse and its point are never computed.
     """
 
     def __init__(self, config: SensorConfig, cameras: Sequence[CameraSetup],
@@ -684,17 +692,16 @@ class SensorModel:
         cameras in id order, entities in index order: one ``(camera_id,
         entity_index, distance_m, point)`` per in-view sample, with the true
         camera distance and the noisy image point, or None for a point when
-        ``keeps(camera_id, entity_index, now_s)`` is false.
+        ``keeps(camera_id, entity_index, now_s)``, asked once per sighting,
+        is false.
         """
-        out = []
-        noise_std, noise, pos = self.config.pixel_noise_std, self._noise, self._next
-        if noise_std > 0.0:
-            # at most one draw per camera and entity
-            need = len(self._views) * len(indices)
-            if pos + need > len(noise):
-                block = self.rng.normal(0.0, noise_std, max(_NOISE_BLOCK, need)).tolist()
-                noise = self._noise = noise[pos:] + block
-                pos = 0
+        out, noise, pos = [], self._noise, self._next
+        need = len(self._views) * len(indices)  # at most one draw per camera and entity
+        if pos + need > len(noise):
+            block = self.rng.normal(0.0, self.config.pixel_noise_std,
+                                    max(_NOISE_BLOCK, need)).tolist()
+            noise = self._noise = noise[pos:] + block
+            pos = 0
         for cam, near, reach in self._views:
             cam_id, sign, road_x, inverse = (cam.camera_id, cam.direction_sign,
                                              cam.road_position_m, cam.model.inverse)
@@ -704,16 +711,12 @@ class SensorModel:
                 dist = sign * (positions[idx] - road_x)
                 if not near <= dist <= reach[idx]:
                     continue
-                if not keeps(cam_id, idx, now_s):
-                    if noise_std > 0.0:
-                        pos += 1
+                if keeps(cam_id, idx, now_s):
+                    s = min(max(inverse(dist, s_max) + noise[pos], 0.0), s_max)
+                    out.append((cam_id, idx, dist, (x0 + s * ux, y0 + s * uy)))
+                else:
                     out.append((cam_id, idx, dist, None))
-                    continue
-                s = inverse(dist, s_max)
-                if noise_std > 0.0:
-                    s = min(max(s + noise[pos], 0.0), s_max)
-                    pos += 1
-                out.append((cam_id, idx, dist, (x0 + s * ux, y0 + s * uy)))
+                pos += 1
         self._next = pos
         return out
 

@@ -210,8 +210,9 @@ class TestCpmAssembly:
 
 
 def ingest_projecting_first(pipeline, det):
-    """``ingest`` that projects every detection before the window's rules
-    decide on it: the reference for what the track windows hold."""
+    """``keeps`` then ``ingest`` the other way round: project every detection,
+    then let the window's rules decide on it, a dropped one changing nothing.
+    The reference for what the track windows hold."""
     cam = pipeline.cameras[det.camera_id]
     distance = estimate_distance(cam.model, project_to_line(det.bottom_center, cam.line))
     window = pipeline.tracks.setdefault((det.camera_id, det.track_id),
@@ -219,7 +220,13 @@ def ingest_projecting_first(pipeline, det):
                                                     det.object_class))
     if window.takes(det.time_s, pipeline.config.sample_gap_s):
         window.push(det.time_s, distance)
-    window.object_class = det.object_class
+        window.object_class = det.object_class
+
+
+def keep_then_ingest(pipeline, det):
+    """What a caller of the pipeline does: ask the gap rule, then ingest."""
+    if pipeline.keeps(det.camera_id, det.track_id, det.time_s):
+        pipeline.ingest(det)
 
 
 class TestGapFirstIngest:
@@ -246,7 +253,7 @@ class TestGapFirstIngest:
         pipeline = make_pipeline()
         for t, px, cls in self.STREAM:
             try:
-                pipeline.ingest(Detection(0, 3, (px, 0.0), cls, t))
+                keep_then_ingest(pipeline, Detection(0, 3, (px, 0.0), cls, t))
             except StaleDetection:
                 pass
         assert calls == {"project": self.KEPT, "estimate": self.KEPT}
@@ -256,7 +263,8 @@ class TestGapFirstIngest:
         for t, px, cls in self.STREAM:
             det = Detection(0, 3, (px, 0.0), cls, t)
             outcomes = []
-            for ingest in (gap_first.ingest, lambda d: ingest_projecting_first(reference, d)):
+            for ingest in (lambda d: keep_then_ingest(gap_first, d),
+                           lambda d: ingest_projecting_first(reference, d)):
                 try:
                     ingest(det)
                     outcomes.append(None)
@@ -264,9 +272,20 @@ class TestGapFirstIngest:
                     outcomes.append(str(exc))
             assert outcomes[0] == outcomes[1]
             assert gap_first.tracks == reference.tracks, t
+            if t == 0.45:  # the dropped detection left the class alone
+                assert gap_first.tracks[(0, 3)].object_class == 1
         window = gap_first.tracks[(0, 3)]
         assert window.times == [0.2, 0.4, 0.6] and window.object_class == 2
         assert window.distances[0] == 5.0 + 0.1 * 491.0  # the replacement
+
+    def test_ingest_records_a_sample_inside_the_gap(self):
+        # the gap rule is the caller's to ask: ingest records what it is handed
+        pipeline = make_pipeline()
+        pipeline.ingest(Detection(0, 3, (500.0, 0.0), 1, 0.0))
+        assert not pipeline.keeps(0, 3, 0.05)
+        window = pipeline.ingest(Detection(0, 3, (498.0, 0.0), 2, 0.05))
+        assert window.times == [0.0, 0.05] and window.object_class == 2
+        assert window.distances == [5.0 + 0.1 * 500.0, 5.0 + 0.1 * 498.0]
 
 
 class TestCameraSpeedToRoad:

@@ -298,6 +298,39 @@ class TestValidation:
         obj["infra"]["sensor"] = {"max_detect_std_m": -1.0}
         self.check(obj, "max_detect_std_m")
 
+    def test_pixel_noise_std_non_negative(self):
+        # the sensor draws from N(0, std); a zero std is allowed and draws zeros
+        obj = with_infra(minimal())
+        obj["infra"]["sensor"] = {"pixel_noise_std": -0.5}
+        self.check(obj, r"^infra.sensor: pixel_noise_std must be non-negative$")
+        obj["infra"]["sensor"] = {"pixel_noise_std": 0.0}
+        scenario_from_dict(obj)
+
+    @pytest.mark.parametrize("move, flag", [(1e308, 1e308), (-1e308, -1e308)])
+    def test_stop_completion_must_be_finite(self, move, flag):
+        # the actuation event logs completes_at, which JSON cannot hold if infinite
+        obj = copy.deepcopy(SHIPPED["rotterdam_run"])
+        obj["robot"]["moderator"].update(move_to_center_s=move, raise_flag_s=flag)
+        self.check(obj, r"^duration_s \+ robot.moderator.move_to_center_s \+ raise_flag_s "
+                        r"must be finite$")
+        obj["robot"]["moderator"].update(move_to_center_s=move, raise_flag_s=-flag)
+        scenario_from_dict(obj)
+
+    def long_run(self, duration_s, tick_s):
+        obj = make_pass_scenario(3, v2x=False)
+        obj.update(duration_s=duration_s, tick_s=tick_s)
+        obj["robot"]["decision_period_s"] = tick_s
+        obj["infra"]["perception"] = {"cpm_period_s": tick_s}
+        return obj
+
+    def test_last_tick_timestamp_must_fit_the_wire(self):
+        # a u64 timestamp_ms holds about 1.8e16 s; the run's last messages carry 1e17 s
+        self.check(self.long_run(1e17, 1e16),
+                   r"^duration_s: CAM message does not fit the wire: int too large to convert$")
+        sc = scenario_from_dict(self.long_run(1e16, 1e15))  # 1e19 ms fits the u64
+        _, events = log_from_jsonl(run(sc).to_jsonl())
+        assert max(e["timestamp_ms"] for e in events if e["type"] == "cpm_gen") == 10**19
+
     def test_detect_bounds_must_be_numbers(self):
         obj = with_infra(minimal())
         obj["infra"]["sensor"] = {"detect_min_m": "80"}
@@ -632,7 +665,7 @@ class TestLoaderIsTotal:
             return
         assert isinstance(sc, sim.Scenario)
         if round(sc.duration_s / sc.tick_s) <= TICK_BUDGET:
-            run(sc)
+            log_from_jsonl(run(sc).to_jsonl())  # the log that report reads
 
 
 MODERATOR_NUMBERS = [name for name, hint in typing.get_type_hints(sim.ModeratorConfig).items()
@@ -650,7 +683,7 @@ class TestModeratorExtremes:
             sc = scenario_from_dict(obj)
         except ValidationError:
             return
-        run(sc)
+        log_from_jsonl(run(sc).to_jsonl())  # the log that report reads
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +727,8 @@ class TestCrowdedCamera:
 
 def scalar_observe(sensor, positions):
     """``SensorModel.observe`` of every entity, each sample kept, with one
-    scalar pixel-noise draw per sighting: the reference that the
-    block-drawn buffer must reproduce."""
+    scalar pixel-noise draw per sighting, whatever the std: the reference
+    that the block-drawn buffer must reproduce."""
     out, std = [], sensor.config.pixel_noise_std
     for cam, near, reach in sensor._views:
         line = cam.line
@@ -704,8 +737,7 @@ def scalar_observe(sensor, positions):
             if not near <= dist <= reach[idx]:
                 continue
             s = cam.model.inverse(dist, line.s_max)
-            if std > 0.0:
-                s = min(max(s + float(sensor.rng.normal(0.0, std)), 0.0), line.s_max)
+            s = min(max(s + float(sensor.rng.normal(0.0, std)), 0.0), line.s_max)
             point = (line.p0[0] + s * line.direction[0], line.p0[1] + s * line.direction[1])
             out.append((cam.camera_id, idx, dist, point))
     return out
@@ -757,14 +789,17 @@ class TestSensorDraws:
                     for cam_id, idx, dist, point in scalar_observe(scalar, positions)]
             assert lazy.observe(now, positions, visible, keeps) == want, now
 
-    def test_zero_noise_draws_nothing(self):
-        sensor = self.sensor(0.0, 30)
-        state = sensor.rng.bit_generator.state
+    def test_zero_noise_draws_one_zero_per_sighting(self):
+        block, scalar = self.sensor(0.0, 30), self.sensor(0.0, 30)
         for i in range(20):
             positions = self.positions(30, i * TICK)
-            assert sensor.observe(i * TICK, positions, range(30), keep_all) == scalar_observe(
-                sensor, positions)
-        assert sensor.rng.bit_generator.state == state
+            got = block.observe(i * TICK, positions, range(30), keep_all)
+            assert got and got == scalar_observe(scalar, positions), i
+        # the reference drew one value per sighting; drawing the values the
+        # block still holds unused brings it to the block's stream state
+        assert block._next > 0
+        scalar.rng.normal(0.0, 0.0, len(block._noise) - block._next)
+        assert scalar.rng.bit_generator.state == block.rng.bit_generator.state
 
 
 ORACLE = {
@@ -1527,6 +1562,19 @@ class TestSkippedWork:
         calls.clear()
         run(sc, collect_series=True)
         assert len(calls) == int(round(SKIP_DURATION_S / TICK)) + 1
+
+    @pytest.mark.parametrize("name", ["pass", "rotterdam_run"])
+    def test_the_gap_rule_is_asked_once_per_detection(self, monkeypatch, name):
+        sc = scenario_from_dict(make_pass_scenario(3) if name == "pass" else SHIPPED[name])
+        asked, keeps = [], sim.PerceptionPipeline.keeps
+
+        def counted(pipeline, camera_id, track_id, time_s):
+            asked.append((camera_id, track_id))
+            return keeps(pipeline, camera_id, track_id, time_s)
+
+        monkeypatch.setattr(sim.PerceptionPipeline, "keeps", counted)
+        detections = run(sc).log.of_type("detection")
+        assert asked and asked == [(d["camera_id"], d["track_id"]) for d in detections]
 
     def test_only_kept_samples_get_an_image_point(self, monkeypatch):
         sc = scenario_from_dict(make_pass_scenario(3))
