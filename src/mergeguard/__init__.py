@@ -26,7 +26,7 @@ from .sim import (Entity, EventLog, ParseError, RunResult, Scenario,
                   ScenarioError, SensorModel, TrajectorySegment,
                   ValidationError, eval_trajectory, load_scenario,
                   log_from_jsonl, log_to_jsonl, make_pass_scenario, run,
-                  scenario_from_dict, trajectory_summary)
+                  scenario_from_dict, series, trajectory_summary)
 
 __version__ = "0.1.0"
 

@@ -66,7 +66,7 @@ def _cmd_run(args) -> int:
         return _fail(str(exc), EXIT_IO)
     except sim.ScenarioError as exc:
         return _fail(f"{path}: {exc}", EXIT_INVALID)
-    result = sim.run(scenario, seed=args.seed, collect_series=args.series is not None)
+    result = sim.run(scenario, seed=args.seed)
     text = result.to_jsonl()
     try:
         if args.out:
@@ -74,7 +74,7 @@ def _cmd_run(args) -> int:
         else:
             sys.stdout.write(text)
         if args.series is not None:
-            _write_series(Path(args.series), result.series or [])
+            _write_series(Path(args.series), sim.series(scenario, result.log.events))
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
     print(f"{scenario.name}: {len(result.log.events)} events, "
@@ -83,9 +83,6 @@ def _cmd_run(args) -> int:
 
 
 def _write_series(path: Path, rows: list[dict]) -> None:
-    if not rows:
-        path.write_text("")
-        return
     cols = list(rows[0].keys())
     lines = [",".join(cols)]
     lines += [",".join(str(row[c]) for c in cols) for row in rows]

@@ -14,8 +14,6 @@ contract:
     CAM, RSU DENMs) -> decide (fusion, decision and issued actuation,
     every decision period) -> actuate (due completions) -> flush
 
-``collect_series`` adds one row per tick just before the last flush.
-
 Two stages skip work that cannot change a byte of the log.  ``world``
 does not evaluate a radio-less vehicle while it lies outside the span:
 the zone plus every camera's view (from the near cutoff to the farthest
@@ -28,9 +26,7 @@ past 1e12 m are never skipped).  ``sense`` scans only the vehicles inside
 the span.  Each sighting takes one pixel-noise draw (zeros for a zero
 std) and logs a ``detection`` event with its camera distance.  It asks
 perception's gap rule, ``keeps``, once: only a sample it keeps gets an
-image point and becomes a ``Detection`` to ``ingest``.  A run with
-``collect_series`` evaluates every vehicle on every tick, since its rows
-hold every position.
+image point and becomes a ``Detection`` to ``ingest``.
 
 Radio deliveries and queued sends (CPMs, CAMs, DENM copies) wait in one
 queue of ``(due time, push sequence, receiver id, message, type name)``
@@ -81,7 +77,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Callable, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -857,7 +853,6 @@ def log_from_jsonl(text: str) -> tuple[dict, list[dict]]:
 class RunResult:
     header: dict
     log: EventLog
-    series: list[dict] | None = None
 
     def to_jsonl(self) -> str:
         return log_to_jsonl(self.header, self.log)
@@ -866,7 +861,7 @@ class RunResult:
 class _Engine:
     """State of one run; ``run`` calls its stage methods once per tick, in order."""
 
-    def __init__(self, scenario: Scenario, seed: int, collect_series: bool):
+    def __init__(self, scenario: Scenario, seed: int):
         chan_ss, sensor_ss, jitter_ss = np.random.SeedSequence(seed).spawn(3)
         self.scenario = scenario
         self.robot = robot_cfg = scenario.robot
@@ -933,9 +928,7 @@ class _Engine:
         self.in_zone = [False] * n
         self.first_detected = [False] * n
         self.classes = [e.object_class for e in scenario.entities]
-        self.merging = False
         self.rsu_sent = 0
-        self.series: list[dict] | None = [] if collect_series else None
 
         self.max_hops = robot_cfg.moderator.max_hops
         self.n_ticks = int(round(scenario.duration_s / tick))
@@ -951,8 +944,7 @@ class _Engine:
             lo, hi = min(lo, self.sensor.view_span[0]), max(hi, self.sensor.view_span[1])
         self.span = (lo - _SPAN_MARGIN_M, hi + _SPAN_MARGIN_M)
         self.wake_s = [0.0] * n
-        self.pace = [None if collect_series or ent.v2x_equipped
-                     else _pace(ent.trajectory, self.last_flush_s)
+        self.pace = [None if ent.v2x_equipped else _pace(ent.trajectory, self.last_flush_s)
                      for ent in scenario.entities]
         self.in_span: list[int] = []
         self.cpm_every = int(round(infra.perception.cpm_period_s / tick)) if infra else 0
@@ -1080,7 +1072,6 @@ class _Engine:
                 in_span.append(idx)
             elif pace[idx] is not None:
                 wake[idx] = now_s + (lo - x if x < lo else x - hi) * pace[idx]
-        self.merging = self.scenario.merging_seen(now_s)
         # radio positions hold until the next tick
         self.receivers = receivers = [
             (self.robot_id, self.robot.position),
@@ -1163,11 +1154,12 @@ class _Engine:
                 "objects": [{"src": o.source.value, "id": o.ref_id,
                              "x": round(o.road_x_m, 3), "v": round(o.speed_mps, 3)}
                             for o in fused]})
-        self.state, action = step(self.state, fused, self.merging, now_s, self.robot.zod)
+        merging = self.scenario.merging_seen(now_s)
+        self.state, action = step(self.state, fused, merging, now_s, self.robot.zod)
         if action is not self.last_action and action in (Action.STOP, Action.PASS):
             blocking = self.state.blocking_key
             append({"t": t, "type": "decision", "actor": "robot", "mode": self.state.mode.value,
-                    "action": action.value, "merging_seen": self.merging,
+                    "action": action.value, "merging_seen": merging,
                     "blocking": list(blocking) if blocking else None})
             for ev in self.moderator.actuate(action, now_s):
                 append({"t": t, "type": "actuation", "actor": "robot",
@@ -1182,16 +1174,6 @@ class _Engine:
                 self.log.append({"t": t, "type": "actuation", "actor": "robot",
                                  "phase": ev.phase})
 
-    def record(self, now_s: float) -> None:
-        if self.series is None:
-            return
-        row: dict[str, Any] = {"time_s": round(now_s, 9), "mode": self.state.mode.value,
-                               "merging": int(self.merging)}
-        for idx, label in enumerate(self.veh_label):
-            row[f"x_{label}"] = round(self.entity_x[idx], 6)
-            row[f"v_{label}"] = round(self.entity_v[idx], 6)
-        self.series.append(row)
-
 
 def check_seed(seed) -> int:
     """``seed`` if it is a non-negative integer; else ValueError."""
@@ -1200,16 +1182,13 @@ def check_seed(seed) -> int:
     return seed
 
 
-def run(scenario: Scenario, seed: int | None = None,
-        collect_series: bool = False) -> RunResult:
+def run(scenario: Scenario, seed: int | None = None) -> RunResult:
     """Execute one scenario and return its event log.
 
     ``seed`` overrides the scenario's rng_seed; the seed actually used is
-    echoed in the returned header.  ``collect_series`` skips no vehicle,
-    as its rows hold every position; the log is the same either way.
+    echoed in the returned header.
     """
-    engine = _Engine(scenario, check_seed(scenario.rng_seed if seed is None else seed),
-                     collect_series)
+    engine = _Engine(scenario, check_seed(scenario.rng_seed if seed is None else seed))
     for i in range(engine.n_ticks + 1):
         now = i * scenario.tick_s
         engine.flush(now)
@@ -1218,9 +1197,30 @@ def run(scenario: Scenario, seed: int | None = None,
         engine.beacons(i, now)
         engine.decide(i, now)
         engine.actuate(now)
-        engine.record(now)
         engine.flush(now)
-    return RunResult(header=engine.header, log=engine.log, series=engine.series)
+    return RunResult(header=engine.header, log=engine.log)
+
+
+def series(scenario: Scenario, events: Sequence[dict]) -> list[dict]:
+    """Per tick of a run of ``scenario`` that logged ``events``: the time,
+    the mode of the latest ``decision`` by then (the mode changes only at a
+    logged decision, the first at t = 0), whether a merging vehicle is seen,
+    and each vehicle's position and signed speed from its trajectory."""
+    decisions = [(e["t"], e["mode"]) for e in events if e["type"] == "decision"]
+    rows, k, mode = [], 0, None
+    for i in range(int(round(scenario.duration_s / scenario.tick_s)) + 1):
+        now = i * scenario.tick_s
+        t = round(now, 9)
+        while k < len(decisions) and decisions[k][0] <= t:
+            mode = decisions[k][1]
+            k += 1
+        row = {"time_s": t, "mode": mode, "merging": int(scenario.merging_seen(now))}
+        for idx, ent in enumerate(scenario.entities):
+            x, v = eval_trajectory(ent.trajectory, now)
+            row[f"x_veh{idx}"] = round(x, 6)
+            row[f"v_veh{idx}"] = round(v, 6)
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------

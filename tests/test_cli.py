@@ -10,6 +10,7 @@ import warnings
 
 import pytest
 
+from mergeguard import sim
 from mergeguard.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -46,21 +47,20 @@ class TestRun:
         main(["run", str(quick_scenario(tmp_path)), "--seed", "99", "--out", str(out)])
         assert json.loads(out.read_text().splitlines()[0])["seed"] == 99
 
-    @pytest.mark.parametrize("seed", ["-1", "-3"])
-    def test_negative_seed_is_one_error_line(self, tmp_path, capsys, seed):
-        out = tmp_path / "run.jsonl"
-        assert main(["run", ROTTERDAM, "--seed", seed, "--out", str(out)]) == EXIT_INVALID
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and seed in err[0]
-        assert not out.exists()
-
     def test_series_csv(self, tmp_path):
-        out, series = tmp_path / "r.jsonl", tmp_path / "r.csv"
-        main(["run", str(quick_scenario(tmp_path, duration=1.0)),
-              "--out", str(out), "--series", str(series)])
-        rows = series.read_text().strip().splitlines()
-        assert rows[0].split(",")[0] == "time_s"
-        assert len(rows) == 1 + 21  # header + one row per tick incl. both ends
+        # a radio-less vehicle that starts beyond the camera's reach, which
+        # the run skips until it may come into view; the series has it anyway
+        obj = sim.make_pass_scenario(3, merging_offset_s=2.0)
+        path = tmp_path / "pass.json"
+        path.write_text(json.dumps(obj))
+        out, plain, series = tmp_path / "r.jsonl", tmp_path / "plain.jsonl", tmp_path / "r.csv"
+        assert main(["run", str(path), "--out", str(out), "--series", str(series)]) == EXIT_OK
+        assert main(["run", str(path), "--out", str(plain)]) == EXIT_OK
+        assert out.read_text() == plain.read_text()
+        rows = series.read_text().splitlines()
+        assert rows[0] == "time_s,mode,merging,x_veh0,v_veh0"
+        # one row per tick, both ends included
+        assert len(rows) == 1 + round(obj["duration_s"] / obj["tick_s"]) + 1
 
     def test_invalid_scenario(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -118,15 +118,6 @@ class TestMalformedScenario:
         assert main([command, str(bad.parent if command == "batch" else bad)]) == EXIT_INVALID
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("bad.json") == 1
-
-    @pytest.mark.parametrize("command", ["run", "validate", "batch"])
-    def test_deeply_nested_file_is_one_error_line(self, tmp_path, capsys, command):
-        deep = tmp_path / "ddir" / "deep.json"
-        deep.parent.mkdir()
-        deep.write_text(DEEP)
-        assert main([command, str(deep.parent if command == "batch" else deep)]) == EXIT_INVALID
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
 
 
 class TestCalibrate:
@@ -231,16 +222,6 @@ class TestReport:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: malformed log: unsupported log_format {log_format!r}"]
 
-    @pytest.mark.parametrize("line", [0, 1], ids=["header", "event"])
-    def test_deeply_nested_line_is_one_error_line(self, log_path, capsys, line):
-        lines = log_path.read_text().splitlines()
-        lines[line] = DEEP
-        log_path.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        assert main(["report", str(log_path)]) == EXIT_INVALID
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: malformed log")
-
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_json_number(self, tmp_path, capsys, token):
         log = tmp_path / "run.jsonl"
@@ -252,6 +233,17 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", str(log)]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: malformed log")
+
+    def test_crlf_copy_with_blank_lines_reports_alike(self, log_path, tmp_path):
+        crlf = tmp_path / "crlf.jsonl"
+        crlf.write_bytes(("\r\n" + log_path.read_text().replace("\n", "\r\n \r\n")).encode())
+        reports = []
+        for path in (log_path, crlf):
+            json_path = path.with_suffix(".json")
+            assert main(["report", str(path), "--subject", "7",
+                         "--json", str(json_path)]) == EXIT_OK
+            reports.append(json_path.read_text())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("kind, key", [
         ({"type": "msg_rx", "actor": "robot", "msg_type": "CPM"}, "latency_s"),
@@ -273,12 +265,13 @@ class TestReport:
 
 class TestBatch:
     def test_runs_every_scenario(self, tmp_path, capsys):
-        quick_scenario(tmp_path, "a.json")
-        quick_scenario(tmp_path, "b.json")
-        out_dir = tmp_path / "logs"
-        assert main(["batch", str(tmp_path), "--out-dir", str(out_dir)]) == EXIT_OK
-        assert sorted(p.name for p in out_dir.glob("*.jsonl")) == [
-            "a.log.jsonl", "b.log.jsonl"]
+        assert main(["batch", str(SCENARIO_DIR), "--out-dir", str(tmp_path)]) == EXIT_OK
+        paths = sorted(SCENARIO_DIR.glob("*.json"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            p.stem + ".log.jsonl" for p in paths]
+        for path in paths:
+            log = (tmp_path / (path.stem + ".log.jsonl")).read_text()
+            assert log == sim.run(sim.load_scenario(path)).to_jsonl(), path.name
 
     def test_continues_past_broken_scenario(self, tmp_path, capsys):
         quick_scenario(tmp_path, "a.json")
@@ -295,20 +288,98 @@ class TestBatch:
         err = [line for line in capsys.readouterr().err.splitlines() if "x.json" in line]
         assert len(err) == 1 and err[0].startswith("error: ") and err[0].count("x.json") == 1
 
-    def test_negative_seed_is_one_error_line(self, tmp_path, capsys):
-        quick_scenario(tmp_path, "a.json")
-        out_dir = tmp_path / "logs"
-        assert main(["batch", str(tmp_path), "--seed", "-3",
-                     "--out-dir", str(out_dir)]) == EXIT_INVALID
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "-3" in err[0]
-        assert not list(out_dir.glob("*.jsonl"))
-
     def test_not_a_directory(self, tmp_path):
         assert main(["batch", str(tmp_path / "none")]) == EXIT_IO
 
     def test_empty_directory(self, tmp_path):
         assert main(["batch", str(tmp_path)]) == EXIT_IO
+
+
+def input_file(tmp_path, name, text):
+    path = tmp_path / "in" / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(text)
+    return str(path)
+
+
+def edited(tmp_path, base, edit):
+    """A copy of the shipped scenario ``base`` with ``edit`` applied to its object."""
+    obj = json.loads(pathlib.Path(base).read_text())
+    edit(obj)
+    return input_file(tmp_path, "edited.json", json.dumps(obj))
+
+
+def deep_log(tmp_path, line):
+    """A log of rotterdam_run whose ``line`` is nested deeper than the decoder can recurse."""
+    lines = sim.run(sim.load_scenario(ROTTERDAM)).to_jsonl().splitlines()
+    lines[line] = DEEP
+    return input_file(tmp_path, "deep.jsonl", "\n".join(lines) + "\n")
+
+
+def log_out(tmp_path):
+    return ["--out", str(tmp_path / "out" / "log.jsonl")]
+
+
+def negative_jitter(obj):
+    obj["robot"]["moderator"].update(cam_jitter_enabled=True, cam_jitter_std_s=-0.05)
+
+
+def endless_stop(obj):
+    # a STOP that would complete at an infinite time, which the log cannot hold
+    obj["robot"]["moderator"].update(move_to_center_s=1e308, raise_flag_s=1e308)
+
+
+def overlong_run(tmp_path):
+    # the run's last messages carry a timestamp too wide for the u64 field
+    obj = sim.make_pass_scenario(3, v2x=False)
+    obj.update(duration_s=1e17, tick_s=1e16)
+    obj["robot"]["decision_period_s"] = 1e16
+    obj["infra"]["perception"] = {"cpm_period_s": 1e16}
+    return input_file(tmp_path, "overlong.json", json.dumps(obj))
+
+
+# each command, given the directory its inputs go in, and what its one line says after "error: "
+ONE_ERROR_LINE = {
+    "validate deep scenario": (lambda d: ["validate", input_file(d, "deep.json", DEEP)],
+                               r"\S+deep\.json: "),
+    "run deep scenario": (lambda d: ["run", input_file(d, "deep.json", DEEP), *log_out(d)],
+                          r"\S+deep\.json: "),
+    "batch deep scenario": (lambda d: [
+        "batch", str(pathlib.Path(input_file(d, "deep.json", DEEP)).parent),
+        "--out-dir", str(d / "out")], r"deep\.json: "),
+    "report deep header": (lambda d: ["report", deep_log(d, 0)], "malformed log: "),
+    "report deep event": (lambda d: ["report", deep_log(d, 1)], "malformed log: "),
+    "run seed -1": (lambda d: ["run", ROTTERDAM, "--seed", "-1", *log_out(d)],
+                    "seed must be a non-negative integer, got -1$"),
+    "run seed -3": (lambda d: ["run", ROTTERDAM, "--seed", "-3", *log_out(d)],
+                    "seed must be a non-negative integer, got -3$"),
+    "batch seed -3": (lambda d: ["batch", str(SCENARIO_DIR), "--seed", "-3",
+                                 "--out-dir", str(d / "out")],
+                      "seed must be a non-negative integer, got -3$"),
+    "validate negative jitter std": (
+        lambda d: ["validate", edited(d, REPEATER, negative_jitter)],
+        r"\S+: robot\.moderator: cam_jitter_std_s must be non-negative$"),
+    "run negative jitter std": (
+        lambda d: ["run", edited(d, REPEATER, negative_jitter), *log_out(d)],
+        r"\S+: robot\.moderator: cam_jitter_std_s must be non-negative$"),
+    "validate endless stop": (
+        lambda d: ["validate", edited(d, ROTTERDAM, endless_stop)],
+        r"\S+: duration_s \+ robot\.moderator\.move_to_center_s \+ raise_flag_s "
+        r"must be finite$"),
+    "validate overlong run": (lambda d: ["validate", overlong_run(d)],
+                              r"\S+: duration_s: CAM message does not fit the wire: "),
+}
+
+
+class TestOneErrorLine:
+    @pytest.mark.parametrize("case", list(ONE_ERROR_LINE))
+    def test_refusal_is_one_error_line(self, tmp_path, capsys, case):
+        argv, says = ONE_ERROR_LINE[case]
+        (tmp_path / "out").mkdir()
+        assert main(argv(tmp_path)) == EXIT_INVALID
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.match("error: " + says, err[0]), err
+        assert not any((tmp_path / "out").iterdir())  # no log written
 
 
 class TestEntryPoint:

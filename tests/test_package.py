@@ -1,0 +1,50 @@
+"""Checks over the package source and the demos as a whole."""
+
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "mergeguard").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def parsed():
+    return [(path, ast.parse(path.read_text(), str(path))) for path in SOURCES]
+
+
+def test_every_module_uses_the_names_it_imports():
+    unused = []
+    for path, tree in parsed():
+        if path.name == "__init__.py":  # its imports are the package's exports
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                unused += [f"{path.name}:{node.lineno}: {name}"
+                           for name in (a.asname or a.name.split(".")[0] for a in node.names)
+                           if name not in used]
+    assert unused == []
+
+
+def test_no_assert_statement():
+    # python -O strips asserts, so a check the package relies on must raise
+    found = [f"{path.name}:{node.lineno}" for path, tree in parsed()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[path.name for path in DEMOS])
+def test_demo_runs_and_leaves_no_temporary_file(tmp_path, demo):
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    out = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                         timeout=120, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp)})
+    assert out.returncode == 0, out.stderr
+    assert [p.name for p in tmp.iterdir()] == []

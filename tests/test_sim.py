@@ -1,5 +1,6 @@
 """Scenario validation, trajectory math and end-to-end engine behaviour."""
 
+import contextlib
 import copy
 import dataclasses
 import functools
@@ -13,6 +14,7 @@ import re
 import subprocess
 import sys
 import typing
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -88,6 +90,11 @@ TICK = 0.05
 CURSOR_TICKS = 40
 
 
+def skipping_nothing():
+    """The engine with its vehicle skip off: no vehicle has a pace, so none sleeps."""
+    return mock.patch.object(sim, "_pace", lambda *_: None)
+
+
 @st.composite
 def trajectories(draw):
     """Continuous trajectories whose later segments start on a tick, within
@@ -108,21 +115,22 @@ def trajectories(draw):
 
 class TestSegmentCursor:
     @given(st.lists(trajectories(), min_size=1, max_size=3), st.booleans())
-    def test_world_matches_eval_trajectory(self, trajs, collect_series):
-        """With series every vehicle is evaluated on every tick; without,
-        every vehicle evaluated matches, and every one skipped lies
+    def test_world_matches_eval_trajectory(self, trajs, skip):
+        """Without the skip every vehicle is evaluated on every tick; with
+        it, every vehicle evaluated matches, and every one skipped lies
         outside the span."""
         sc = sim.Scenario(duration_s=CURSOR_TICKS * TICK, tick_s=TICK, rng_seed=0,
                           robot=sim.RobotSetup(),
                           entities=tuple(sim.Entity(trajectory=t) for t in trajs))
-        engine = sim._Engine(sc, 0, collect_series)
+        with contextlib.nullcontext() if skip else skipping_nothing():
+            engine = sim._Engine(sc, 0)
         lo, hi = engine.span
         for i in range(engine.n_ticks + 1):
             now = i * TICK
             skipped = {idx for idx, wake in enumerate(engine.wake_s) if now < wake}
             engine.world(now)
             expected = [eval_trajectory(t, now) for t in trajs]
-            if collect_series:
+            if not skip:
                 assert not skipped
                 assert engine.entity_x == [x for x, _ in expected], now
                 assert engine.entity_v == [v for _, v in expected], now
@@ -450,6 +458,12 @@ class TestValidation:
         camera_far["infra"]["cameras"][0]["road_position_m"] = 1e308
         never_expiring = with_infra(minimal())
         never_expiring["infra"]["perception"] = {"track_expiry_s": -1.0}
+        short_weights = with_infra(minimal())
+        short_weights["infra"]["cameras"][0]["calibration"] = {"order": 2, "weights": [5.0, 0.1]}
+        cpm_early = with_infra(minimal())
+        cpm_early["infra"]["cpm_processing_delay_s"] = -0.1
+        window_behind = {**minimal(), "merging_windows": [
+            {"start_s": 0.0, "end_s": 1.0, "distance_m": -1.0}]}
         return {
             "position_not_numbers": (self.with_robot(position=["a", 0]),
                                      r"robot\.position must be two finite numbers"),
@@ -506,6 +520,17 @@ class TestValidation:
                                       r"infra\.perception: track_expiry_s must be non-negative"),
             "denm_period_below_tick": (self.with_rsu(denm={"period_s": 0.01}),
                                        r"rsu\.denm\.period_s must be at least tick_s"),
+            "calibration_weights_short": (
+                short_weights,
+                r"^infra\.cameras\[0\]\.calibration: weights length must be order \+ 1$"),
+            "tau_th_negative": (self.with_robot(zod={"tau_th_s": -1.0}),
+                                r"^robot\.zod: tau_th_s must be non-negative$"),
+            "cpm_delay_negative": (cpm_early,
+                                   r"^infra: cpm_processing_delay_s must be non-negative$"),
+            "denm_repeat_count_0": (self.with_rsu(denm={"repeat_count": 0}),
+                                    r"^rsu\.denm: repeat_count must be at least 1$"),
+            "merging_distance_negative": (
+                window_behind, r"^merging_windows\[0\]: distance must be non-negative$"),
         }[case]
 
     @pytest.mark.parametrize("case", [
@@ -517,7 +542,9 @@ class TestValidation:
         "cam_jitter_std_negative", "track_expiry_100",
         "camera_reach_3e7", "robot_position_1e308", "rsu_position_1e308",
         "camera_position_1e308", "denm_repeat_count_2e64", "denm_repeat_gap_below_tick",
-        "track_expiry_negative", "denm_period_below_tick"])
+        "track_expiry_negative", "denm_period_below_tick", "calibration_weights_short",
+        "tau_th_negative", "cpm_delay_negative", "denm_repeat_count_0",
+        "merging_distance_negative"])
     def test_value_the_run_cannot_use(self, case):
         self.check(*self.unusable(case))
 
@@ -966,6 +993,26 @@ class TestLogDiscipline:
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["rejected", "rejected"]
 
+    def test_shipped_runs_and_report_survive_optimized_mode(self, tmp_path):
+        # the command line under python -O logs what a run here logs, and reports
+        code = ("import pathlib, sys\n"
+                "from mergeguard.cli import main\n"
+                "out, *paths = map(pathlib.Path, sys.argv[1:])\n"
+                "for path in paths:\n"
+                "    if main(['run', str(path), '--out', str(out / (path.stem + '.jsonl'))]):\n"
+                "        sys.exit(1)\n"
+                "sys.exit(main(['report', str(out / 'rotterdam_run.jsonl'), '--subject', '7']))\n")
+        paths = [str(SCENARIO_DIR / f"{name}.json") for name in sorted(SHIPPED)]
+        src = str(pathlib.Path(sim.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-O", "-c", code, str(tmp_path), *paths],
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["scenario"] == "rotterdam_run"
+        for name in sorted(SHIPPED):
+            log = (tmp_path / f"{name}.jsonl").read_text()
+            assert log == run(load_scenario(SCENARIO_DIR / f"{name}.json")).to_jsonl(), name
+
 
 # ---------------------------------------------------------------------------
 # the NumPy streams every log draws from
@@ -996,7 +1043,7 @@ def stream_draws(seed):
     """The first N_DRAWS draws of each stream of an engine built for ``seed``:
     the channel's uniforms and the sensor's noise in blocks, the moderator's
     jitter one at a time.  With no entities the engine has drawn nothing yet."""
-    engine = sim._Engine(scenario_from_dict(with_infra(minimal())), seed, False)
+    engine = sim._Engine(scenario_from_dict(with_infra(minimal())), seed)
     sensor, jitter = engine.sensor.rng, engine.moderator._rng
 
     def blocks(draw, size):
@@ -1164,6 +1211,11 @@ class TestLogReader:
     def test_case_reads_as_line_by_line(self, text):
         assert_reads_like_line_reader(text)
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    def test_every_line_end_reads_alike(self, end):
+        text = shipped_result("rotterdam_run").to_jsonl()
+        assert log_from_jsonl(text.replace("\n", end)) == log_from_jsonl(text)
+
     @pytest.mark.parametrize("name", sorted(SHIPPED))
     def test_shipped_log_is_read_in_one_call(self, name, monkeypatch):
         res = shipped_result(name)
@@ -1239,9 +1291,9 @@ class TestGoldenLogs:
 
     def test_pass_scenario_log_and_series(self):
         sc = scenario_from_dict(make_pass_scenario(3, v2x=True, merging_offset_s=3.0))
-        res = run(sc, collect_series=True)
+        res = run(sc)
         assert _sha256(res.to_jsonl()) == GOLDEN_PASS_LOG
-        assert _sha256(json.dumps(res.series)) == GOLDEN_PASS_SERIES
+        assert _sha256(json.dumps(sim.series(sc, res.log.events))) == GOLDEN_PASS_SERIES
 
     def test_dense_cell_log(self):
         res = run(v2x_cell(rsu=DENSE_RSU))
@@ -1423,7 +1475,7 @@ class TestRobotDenmMemory:
     def flush(*copies):
         """Deliver ``copies`` to the robot 10 ms apart and flush them all;
         returns the engine and the hop count of each ``relay_denm`` call."""
-        engine = sim._Engine(scenario_from_dict(minimal()), 0, False)
+        engine = sim._Engine(scenario_from_dict(minimal()), 0)
         calls, relay = [], engine.moderator.relay_denm
 
         def spy(msg):
@@ -1458,7 +1510,7 @@ class TestSenseRounding:
         obj = with_infra(minimal())
         obj["entities"] = [{"trajectory": [{"start_time_s": 0.0, "start_x_m": -1000.0,
                                             "speed_mps": 0.0, "accel_mps2": 0.0}]}]
-        engine = sim._Engine(scenario_from_dict(obj), 0, False)
+        engine = sim._Engine(scenario_from_dict(obj), 0)
         engine.world(0.05)
         calls = []
 
@@ -1533,16 +1585,18 @@ class TestSkippedWork:
         obj["entities"] = [{"station_id": 10 + idx if radio else 0, "trajectory": traj}
                            for idx, (traj, radio) in enumerate(vehicles)]
         sc = scenario_from_dict(obj)
-        assert run(sc, seed).to_jsonl() == run(sc, seed, collect_series=True).to_jsonl()
+        with skipping_nothing():
+            reference = run(sc, seed).to_jsonl()
+        assert run(sc, seed).to_jsonl() == reference
 
     def test_span_is_the_zone_and_every_view_widened(self):
         obj = skip_world()
         obj["entities"] = [{"trajectory": [{"start_time_s": 0.0, "start_x_m": -1000.0,
                                             "speed_mps": 0.0, "accel_mps2": 0.0}]}]
-        engine = sim._Engine(scenario_from_dict(obj), 0, False)
+        engine = sim._Engine(scenario_from_dict(obj), 0)
         assert engine.span == pytest.approx((-EDGE, EDGE))
         # without vehicles no camera reaches anywhere: the zone alone is left
-        engine = sim._Engine(scenario_from_dict(skip_world()), 0, False)
+        engine = sim._Engine(scenario_from_dict(skip_world()), 0)
         assert engine.span == (-26.0, 26.0)
 
     def test_a_car_parked_far_away_is_evaluated_a_handful_of_times(self, monkeypatch):
@@ -1560,7 +1614,8 @@ class TestSkippedWork:
         run(sc)
         assert 1 <= len(calls) <= 3  # not one per tick
         calls.clear()
-        run(sc, collect_series=True)
+        with skipping_nothing():
+            run(sc)
         assert len(calls) == int(round(SKIP_DURATION_S / TICK)) + 1
 
     @pytest.mark.parametrize("name", ["pass", "rotterdam_run"])
@@ -1670,7 +1725,7 @@ class TestRoadPicture:
 
     @pytest.fixture
     def engine(self):
-        return sim._Engine(scenario_from_dict(minimal()), 0, False)
+        return sim._Engine(scenario_from_dict(minimal()), 0)
 
     @staticmethod
     def picture(engine, now_s):
@@ -1721,16 +1776,51 @@ class TestRoadPicture:
         assert seen == [([10, 12], [4])]
 
 
+def recorded_series(scenario):
+    """A run with no vehicle skipped, and the engine's own state after
+    ``actuate`` on each tick: its decision mode, whether it sees a merging
+    vehicle, and every vehicle's position and signed speed."""
+    rows = []
+
+    class Recording(sim._Engine):
+        def actuate(self, now_s):
+            super().actuate(now_s)
+            row = {"time_s": round(now_s, 9), "mode": self.state.mode.value,
+                   "merging": int(self.scenario.merging_seen(now_s))}
+            for idx, (x, v) in enumerate(zip(self.entity_x, self.entity_v)):
+                row[f"x_veh{idx}"] = round(x, 6)
+                row[f"v_veh{idx}"] = round(v, 6)
+            rows.append(row)
+
+    with skipping_nothing(), mock.patch.object(sim, "_Engine", Recording):
+        return run(scenario), rows
+
+
+PASS_VARIANTS = [make_pass_scenario(seed, v2x=v2x, merging_offset_s=offset, direction=direction)
+                 for seed in (1, 2) for v2x in (False, True) for offset in (None, 0.5, 3.0)
+                 for direction in (-1, 1)]
+
+
 class TestSeries:
     def test_one_row_per_tick(self):
-        res = run(scenario_from_dict(ORACLE), collect_series=True)
-        assert len(res.series) == int(round(20.0 / 0.05)) + 1
-        row = res.series[0]
+        sc = scenario_from_dict(ORACLE)
+        rows = sim.series(sc, run(sc).log.events)
+        assert len(rows) == int(round(20.0 / 0.05)) + 1
+        row = rows[0]
         assert row["time_s"] == 0.0 and row["mode"] == "safe"
         assert row["x_veh0"] == -120.0 and row["v_veh0"] == 10.0
 
-    def test_series_off_by_default(self):
-        assert run(scenario_from_dict(minimal())).series is None
+    @pytest.mark.parametrize("name", [*sorted(SHIPPED), "pass variants", "v2x_cell"])
+    def test_rows_are_the_engine_state_of_each_tick(self, name):
+        if name in SHIPPED:
+            scenarios = [scenario_from_dict(SHIPPED[name])]
+        elif name == "v2x_cell":
+            scenarios = [v2x_cell(), v2x_cell(rsu=DENSE_RSU)]
+        else:
+            scenarios = [scenario_from_dict(obj) for obj in PASS_VARIANTS]
+        for sc in scenarios:
+            res, rows = recorded_series(sc)
+            assert sim.series(sc, res.log.events) == rows, sc.name
 
 
 class TestPassScenarioFactory:
