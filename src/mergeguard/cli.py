@@ -124,11 +124,11 @@ def _cmd_batch(args) -> int:
 
 def _cmd_report(args) -> int:
     try:
-        text = Path(args.log).read_text()
+        data = Path(args.log).read_bytes()
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
-    try:
-        header, events = sim.log_from_jsonl(text)
+    try:  # bytes that are not UTF-8 are a malformed log too
+        header, events = sim.log_from_jsonl(data.decode("utf-8"))
         if header.get("log_format") != sim.LOG_FORMAT_VERSION:
             raise ValueError(f"unsupported log_format {header.get('log_format')!r}")
         report = kpi.compute(events, subject_station=args.subject,

@@ -46,7 +46,12 @@ seed) pair always produces a byte-identical event log.  Besides the
 stage order above, the bytes rest on inputs from outside the package:
 NumPy's ``SeedSequence.spawn`` and ``Generator`` ``random`` and
 ``normal`` streams (a test pins their first draws), ``float.__repr__``
-and ``json``, and ``math`` (``hypot`` in the channel, ``cos`` in ``hear``).
+and ``json``, ``math`` (``hypot`` in the channel, ``cos`` in ``hear``),
+and the rounding of every logged number: times to 9 decimals, positions,
+speeds and distances to 6, fused objects to 3, each to exactly the float
+``round(x, n)`` gives.  The engine and ``series`` round through
+``_round9``, ``_round6`` and ``_round3``, which reach that float with
+IEEE-754 double arithmetic and leave to ``round`` what they cannot prove.
 
 Scenario layout (see docs/scenario_schema.md for the field-by-field
 reference)::
@@ -110,6 +115,37 @@ _SPAN_SCALE_MAX_M = 1e12
 
 _STATION_ID_MAX = 0xFFFFFFFF  # the u32 station_id wire field
 _OBJECT_CLASSES = frozenset(ObjectClass)  # the CPM object_class rule
+
+
+def _rounder(n: int) -> Callable[[float], float]:
+    """A function that returns exactly ``round(x, n)``: fast where
+    ``y = x * 10**n`` is below 5e11 in magnitude and more than 1e-4 from
+    a half-integer, from ``round`` itself elsewhere (NaN, infinities,
+    huge values, near-halves).
+
+    Below 5e11, under 2**39, the double ``y`` is within 2**-15 of the
+    exact product, so the integer ``k`` nearest ``y`` is the one nearest
+    the product, which ``round`` writes out as decimal digits.  Adding and
+    taking away 1.5 * 2**52 rounds ``y`` to ``k``, as the doubles the sum
+    lies among are spaced one apart.  ``k / 10**n`` divides two exact
+    doubles, so it is the double nearest ``k * 10**-n``, the one ``round``
+    reads its digits back as.  A zero result keeps the sign of ``x``, as
+    there.
+    """
+    scale = 10.0 ** n
+
+    def rounded(x: float) -> float:
+        y = x * scale
+        if -5e11 < y < 5e11:
+            k = y + 6755399441055744.0 - 6755399441055744.0
+            if -0.4999 < y - k < 0.4999:
+                return k / scale if k else math.copysign(0.0, x)
+        return round(x, n)
+    return rounded
+
+
+# every number the engine and ``series`` log goes through one of these
+_round9, _round6, _round3 = _rounder(9), _rounder(6), _rounder(3)
 
 
 class ScenarioError(Exception):
@@ -966,7 +1002,7 @@ class _Engine:
         sender_id = msg.station_id
         type_name = msg.msg_type.name
         data = encode_message(msg, max_hops=self.max_hops)
-        self.log.append({"t": round(tx_time, 9), "type": "msg_tx",
+        self.log.append({"t": _round9(tx_time), "type": "msg_tx",
                          "actor": self.labels[sender_id], "msg_type": type_name,
                          "station_id": sender_id, "timestamp_ms": msg.timestamp_ms,
                          "size_b": len(data)})
@@ -1006,7 +1042,7 @@ class _Engine:
             relayed = self.moderator.relay_denm(msg)
             if relayed is not None:
                 p = relayed.payload
-                self.log.append({"t": round(rx_time, 9), "type": "denm_relay", "actor": "robot",
+                self.log.append({"t": _round9(rx_time), "type": "denm_relay", "actor": "robot",
                                  "origin": p.origin_station_id,
                                  "sequence": p.sequence_number, "hop_count": p.hop_count})
                 self.transmit(relayed, rx_time)
@@ -1026,10 +1062,10 @@ class _Engine:
             if receiver_id is None:
                 self.transmit(msg, time_s)
                 continue
-            event = {"t": round(time_s, 9), "type": "msg_rx", "actor": labels[receiver_id],
+            event = {"t": _round9(time_s), "type": "msg_rx", "actor": labels[receiver_id],
                      "msg_type": type_name, "from_station": msg.station_id,
                      "timestamp_ms": msg.timestamp_ms,
-                     "latency_s": round(time_s - msg.timestamp_ms / 1000.0, 9)}
+                     "latency_s": _round9(time_s - msg.timestamp_ms / 1000.0)}
             if type_name == "DENM":
                 p = msg.payload
                 seen = (receiver_id, p.origin_station_id, p.sequence_number)
@@ -1063,10 +1099,10 @@ class _Engine:
             inside = contains(x)
             if inside != in_zone[idx]:
                 if t is None:
-                    t = round(now_s, 9)
+                    t = _round9(now_s)
                 append({"t": t, "type": "zod_enter" if inside else "zod_exit",
                         "actor": self.veh_label[idx], "station_id": self.station_ids[idx],
-                        "road_x_m": round(x, 6)})
+                        "road_x_m": _round6(x)})
                 in_zone[idx] = inside
             if lo <= x <= hi:
                 in_span.append(idx)
@@ -1089,17 +1125,17 @@ class _Engine:
         for cam_id, idx, dist, point in self.sensor.observe(now_s, entity_x, self.in_span,
                                                             perception.keeps):
             if t is None:
-                t = round(now_s, 9)
+                t = _round9(now_s)
             append({"t": t, "type": "detection", "actor": "infra",
                     "camera_id": cam_id, "track_id": idx, "station_id": station_ids[idx],
-                    "cam_distance_m": round(dist, 6),
-                    "road_x_m": round(entity_x[idx], 6), "first": not first_detected[idx]})
+                    "cam_distance_m": _round6(dist),
+                    "road_x_m": _round6(entity_x[idx]), "first": not first_detected[idx]})
             first_detected[idx] = True
             if point is not None:
                 ingest(Detection(cam_id, idx, point, classes[idx], now_s))
         if i % self.cpm_every == 0:
             cpm = self.perception.assemble_cpm(now_s)
-            append({"t": round(now_s, 9) if t is None else t, "type": "cpm_gen",
+            append({"t": _round9(now_s) if t is None else t, "type": "cpm_gen",
                     "actor": "infra", "timestamp_ms": cpm.timestamp_ms,
                     "n_objects": len(cpm.payload.objects)})
             self.send_at(now_s + self.scenario.infra.cpm_processing_delay_s, cpm)
@@ -1112,18 +1148,18 @@ class _Engine:
         for idx, sid, every in self.v2x_vehicles:
             if i % every == 0:
                 if t is None:
-                    t = round(now_s, 9)
+                    t = _round9(now_s)
                 x, v = self.entity_x[idx], self.entity_v[idx]
                 cam_msg = vehicle_cam(sid, now_s, x, v)
                 append({"t": t, "type": "cam_gen", "actor": self.veh_label[idx],
-                        "station_id": sid, "pos_x_m": round(x, 6),
-                        "speed_mps": round(v, 6), "timestamp_ms": cam_msg.timestamp_ms})
+                        "station_id": sid, "pos_x_m": _round6(x),
+                        "speed_mps": _round6(v), "timestamp_ms": cam_msg.timestamp_ms})
                 self.send_at(now_s, cam_msg)
         robot_cam = self.moderator.cam_tick(now_s, self.pose)
         if robot_cam is not None:
-            append({"t": round(now_s, 9) if t is None else t, "type": "cam_gen",
+            append({"t": _round9(now_s) if t is None else t, "type": "cam_gen",
                     "actor": "robot", "station_id": self.robot_id,
-                    "pos_x_m": round(self.pose.pos_x_m, 6), "speed_mps": 0.0,
+                    "pos_x_m": _round6(self.pose.pos_x_m), "speed_mps": 0.0,
                     "timestamp_ms": robot_cam.timestamp_ms})
             self.send_at(now_s, robot_cam)
         r = self.scenario.rsu
@@ -1148,11 +1184,11 @@ class _Engine:
         v2x_objs = [o for o in self.v2x_objects.values() if not now_s - o.last_update_s > stale]
         cam_objs = [o for o in self.camera_objects if not now_s - o.last_update_s > stale]
         fused = fuse(v2x_objs, cam_objs, self.robot.fusion)
-        t, append = round(now_s, 9), self.log.append
+        t, append = _round9(now_s), self.log.append
         append({"t": t, "type": "fusion_out", "actor": "robot",
                 "n_v2x": len(v2x_objs), "n_camera": len(cam_objs),
                 "objects": [{"src": o.source.value, "id": o.ref_id,
-                             "x": round(o.road_x_m, 3), "v": round(o.speed_mps, 3)}
+                             "x": _round3(o.road_x_m), "v": _round3(o.speed_mps)}
                             for o in fused]})
         merging = self.scenario.merging_seen(now_s)
         self.state, action = step(self.state, fused, merging, now_s, self.robot.zod)
@@ -1163,13 +1199,13 @@ class _Engine:
                     "blocking": list(blocking) if blocking else None})
             for ev in self.moderator.actuate(action, now_s):
                 append({"t": t, "type": "actuation", "actor": "robot",
-                        "phase": f"{action.value}_issued", "completes_at": round(ev.due_s, 9)})
+                        "phase": f"{action.value}_issued", "completes_at": _round9(ev.due_s)})
         self.last_action = action
 
     def actuate(self, now_s: float) -> None:
         due = self.moderator.due_actuations(now_s)
         if due:
-            t = round(now_s, 9)
+            t = _round9(now_s)
             for ev in due:
                 self.log.append({"t": t, "type": "actuation", "actor": "robot",
                                  "phase": ev.phase})
@@ -1210,15 +1246,15 @@ def series(scenario: Scenario, events: Sequence[dict]) -> list[dict]:
     rows, k, mode = [], 0, None
     for i in range(int(round(scenario.duration_s / scenario.tick_s)) + 1):
         now = i * scenario.tick_s
-        t = round(now, 9)
+        t = _round9(now)
         while k < len(decisions) and decisions[k][0] <= t:
             mode = decisions[k][1]
             k += 1
         row = {"time_s": t, "mode": mode, "merging": int(scenario.merging_seen(now))}
         for idx, ent in enumerate(scenario.entities):
             x, v = eval_trajectory(ent.trajectory, now)
-            row[f"x_veh{idx}"] = round(x, 6)
-            row[f"v_veh{idx}"] = round(v, 6)
+            row[f"x_veh{idx}"] = _round6(x)
+            row[f"v_veh{idx}"] = _round6(v)
         rows.append(row)
     return rows
 

@@ -298,7 +298,7 @@ class TestBatch:
 def input_file(tmp_path, name, text):
     path = tmp_path / "in" / name
     path.parent.mkdir(exist_ok=True)
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     return str(path)
 
 
@@ -349,6 +349,8 @@ ONE_ERROR_LINE = {
         "--out-dir", str(d / "out")], r"deep\.json: "),
     "report deep header": (lambda d: ["report", deep_log(d, 0)], "malformed log: "),
     "report deep event": (lambda d: ["report", deep_log(d, 1)], "malformed log: "),
+    "report non-UTF-8 log": (lambda d: ["report", input_file(d, "bom.jsonl", b"\xff\xfe{}\n")],
+                             "malformed log: 'utf-8' codec can't decode"),
     "run seed -1": (lambda d: ["run", ROTTERDAM, "--seed", "-1", *log_out(d)],
                     "seed must be a non-negative integer, got -1$"),
     "run seed -3": (lambda d: ["run", ROTTERDAM, "--seed", "-3", *log_out(d)],

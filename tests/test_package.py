@@ -48,3 +48,16 @@ def test_demo_runs_and_leaves_no_temporary_file(tmp_path, demo):
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp)})
     assert out.returncode == 0, out.stderr
     assert [p.name for p in tmp.iterdir()] == []
+
+
+def test_engine_and_series_round_through_the_kernels():
+    # round(x, n) goes through a decimal string; sim's _round9, _round6 and
+    # _round3 return the same floats several times faster
+    path = ROOT / "src" / "mergeguard" / "sim.py"
+    tree = ast.parse(path.read_text(), str(path))
+    scopes = [node for node in tree.body if getattr(node, "name", None) in ("_Engine", "series")]
+    assert len(scopes) == 2
+    found = [f"sim.py:{node.lineno}" for scope in scopes for node in ast.walk(scope)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "round" and len(node.args) + len(node.keywords) == 2]
+    assert found == []

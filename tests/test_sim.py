@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import hashlib
 import heapq
+import importlib.util
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mergeguard import perception, sim
@@ -1308,6 +1309,10 @@ def v2x_cell(rsu=None, **channel):
     ``rsu`` adds a roadworks transmitter; keywords override fields of the
     lossy channel.
     """
+    return scenario_from_dict(v2x_cell_dict(rsu, **channel))
+
+
+def v2x_cell_dict(rsu=None, **channel):
     obj = minimal()
     obj["duration_s"] = 3.0
     obj["rsu"] = rsu
@@ -1317,7 +1322,7 @@ def v2x_cell(rsu=None, **channel):
          "trajectory": [{"start_time_s": 0.0, "start_x_m": -60.0 + 20.0 * k,
                          "speed_mps": 5.0, "accel_mps2": 0.0}]}
         for k in range(6)]
-    return scenario_from_dict(obj)
+    return obj
 
 
 class TestRadio:
@@ -1514,16 +1519,107 @@ class TestSenseRounding:
         engine.world(0.05)
         calls = []
 
-        def counting_round(*args):
-            calls.append(args)
-            return round(*args)
+        def counting(n, kernel):
+            def rounded(x):
+                calls.append((x, n))
+                return kernel(x)
+            return rounded
 
-        monkeypatch.setattr(sim, "round", counting_round, raising=False)
+        for n in (9, 6, 3):
+            name = f"_round{n}"
+            monkeypatch.setattr(sim, name, counting(n, getattr(sim, name)))
         assert 1 % engine.cpm_every
         engine.sense(1, 0.05)
         assert calls == [] and engine.log.events == []
         engine.sense(engine.cpm_every, 0.2)  # a CPM tick: one rounding for its event
         assert calls == [(0.2, 9)] and len(engine.log.of_type("cpm_gen")) == 1
+
+
+KERNELS = {9: sim._round9, 6: sim._round6, 3: sim._round3}
+
+
+@st.composite
+def rounding_inputs(draw):
+    """A number of decimals and a float to round to them: any float, a
+    decimal half-point or its neighbours, or one whose product with 10**n
+    lies near the fast path's bound of 5e11 or between 2**53 and 1e16,
+    where the product of two doubles can miss the nearest integer."""
+    n = draw(st.sampled_from(sorted(KERNELS)))
+    scale = 10.0 ** n
+    kind = draw(st.sampled_from(["any", "half", "bound", "wide"]))
+    if kind == "any":
+        x = draw(st.floats())
+    elif kind == "half":
+        x = (draw(st.integers(-10**12, 10**12)) + 0.5) / scale
+        for _ in range(draw(st.integers(0, 2))):
+            x = math.nextafter(x, draw(st.sampled_from([math.inf, -math.inf])))
+    else:
+        lo, hi = (4.9e11, 5.1e11) if kind == "bound" else (2.0**53, 1e16)
+        x = draw(st.floats(lo / scale, hi / scale)) * draw(st.sampled_from([1, -1]))
+    return n, x
+
+
+class TestRoundingKernel:
+    @settings(max_examples=2000)
+    @given(rounding_inputs())
+    @example((9, -0.0)).via("signed zero")
+    @example((9, -1e-12)).via("a negative result of zero")
+    @example((6, -5e-324)).via("subnormal")
+    @example((9, 2.5e-09)).via("a half-point")
+    @example((3, math.nan)).via("not a number")
+    @example((3, -math.inf)).via("infinity")
+    def test_kernel_is_round(self, case):
+        n, x = case
+        assert repr(KERNELS[n](x)) == repr(round(x, n))
+
+
+def rounding_with_round():
+    """The engine and ``series`` with every logged number rounded by ``round`` itself."""
+    return mock.patch.multiple(sim, _round9=lambda x: round(x, 9), _round6=lambda x: round(x, 6),
+                               _round3=lambda x: round(x, 3))
+
+
+def parked_far(obj):
+    """``obj`` with a V2X vehicle parked where its logged position is too
+    large for the kernels' fast path."""
+    obj["entities"].append({"station_id": 900, "v2x_equipped": True, "cam_period_s": 0.5,
+                            "trajectory": [{"start_time_s": 0.0, "start_x_m": 6e5,
+                                            "speed_mps": 0.0, "accel_mps2": 0.0}]})
+    return obj
+
+
+def small_traffic_cell():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.traffic_scenario(
+        5, name="small", n_vehicles=8, equipped_share=0.5, platoon_size=2, headway_s=1.0,
+        platoon_gap_s=4.0, first_arrival_s=-2.0, duration_s=12.0, loss_prob=0.2,
+        comm_range_m=150.0, rsu=True, merging=True)
+
+
+class TestRoundedRuns:
+    @pytest.mark.parametrize("name", ["pass", "v2x_cell", "traffic cell"])
+    def test_log_and_series_are_those_of_round(self, monkeypatch, name):
+        if name == "pass":
+            obj = make_pass_scenario(3, v2x=True, merging_offset_s=3.0)
+        elif name == "v2x_cell":
+            obj = v2x_cell_dict(rsu=DENSE_RSU)
+        else:
+            obj = small_traffic_cell()
+        sc = scenario_from_dict(parked_far(obj))
+        with rounding_with_round():
+            reference = run(sc)
+            reference_series = sim.series(sc, reference.log.events)
+        slow = []  # the kernels' own calls of round, for the parked vehicle's position
+        monkeypatch.setattr(sim, "round", lambda *args: slow.append(args) or round(*args),
+                            raising=False)
+        res = run(sc)
+        assert res.to_jsonl() == reference.to_jsonl()
+        assert sim.series(sc, res.log.events) == reference_series
+        assert (6e5, 6) in slow
+        assert any(e["pos_x_m"] == 6e5 for e in res.log.of_type("cam_gen"))
 
 
 # two cameras whose every vehicle's reach is 110.1 m, so that a vehicle at
