@@ -29,13 +29,18 @@ perception's gap rule, ``keeps``, once: only a sample it keeps gets an
 image point and becomes a ``Detection`` to ``ingest``.
 
 Radio deliveries and queued sends (CPMs, CAMs, DENM copies) wait in one
-queue of ``(due time, push sequence, receiver id, message, type name)``
-entries, ordered by (due time, push sequence); that order is part of the
-contract too.  A receiver id of None means "transmit the message"; any
-other entry delivers it.  What falls due at one time runs in the order it
+queue of ``(due time, receiver id, sent)`` entries that run in order of
+due time, then push order; that order is part of the contract too.  A
+receiver id of None means "transmit the message ``sent``"; any other
+entry delivers a broadcast, whose deliveries share one ``sent`` tuple:
+the message, its type name, sender id and ``timestamp_ms``, and that
+timestamp in seconds.  What falls due at one time runs in the order it
 was pushed, so the deliveries of one broadcast run in ascending receiver
-order, after those of every earlier broadcast due at that time.  Nothing
-due after the last tick's flush is queued, since it would never run.
+order, after those of every earlier broadcast due at that time.
+``send_at`` and ``transmit`` append to an incoming list; a flush sorts
+it into the rest of the queue once something in it is due, and again
+when an entry it runs queues something due in that flush.  Nothing due
+after the last tick's flush is queued, since it would never run.
 ``flush`` builds, completes and logs the ``msg_rx`` event of each
 reception, a DENM's fields included; ``hear`` applies what a reception
 by the robot changes: its road picture and the relay of a new DENM.
@@ -77,11 +82,11 @@ reference)::
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
+from operator import itemgetter
 from typing import Callable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -106,6 +111,7 @@ EVENT_TYPES = frozenset({
 })
 
 _TIME_EPS = 1e-9
+_DUE = itemgetter(0)  # a queue entry's due time
 
 # a radio-less vehicle is skipped while it is farther than this outside the
 # zone and every camera's view, and only while its positions stay below the
@@ -941,11 +947,12 @@ class _Engine:
             self.labels[sid] = self.veh_label[idx]
         self.receivers: list[tuple[int, tuple[float, float]]] = []  # set by world()
 
-        # heap of (due time, push sequence, receiver id or None, message,
-        # type name); plain values, so the queue holds no reference cycle
-        # to the engine
-        self.pending: list[tuple[float, int, int | None, Message, str | None]] = []
-        self.pushed = 0
+        # the queue: ``pending`` in reverse run order, and the entries pushed
+        # since, in push order, the earliest due at ``incoming_due``; plain
+        # values, so it holds no reference cycle to the engine
+        self.pending: list[tuple[float, int | None, tuple | Message]] = []
+        self.incoming: list[tuple[float, int | None, tuple | Message]] = []
+        self.incoming_due = math.inf
         self.denm_seen: set[tuple[int, int, int]] = set()  # (receiver, origin, sequence) heard
 
         # the robot's road picture: one object per station from the last
@@ -990,15 +997,16 @@ class _Engine:
         """Queue the transmission of ``msg`` at the flush due at ``time_s``,
         unless that falls after the last flush."""
         if time_s <= self.last_flush_s:
-            heapq.heappush(self.pending, (time_s, self.pushed, None, msg, None))
-            self.pushed += 1
+            self.incoming.append((time_s, None, msg))
+            if time_s < self.incoming_due:
+                self.incoming_due = time_s
 
     def transmit(self, msg: Message, tx_time: float) -> None:
         """Send from ``msg.station_id`` and queue its deliveries, all of the
         sent message.  It is encoded for its size and its checks, not
         decoded: a valid message decodes to itself, and the loader spot
-        checks that.  A delivery due after the last flush would never be
-        popped, so it is not queued; the channel still draws for it."""
+        checks that.  A delivery due after the last flush would never
+        run, so it is not queued; the channel still draws for it."""
         sender_id = msg.station_id
         type_name = msg.msg_type.name
         data = encode_message(msg, max_hops=self.max_hops)
@@ -1007,13 +1015,15 @@ class _Engine:
                          "station_id": sender_id, "timestamp_ms": msg.timestamp_ms,
                          "size_b": len(data)})
         receivers = [r for r in self.receivers if r[0] != sender_id]
-        heap, seq, last = self.pending, self.pushed, self.last_flush_s
+        sent = (msg, type_name, sender_id, msg.timestamp_ms, msg.timestamp_ms / 1000.0)
+        incoming, last, first = self.incoming, self.last_flush_s, self.incoming_due
         for receiver_id, due in self.channel.broadcast(self.positions[sender_id], tx_time,
                                                        receivers):
             if due <= last:
-                heapq.heappush(heap, (due, seq, receiver_id, msg, type_name))
-                seq += 1
-        self.pushed = seq
+                incoming.append((due, receiver_id, sent))
+                if due < first:
+                    first = due
+        self.incoming_due = first
 
     def hear(self, msg: Message, type_name: str, rx_time: float) -> None:
         """Apply what the robot's reception of ``msg`` at ``rx_time`` changes;
@@ -1053,28 +1063,47 @@ class _Engine:
         DENM's event gains its origin, sequence, hop count and whether the
         receiver had it already.  Only the robot's receptions change
         anything else; all but duplicate DENMs go on to ``hear``."""
-        heap, due = self.pending, now_s + _TIME_EPS
-        if not heap or heap[0][0] > due:
+        pending, due = self.pending, now_s + _TIME_EPS
+        if self.incoming_due <= due:
+            self.merge()
+        if not pending or pending[-1][0] > due:
             return
-        append, labels, robot_id, pop = self.log.append, self.labels, self.robot_id, heapq.heappop
-        while heap and heap[0][0] <= due:
-            time_s, _, receiver_id, msg, type_name = pop(heap)
+        append, labels, robot_id, pop = self.log.append, self.labels, self.robot_id, pending.pop
+        while pending and pending[-1][0] <= due:
+            time_s, receiver_id, sent = pop()
             if receiver_id is None:
-                self.transmit(msg, time_s)
-                continue
-            event = {"t": _round9(time_s), "type": "msg_rx", "actor": labels[receiver_id],
-                     "msg_type": type_name, "from_station": msg.station_id,
-                     "timestamp_ms": msg.timestamp_ms,
-                     "latency_s": _round9(time_s - msg.timestamp_ms / 1000.0)}
-            if type_name == "DENM":
-                p = msg.payload
-                seen = (receiver_id, p.origin_station_id, p.sequence_number)
-                event.update(origin=p.origin_station_id, sequence=p.sequence_number,
-                             hop_count=p.hop_count, duplicate=seen in self.denm_seen)
-                self.denm_seen.add(seen)
-            append(event)
-            if receiver_id == robot_id and not event.get("duplicate"):
+                self.transmit(sent, time_s)
+            else:
+                msg, type_name, sender_id, timestamp_ms, timestamp_s = sent
+                event = {"t": _round9(time_s), "type": "msg_rx", "actor": labels[receiver_id],
+                         "msg_type": type_name, "from_station": sender_id,
+                         "timestamp_ms": timestamp_ms, "latency_s": _round9(time_s - timestamp_s)}
+                if type_name == "DENM":
+                    p = msg.payload
+                    seen = (receiver_id, p.origin_station_id, p.sequence_number)
+                    event.update(origin=p.origin_station_id, sequence=p.sequence_number,
+                                 hop_count=p.hop_count, duplicate=seen in self.denm_seen)
+                    self.denm_seen.add(seen)
+                append(event)
+                if receiver_id != robot_id or event.get("duplicate"):
+                    continue
                 self.hear(msg, type_name, time_s)
+            # a transmission, the robot's relay included, may queue
+            # deliveries due in this flush
+            if self.incoming_due <= due:
+                self.merge()
+
+    def merge(self) -> None:
+        """Sort the incoming entries into ``pending``: each was pushed after
+        every pending one, so a stable sort by due time alone of both, in run
+        and push order, keeps push order among equal due times."""
+        pending = self.pending
+        pending.reverse()
+        pending += self.incoming
+        pending.sort(key=_DUE)
+        pending.reverse()
+        self.incoming.clear()
+        self.incoming_due = math.inf
 
     def world(self, now_s: float) -> None:
         # time only grows, so each entity's segment cursor only advances; it

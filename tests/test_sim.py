@@ -19,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from mergeguard import perception, sim
@@ -1396,24 +1396,14 @@ class TestRadio:
 
 
 class TestDenmCopies:
-    def test_no_copy_is_queued_past_the_end(self, monkeypatch):
+    def test_no_copy_is_queued_past_the_end(self, engines):
         # one notification whose copies outlast the 30 s run; those due
         # after the last tick's flush never go out, so they are not queued
         obj = copy.deepcopy(SHIPPED["denm_repeater"])
         obj["rsu"]["denm"] = {"repeat_count": 1000, "repeat_gap_s": 0.05, "period_s": 1e300}
         sc = scenario_from_dict(obj)
-        engines = []
-
-        class Engine(sim._Engine):
-            def __init__(self, *args):
-                super().__init__(*args)
-                engines.append(self)
-
-        monkeypatch.setattr(sim, "_Engine", Engine)
         res = run(sc)
-        left = [item for item in engines[0].pending
-                if item[2] is None and item[3].msg_type.name == "DENM"]
-        assert left == []
+        assert queued(engines[0]) == []
         sent = [e for e in res.log.of_type("msg_tx") if e["station_id"] == 200]
         assert len(sent) == int(round(30.0 / 0.05)) + 1
 
@@ -1478,9 +1468,13 @@ class TestRobotDenmMemory:
 
     @staticmethod
     def flush(*copies):
-        """Deliver ``copies`` to the robot 10 ms apart and flush them all;
+        """Queue ``copies`` to go out from the RSU 10 ms apart, over a lossless
+        channel without latency to the robot alone, and flush them all;
         returns the engine and the hop count of each ``relay_denm`` call."""
-        engine = sim._Engine(scenario_from_dict(minimal()), 0)
+        obj = {**minimal(), "rsu": DENSE_RSU,
+               "channel": {"loss_prob": 0.0, "latency_base_s": 0.0, "latency_jitter_s": 0.0}}
+        engine = sim._Engine(scenario_from_dict(obj), 0)
+        engine.receivers = [(engine.robot_id, engine.robot.position)]
         calls, relay = [], engine.moderator.relay_denm
 
         def spy(msg):
@@ -1489,11 +1483,13 @@ class TestRobotDenmMemory:
 
         engine.moderator.relay_denm = spy
         for k, msg in enumerate(copies):
-            heapq.heappush(engine.pending, (1.0 + 0.01 * k, k, engine.robot_id, msg, "DENM"))
-        engine.pushed = len(copies)
+            engine.send_at(1.0 + 0.01 * k, msg)
         engine.flush(1.0 + 0.01 * len(copies))
+        assert [(e["t"], e["actor"]) for e in engine.log.of_type("msg_rx")] == [
+            (1.0 + 0.01 * k, "robot") for k in range(len(copies))]
         assert [e["duplicate"] for e in engine.log.of_type("msg_rx")] == [
             k > 0 for k in range(len(copies))]
+        assert queued(engine) == []
         return engine, calls
 
     def test_the_same_key_twice_is_relayed_once(self):
@@ -1763,6 +1759,67 @@ def engines(monkeypatch):
     return built
 
 
+def queued(engine):
+    """Every entry in ``engine``'s queue: the sorted part and the incoming one."""
+    return [*engine.pending, *engine.incoming]
+
+
+class HeapQueueEngine(sim._Engine):
+    """The engine with its queue on one heap of ``(due time, push sequence,
+    receiver id or None, message, type name)`` entries, one push and one
+    pop per entry, each delivery reading its message's fields."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.pushed = 0
+
+    def send_at(self, time_s, msg):
+        if time_s <= self.last_flush_s:
+            heapq.heappush(self.pending, (time_s, self.pushed, None, msg, None))
+            self.pushed += 1
+
+    def transmit(self, msg, tx_time):
+        sender_id = msg.station_id
+        type_name = msg.msg_type.name
+        data = sim.encode_message(msg, max_hops=self.max_hops)
+        self.log.append({"t": sim._round9(tx_time), "type": "msg_tx",
+                         "actor": self.labels[sender_id], "msg_type": type_name,
+                         "station_id": sender_id, "timestamp_ms": msg.timestamp_ms,
+                         "size_b": len(data)})
+        receivers = [r for r in self.receivers if r[0] != sender_id]
+        for receiver_id, due in self.channel.broadcast(self.positions[sender_id], tx_time,
+                                                       receivers):
+            if due <= self.last_flush_s:
+                heapq.heappush(self.pending, (due, self.pushed, receiver_id, msg, type_name))
+                self.pushed += 1
+
+    def flush(self, now_s):
+        heap, due = self.pending, now_s + sim._TIME_EPS
+        while heap and heap[0][0] <= due:
+            time_s, _, receiver_id, msg, type_name = heapq.heappop(heap)
+            if receiver_id is None:
+                self.transmit(msg, time_s)
+                continue
+            event = {"t": sim._round9(time_s), "type": "msg_rx",
+                     "actor": self.labels[receiver_id], "msg_type": type_name,
+                     "from_station": msg.station_id, "timestamp_ms": msg.timestamp_ms,
+                     "latency_s": sim._round9(time_s - msg.timestamp_ms / 1000.0)}
+            if type_name == "DENM":
+                p = msg.payload
+                seen = (receiver_id, p.origin_station_id, p.sequence_number)
+                event.update(origin=p.origin_station_id, sequence=p.sequence_number,
+                             hop_count=p.hop_count, duplicate=seen in self.denm_seen)
+                self.denm_seen.add(seen)
+            self.log.append(event)
+            if receiver_id == self.robot_id and not event.get("duplicate"):
+                self.hear(msg, type_name, time_s)
+
+
+def queueing_on_a_heap():
+    """``run`` with the engine's queue on one heap."""
+    return mock.patch.object(sim, "_Engine", HeapQueueEngine)
+
+
 class TestQueueEnd:
     def test_no_delivery_is_queued_past_the_end(self, engines):
         # every vehicle sends a CAM on the last tick; their deliveries fall
@@ -1770,7 +1827,7 @@ class TestQueueEnd:
         sc = v2x_cell()
         res = run(sc)
         assert [e for e in res.log.of_type("msg_tx") if e["t"] == sc.duration_s]
-        assert engines[0].pending == []
+        assert queued(engines[0]) == []
 
     def test_no_send_is_queued_past_the_end(self, engines):
         # the last CPMs would go out after the last flush
@@ -1778,7 +1835,7 @@ class TestQueueEnd:
         res = run(sc)
         delay = sc.infra.cpm_processing_delay_s
         assert [e for e in res.log.of_type("cpm_gen") if e["t"] + delay > sc.duration_s]
-        assert engines[0].pending == []
+        assert queued(engines[0]) == []
 
     def test_deliveries_due_in_the_flush_that_sends_them(self):
         # with no latency each reception is due in the flush that transmits
@@ -1806,6 +1863,40 @@ class TestQueueEnd:
         for relay in relays:
             assert any(e["t"] == relay["t"] and e["from_station"] == robot_id
                        for e in res.log.of_type("msg_rx"))
+
+
+QUEUE_SCENARIOS = {
+    "dense cell": lambda: v2x_cell(rsu=DENSE_RSU),
+    "zero-latency cell": lambda: v2x_cell(rsu=DENSE_RSU, loss_prob=0.0, latency_base_s=0.0,
+                                          latency_jitter_s=0.0),
+    "rotterdam_run": lambda: load_scenario(SCENARIO_DIR / "rotterdam_run.json"),
+    "traffic cell": lambda: scenario_from_dict(small_traffic_cell()),
+}
+
+
+class TestQueueOrder:
+    """The queue runs its entries in (due time, push order) order: ``run``
+    logs what it logs with the queue on one heap."""
+
+    @pytest.mark.parametrize("name", list(QUEUE_SCENARIOS))
+    def test_log_is_that_of_a_heap(self, name):
+        sc = QUEUE_SCENARIOS[name]()
+        with queueing_on_a_heap():
+            reference = run(sc)
+        assert run(sc).to_jsonl() == reference.to_jsonl()
+
+    # no explain phase: on a failure it reruns both engines for minutes
+    @settings(deadline=None, max_examples=40,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+    @given(st.sampled_from([0.0, 0.1]) | st.floats(0.0, 0.9),
+           st.sampled_from([0.0, 0.05]) | st.floats(0.0, 0.2),
+           st.sampled_from([0.0, 0.005]) | st.floats(0.0, 0.2))
+    def test_any_channel_logs_what_a_heap_logs(self, loss_prob, base_s, jitter_s):
+        sc = v2x_cell(rsu=DENSE_RSU, loss_prob=loss_prob, latency_base_s=base_s,
+                      latency_jitter_s=jitter_s)
+        with queueing_on_a_heap():
+            reference = run(sc)
+        assert run(sc).to_jsonl() == reference.to_jsonl()
 
 
 def cpm(timestamp_ms, *objects):
