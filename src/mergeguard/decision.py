@@ -84,8 +84,7 @@ def predict_crossing(obj: FusedObject, now_s: float, zod: ZodConfig) -> ZodCross
     return ZodCrossing(INF, INF)
 
 
-@dataclass(frozen=True)
-class DecisionState:
+class DecisionState(NamedTuple):
     mode: Mode = Mode.SAFE
     blocking_key: tuple[str, int] | None = None  # (source value, ref id)
     blocking_last_seen_s: float = 0.0

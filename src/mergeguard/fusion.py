@@ -29,7 +29,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 DEFAULT_EPSILON = 5.0
 
@@ -39,8 +39,7 @@ class Source(Enum):
     CAMERA = "camera"
 
 
-@dataclass(frozen=True)
-class FusedObject:
+class FusedObject(NamedTuple):
     source: Source
     ref_id: int  # station id for V2X, CPM object id for camera tracks
     road_x_m: float

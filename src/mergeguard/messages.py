@@ -38,10 +38,9 @@ else.  ``encode_message`` refuses to emit an invalid message.
 from __future__ import annotations
 
 import struct
-from dataclasses import asdict, dataclass, fields
 from enum import IntEnum
 from operator import attrgetter
-from typing import Union
+from typing import NamedTuple, Union
 
 MAGIC = 0x56
 PROTOCOL_VERSION = 1
@@ -116,8 +115,7 @@ class SensorType(IntEnum):
     CAMERA = 1
 
 
-@dataclass(frozen=True)
-class CamPayload:
+class CamPayload(NamedTuple):
     station_type: int
     pos_x_cm: int
     pos_y_cm: int
@@ -125,15 +123,13 @@ class CamPayload:
     heading_cdeg: int  # [0, 36000)
 
 
-@dataclass(frozen=True)
-class SensorInfo:
+class SensorInfo(NamedTuple):
     sensor_id: int
     sensor_type: int
     range_dm: int
 
 
-@dataclass(frozen=True)
-class PerceivedObject:
+class PerceivedObject(NamedTuple):
     object_id: int
     object_class: int
     pos_x_cm: int
@@ -142,14 +138,12 @@ class PerceivedObject:
     meas_delta_ms: int
 
 
-@dataclass(frozen=True)
-class CpmPayload:
+class CpmPayload(NamedTuple):
     sensors: tuple[SensorInfo, ...]
     objects: tuple[PerceivedObject, ...]
 
 
-@dataclass(frozen=True)
-class DenmPayload:
+class DenmPayload(NamedTuple):
     cause_code: int
     sequence_number: int
     event_pos_x_cm: int
@@ -168,8 +162,7 @@ _PAYLOAD_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     station_id: int
     timestamp_ms: int
     payload: Payload
@@ -179,11 +172,11 @@ class Message:
         return _PAYLOAD_TYPES[type(self.payload)]
 
 
-# Each fixed-size record's layout is its wire struct plus its dataclass's
-# field order, which is the wire order; every codec path derives from both.
+# Each fixed-size record's layout is its wire struct plus its record's
+# ``_fields`` order, which is the wire order; every codec path derives from both.
 _FORMATS = {CamPayload: CAM_FORMAT, SensorInfo: SENSOR_FORMAT,
             PerceivedObject: OBJECT_FORMAT, DenmPayload: DENM_FORMAT}
-_VALUES = {cls: attrgetter(*[f.name for f in fields(cls)]) for cls in _FORMATS}
+_VALUES = {cls: attrgetter(*cls._fields) for cls in _FORMATS}
 _FIXED = {MsgType.CAM: CamPayload, MsgType.DENM: DenmPayload}
 
 
@@ -292,16 +285,16 @@ def to_json_dict(msg: Message) -> dict:
     """Canonical JSON form; field names match the wire layout exactly."""
     p = msg.payload
     if isinstance(p, CpmPayload):
-        body = {"sensors": [asdict(s) for s in p.sensors],
-                "objects": [asdict(o) for o in p.objects]}
+        body = {"sensors": [s._asdict() for s in p.sensors],
+                "objects": [o._asdict() for o in p.objects]}
     else:
-        body = asdict(p)
+        body = p._asdict()
     return {"msg_type": msg.msg_type.name, "station_id": msg.station_id,
             "timestamp_ms": msg.timestamp_ms, "payload": body}
 
 
 def _from_json(cls: type, obj: dict):
-    return cls(*[obj[f.name] for f in fields(cls)])
+    return cls(*[obj[name] for name in cls._fields])
 
 
 def from_json_dict(obj: dict) -> Message:

@@ -22,7 +22,8 @@ cancels any pending completion of the opposite kind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +71,7 @@ def robot_cam(station_id: int, now_s: float, pose: RobotPose) -> Message:
         heading_cdeg=int(round(pose.heading_deg * 100.0)) % 36000))
 
 
-@dataclass(frozen=True)
-class ActuationEvent:
+class ActuationEvent(NamedTuple):
     due_s: float
     phase: str  # "posture_complete" | "lane_clear"
 
@@ -85,9 +85,13 @@ class Moderator:
     _last_cam_pose: RobotPose | None = field(default=None, init=False)
     _next_due: float = field(default=0.0, init=False)
     _pending: list[ActuationEvent] = field(default_factory=list, init=False)
+    _triggers_positive: bool = field(init=False)
 
     def __post_init__(self):
         self._rng = np.random.default_rng(self.jitter_seed)
+        cfg = self.config
+        self._triggers_positive = all(trigger > 0 for trigger in (
+            cfg.cam_pos_trigger_m, cfg.cam_speed_trigger_mps, cfg.cam_heading_trigger_deg))
 
     # -- CAM generation ---------------------------------------------------
 
@@ -98,12 +102,21 @@ class Moderator:
                                                self.config.cam_jitter_std_s)))
 
     def cam_tick(self, now_s: float, pose: RobotPose) -> Message | None:
-        """Return a CAM if one is due at now_s, else None."""
+        """Return a CAM if one is due at now_s, else None.
+
+        A pose equal to the last CAM's has moved by zero in every trigger,
+        so when every trigger is above 0 (the moderator checks this once)
+        it is due only at the next interval, and its deltas are not
+        computed; the engine hands over one pose object all run long, so
+        the test is mostly one of identity.  A trigger at or below 0
+        leaves every pose to the full rule, as a zero delta fires it.
+        """
         cfg = self.config
-        if self._last_cam_time is None:
+        if self._last_cam_time is None or now_s >= self._next_due:
             due = True
-        elif now_s >= self._next_due:
-            due = True
+        elif self._triggers_positive and (pose is self._last_cam_pose
+                                          or pose == self._last_cam_pose):
+            due = False
         elif now_s - self._last_cam_time >= cfg.cam_min_interval_s:
             prev = self._last_cam_pose
             moved = math.hypot(pose.pos_x_m - prev.pos_x_m, pose.pos_y_m - prev.pos_y_m)
@@ -131,7 +144,7 @@ class Moderator:
         if denm.hop_count + 1 > self.config.max_hops:
             return None
         return Message(self.config.station_id, msg.timestamp_ms,
-                       replace(denm, hop_count=denm.hop_count + 1))
+                       denm._replace(hop_count=denm.hop_count + 1))
 
     # -- actuation ----------------------------------------------------------
 

@@ -26,7 +26,11 @@ past 1e12 m are never skipped).  ``sense`` scans only the vehicles inside
 the span.  Each sighting takes one pixel-noise draw (zeros for a zero
 std) and logs a ``detection`` event with its camera distance.  It asks
 perception's gap rule, ``keeps``, once: only a sample it keeps gets an
-image point and becomes a ``Detection`` to ``ingest``.
+image point and becomes a ``Detection`` to ``ingest``.  In a run with no
+V2X vehicle the radio listeners are the robot alone, at its fixed
+position, so the engine builds that receiver list once and ``world``
+leaves it and the radio positions alone.  This is exact: rebuilding it
+each tick would give an equal list and write back the same position.
 
 Radio deliveries and queued sends (CPMs, CAMs, DENM copies) wait in one
 queue of ``(due time, receiver id, sent)`` entries that run in order of
@@ -120,6 +124,9 @@ _SPAN_MARGIN_M = 1.0
 _SPAN_SCALE_MAX_M = 1e12
 
 _STATION_ID_MAX = 0xFFFFFFFF  # the u32 station_id wire field
+# the most tick-actors a run may take: ticks x (robot + entities + cameras);
+# docs/scenario_schema.md gives the throughput it was picked from
+_RUN_WORK_MAX = 10_000_000
 _OBJECT_CLASSES = frozenset(ObjectClass)  # the CPM object_class rule
 
 
@@ -543,9 +550,14 @@ def scenario_from_dict(obj: dict) -> Scenario:
     _require(duration > 0, "duration_s must be positive")
     _require(tick > 0, "tick_s must be positive")
     _require(_divisible(duration, tick), "tick_s must divide duration_s")
+    ticks = round(duration / tick) + 1
+    actors = 1 + len(sc.entities) + (len(infra.cameras) if infra else 0)
+    _require(ticks * actors <= _RUN_WORK_MAX,
+             f"duration_s: {ticks} ticks x {actors} actors (robot, entities, cameras) "
+             f"exceed the bound of {_RUN_WORK_MAX} tick-actors per run")
     _require(sc.rng_seed >= 0, "rng_seed must be non-negative")
     # a STOP issued at any tick, the first to the last, completes at a writable time
-    last, mod = round(duration / tick) * tick, robot.moderator  # the last tick's time
+    last, mod = (ticks - 1) * tick, robot.moderator  # the last tick's time
     _require(all(math.isfinite(t + mod.move_to_center_s + mod.raise_flag_s) for t in (0.0, last)),
              "duration_s + robot.moderator.move_to_center_s + raise_flag_s must be finite")
     _require(_divisible(robot.decision_period_s, tick),
@@ -932,7 +944,7 @@ class _Engine:
 
         tick = scenario.tick_s
         # station labels and current radio positions; world() sets the
-        # listeners' positions every tick
+        # listeners' positions every tick of a run with a V2X vehicle
         self.labels: dict[int, str] = {robot_id: "robot"}
         self.positions: dict[int, tuple[float, float]] = {robot_id: robot_cfg.position}
         for label, setup in (("infra", infra), ("rsu", scenario.rsu)):
@@ -945,7 +957,9 @@ class _Engine:
                              for idx, ent in enumerate(scenario.entities) if ent.v2x_equipped]
         for idx, sid, _ in self.v2x_vehicles:
             self.labels[sid] = self.veh_label[idx]
-        self.receivers: list[tuple[int, tuple[float, float]]] = []  # set by world()
+        # the listeners and their positions; with no V2X vehicle, the robot
+        # alone for the whole run, else rebuilt by world()
+        self.receivers: list[tuple[int, tuple[float, float]]] = [(robot_id, robot_cfg.position)]
 
         # the queue: ``pending`` in reverse run order, and the entries pushed
         # since, in push order, the earliest due at ``incoming_due``; plain
@@ -1138,10 +1152,11 @@ class _Engine:
             elif pace[idx] is not None:
                 wake[idx] = now_s + (lo - x if x < lo else x - hi) * pace[idx]
         # radio positions hold until the next tick
-        self.receivers = receivers = [
-            (self.robot_id, self.robot.position),
-            *((sid, (entity_x[idx], 0.0)) for idx, sid, _ in self.v2x_vehicles)]
-        self.positions.update(receivers)
+        if self.v2x_vehicles:
+            self.receivers = receivers = [
+                (self.robot_id, self.robot.position),
+                *((sid, (entity_x[idx], 0.0)) for idx, sid, _ in self.v2x_vehicles)]
+            self.positions.update(receivers)
 
     def sense(self, i: int, now_s: float) -> None:
         if self.sensor is None:

@@ -368,6 +368,10 @@ ONE_ERROR_LINE = {
         lambda d: ["validate", edited(d, ROTTERDAM, endless_stop)],
         r"\S+: duration_s \+ robot\.moderator\.move_to_center_s \+ raise_flag_s "
         r"must be finite$"),
+    "validate endless run": (
+        lambda d: ["validate", edited(d, ROTTERDAM, lambda obj: obj.update(duration_s=1e9))],
+        r"\S+: duration_s: 20000000001 ticks x \d+ actors \(robot, entities, cameras\) "
+        r"exceed the bound of 10000000 tick-actors per run$"),
     "validate overlong run": (lambda d: ["validate", overlong_run(d)],
                               r"\S+: duration_s: CAM message does not fit the wire: "),
 }

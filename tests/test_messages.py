@@ -1,6 +1,5 @@
 """Wire codec: reference bytes, invariants, error taxonomy, round-trips."""
 
-import dataclasses
 import json
 import struct
 
@@ -230,17 +229,17 @@ def with_field(record, field, value):
     sensor = SensorInfo(0, SensorType.CAMERA, 1500)
     obj = PerceivedObject(3, ObjectClass.CAR, -7000, 0, -950, 120)
     if record == "header":
-        return dataclasses.replace(REFERENCE_CAM, **{field: value})
+        return REFERENCE_CAM._replace(**{field: value})
     if record == "cam":
         return Message(7, 0, make_cam(**{field: value}))
     if record == "sensor":
-        return Message(100, 0, CpmPayload((dataclasses.replace(sensor, **{field: value}),),
+        return Message(100, 0, CpmPayload((sensor._replace(**{field: value}),),
                                           (obj,)))
     if record == "object":
         return Message(100, 0, CpmPayload((sensor,),
-                                          (dataclasses.replace(obj, **{field: value}),)))
+                                          (obj._replace(**{field: value}),)))
     denm = DenmPayload(3, 17, 13430, 0, 60, 0, 200)
-    return Message(200, 0, dataclasses.replace(denm, **{field: value}))
+    return Message(200, 0, denm._replace(**{field: value}))
 
 
 @pytest.mark.parametrize("record,field,bounds", FIELD_RANGES,

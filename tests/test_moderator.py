@@ -1,11 +1,15 @@
 """Robot-side messaging: CAM cadence, DENM relaying, and actuation timing."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mergeguard.decision import Action
 from mergeguard.messages import CamPayload, DenmPayload, Message
-from mergeguard.moderator import Moderator, ModeratorConfig, RobotPose
+from mergeguard.moderator import Moderator, ModeratorConfig, RobotPose, robot_cam
 
 STILL = RobotPose(0.0, 0.0, 0.0, 0.0)
 
@@ -93,6 +97,75 @@ class TestCamCadence:
         assert gaps.max() < 1.0  # triggers fire well before the max interval
 
 
+class FullRuleModerator(Moderator):
+    """The moderator with the full kinematic rule on every tick: the
+    distance, speed and heading deltas since the last CAM are computed
+    whenever the minimum interval has passed, whatever the pose."""
+
+    def cam_tick(self, now_s, pose):
+        cfg = self.config
+        if self._last_cam_time is None:
+            due = True
+        elif now_s >= self._next_due:
+            due = True
+        elif now_s - self._last_cam_time >= cfg.cam_min_interval_s:
+            prev = self._last_cam_pose
+            moved = math.hypot(pose.pos_x_m - prev.pos_x_m, pose.pos_y_m - prev.pos_y_m)
+            dspeed = abs(pose.speed_mps - prev.speed_mps)
+            dheading = abs((pose.heading_deg - prev.heading_deg + 180.0) % 360.0 - 180.0)
+            due = (moved >= cfg.cam_pos_trigger_m
+                   or dspeed >= cfg.cam_speed_trigger_mps
+                   or dheading >= cfg.cam_heading_trigger_deg)
+        else:
+            due = False
+        if not due:
+            return None
+        self._last_cam_time = now_s
+        self._last_cam_pose = pose
+        self._next_due = now_s + cfg.cam_max_interval_s + self._interval_jitter()
+        return robot_cam(cfg.station_id, now_s, pose)
+
+
+TRIGGERS = ("cam_pos_trigger_m", "cam_speed_trigger_mps", "cam_heading_trigger_deg")
+
+
+def trigger_values(name):
+    return st.sampled_from([-1.0, 0.0, 5e-324, getattr(ModeratorConfig(), name)])
+
+
+@st.composite
+def pose_runs(draw):
+    """Per tick, the pose handed to ``cam_tick``: one pose all run long (the
+    same object, or an equal copy each tick), or a walk over a few poses
+    that returns to earlier ones, with moves both under and over a trigger."""
+    coords = st.sampled_from([0.0, -0.0, 0.1, 3.99, 4.0, 7.5, 359.0])
+    pool = draw(st.lists(st.builds(RobotPose, coords, coords, coords, coords),
+                         min_size=1, max_size=4))
+    n_ticks = draw(st.integers(1, 80))
+    if len(pool) == 1:
+        walk = [pool[0]] * n_ticks
+    else:
+        walk = [pool[k] for k in draw(st.lists(st.integers(0, len(pool) - 1),
+                                               min_size=n_ticks, max_size=n_ticks))]
+    if draw(st.booleans()):
+        walk = [RobotPose(p.pos_x_m, p.pos_y_m, p.speed_mps, p.heading_deg) for p in walk]
+    return walk
+
+
+class TestStaticPoseRule:
+    """``cam_tick`` computes no delta for a pose equal to the last CAM's when
+    every trigger is above 0; it still sends what the full rule sends."""
+
+    @given(st.fixed_dictionaries({name: trigger_values(name) for name in TRIGGERS}),
+           st.booleans(), st.integers(0, 2**32 - 1), pose_runs())
+    def test_cams_are_those_of_the_full_rule(self, triggers, jitter, seed, poses):
+        cfg = ModeratorConfig(cam_jitter_enabled=jitter, **triggers)
+        fast, full = Moderator(cfg, jitter_seed=seed), FullRuleModerator(cfg, jitter_seed=seed)
+        for i, pose in enumerate(poses):
+            now = i * 0.05
+            assert fast.cam_tick(now, pose) == full.cam_tick(now, pose), (i, now)
+
+
 class TestCamJitter:
     def cfg(self):
         return ModeratorConfig(cam_jitter_enabled=True)
@@ -152,6 +225,12 @@ class TestDenmRelay:
         assert mod.relay_denm(denm(seq=17)) is not None
         assert mod.relay_denm(denm(seq=18)) is not None
         assert mod.relay_denm(Message(300, 0, DenmPayload(3, 17, 0, 0, 60, 0, 300))) is not None
+
+    def test_the_received_message_is_left_unchanged(self):
+        received = denm(hop=0)
+        out = Moderator(ModeratorConfig()).relay_denm(received)
+        assert out.payload.hop_count == 1
+        assert received == denm(hop=0) and received.payload.hop_count == 0
 
     def test_hop_budget_exhausted(self):
         mod = Moderator(ModeratorConfig())  # max_hops=1

@@ -8,6 +8,12 @@ import sys
 
 import pytest
 
+from mergeguard.decision import DecisionState
+from mergeguard.fusion import FusedObject, Source
+from mergeguard.messages import (CamPayload, CpmPayload, DenmPayload, Message,
+                                 PerceivedObject, SensorInfo)
+from mergeguard.moderator import ActuationEvent
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "mergeguard").glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -61,3 +67,19 @@ def test_engine_and_series_round_through_the_kernels():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "round" and len(node.args) + len(node.keywords) == 2]
     assert found == []
+
+
+CAM = CamPayload(5, 0, 0, 0, 0)
+RECORDS = [Message(7, 0, CAM), CAM, CpmPayload((), ()), DenmPayload(3, 17, 0, 0, 60, 0, 200),
+           SensorInfo(0, 1, 1500), PerceivedObject(3, 1, 0, 0, -950, 120),
+           FusedObject(Source.V2X, 7, 0.0, 0.0, 1, 0.0), DecisionState(),
+           ActuationEvent(5.0, "posture_complete")]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=[type(r).__name__ for r in RECORDS])
+def test_runtime_records_refuse_attribute_assignment(record):
+    # the engine shares one message among all its deliveries, and one road
+    # picture among ticks: no holder may change what the others see
+    for name in [*record._fields, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)

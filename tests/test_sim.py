@@ -2,7 +2,6 @@
 
 import contextlib
 import copy
-import dataclasses
 import functools
 import hashlib
 import heapq
@@ -340,6 +339,17 @@ class TestValidation:
         _, events = log_from_jsonl(run(sc).to_jsonl())
         assert max(e["timestamp_ms"] for e in events if e["type"] == "cpm_gen") == 10**19
 
+    @pytest.mark.parametrize("duration, ok", [(9_999_999.0, True), (10_000_000.0, False)])
+    def test_run_work_is_bounded(self, duration, ok):
+        # the robot alone at one tick a second: 10**7 ticks, 0 to 10**7 s, reach the bound
+        obj = {**minimal(), "duration_s": duration, "tick_s": 1.0}
+        obj["robot"]["decision_period_s"] = 1.0
+        if ok:
+            assert scenario_from_dict(obj).duration_s == duration
+        else:
+            self.check(obj, r"^duration_s: 10000001 ticks x 1 actors \(robot, entities, cameras\) "
+                            r"exceed the bound of 10000000 tick-actors per run$")
+
     def test_detect_bounds_must_be_numbers(self):
         obj = with_infra(minimal())
         obj["infra"]["sensor"] = {"detect_min_m": "80"}
@@ -382,7 +392,7 @@ class TestValidation:
         def changing(data, **kwargs):
             msg = decode(data, **kwargs)
             if msg.msg_type.name == msg_type:
-                msg = dataclasses.replace(msg, timestamp_ms=msg.timestamp_ms + 1)
+                msg = msg._replace(timestamp_ms=msg.timestamp_ms + 1)
             return msg
 
         monkeypatch.setattr(sim, "decode_message", changing)
@@ -1386,6 +1396,40 @@ class TestRadio:
         assert keys == sorted(set(keys))
         assert len({(t, k) for t, k, _ in keys}) > len({t for t, _, _ in keys}) > 0
         assert res.log.of_type("denm_relay")
+
+    @staticmethod
+    def listeners_each_tick(sc):
+        """The receiver list and radio positions after each tick's ``world``."""
+        seen = []
+
+        class Recording(sim._Engine):
+            def world(self, now_s):
+                super().world(now_s)
+                seen.append((self.receivers, dict(self.positions)))
+
+        with mock.patch.object(sim, "_Engine", Recording):
+            res = run(sc)
+        return res, seen
+
+    def test_a_radio_less_run_keeps_one_receiver_list(self):
+        # no vehicle is equipped: the listeners are the robot alone, where it stands
+        sc = scenario_from_dict(make_pass_scenario(1, v2x=False))
+        res, seen = self.listeners_each_tick(sc)
+        assert res.log.of_type("msg_rx") and len(seen) == round(sc.duration_s / sc.tick_s) + 1
+        first = seen[0][0]
+        assert first == [(sc.robot.moderator.station_id, sc.robot.position)]
+        assert all(receivers is first for receivers, _ in seen)
+        assert all(positions == seen[0][1] for _, positions in seen)
+
+    def test_a_v2x_vehicle_moves_its_radio_position_every_tick(self):
+        sc = scenario_from_dict(make_pass_scenario(1, v2x=True))
+        (vehicle,) = [ent for ent in sc.entities if ent.v2x_equipped]
+        _, seen = self.listeners_each_tick(sc)
+        for i, (receivers, positions) in enumerate(seen):
+            at = (eval_trajectory(vehicle.trajectory, i * sc.tick_s)[0], 0.0)
+            assert positions[vehicle.station_id] == at, i
+            assert dict(receivers)[vehicle.station_id] == at, i
+        assert len({positions[vehicle.station_id] for _, positions in seen}) == len(seen)
 
     def test_broadcast_returns_receiver_time_pairs(self):
         ch = Channel(ChannelConfig(latency_jitter_s=0.0), seed=0)

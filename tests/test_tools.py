@@ -1,0 +1,38 @@
+"""The scripts under tools/."""
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+AB_RUN = ROOT / "tools" / "ab_run.py"
+
+
+def ab_run(tmp_path, a, b, *args):
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    out = subprocess.run([sys.executable, str(AB_RUN), str(a), str(b),
+                          "--workload", "seed_sweep", "--seed", "1", *args],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "TMPDIR": str(tmp)})
+    assert [p.name for p in tmp.iterdir()] == []
+    return out
+
+
+def test_ab_run_compares_this_checkout_with_itself(tmp_path):
+    out = ab_run(tmp_path, ROOT, ROOT, "--rounds", "1", "--jobs", "2")
+    assert out.returncode == 0, out.stderr
+    assert "2 jobs, 1 rounds" in out.stdout and "rounds won: " in out.stdout
+
+
+def test_ab_run_refuses_a_checkout_whose_log_differs(tmp_path):
+    changed = tmp_path / "changed" / "src" / "mergeguard"
+    shutil.copytree(ROOT / "src" / "mergeguard", changed,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    sim = changed / "sim.py"
+    sim.write_text(sim.read_text().replace("LOG_FORMAT_VERSION = 1", "LOG_FORMAT_VERSION = 2"))
+    out = ab_run(tmp_path, ROOT, changed.parent.parent, "--jobs", "1")
+    assert out.returncode == 1
+    assert out.stdout.splitlines()[-1].endswith("the JSONL logs of A and B differ")
