@@ -48,6 +48,9 @@ after the last tick's flush is queued, since it would never run.
 ``flush`` builds, completes and logs the ``msg_rx`` event of each
 reception, a DENM's fields included; ``hear`` applies what a reception
 by the robot changes: its road picture and the relay of a new DENM.
+The skips and the queue are checked against ``tests/reference_engine.py``,
+a plain engine that takes none of these shortcuts and must log the same
+bytes.
 
 All randomness (sensor draws, channel loss and jitter, CAM generation
 jitter) comes from streams spawned off one seed, so a given (scenario,
@@ -127,6 +130,10 @@ _STATION_ID_MAX = 0xFFFFFFFF  # the u32 station_id wire field
 # the most tick-actors a run may take: ticks x (robot + entities + cameras);
 # docs/scenario_schema.md gives the throughput it was picked from
 _RUN_WORK_MAX = 10_000_000
+# the most radio work a run may take: ticks x (robot + V2X entities)^2, as each
+# of those stations may hear every other one on every tick;
+# docs/scenario_schema.md gives the cost per delivery it was picked from
+_RADIO_WORK_MAX = 10_000_000
 _OBJECT_CLASSES = frozenset(ObjectClass)  # the CPM object_class rule
 
 
@@ -555,6 +562,10 @@ def scenario_from_dict(obj: dict) -> Scenario:
     _require(ticks * actors <= _RUN_WORK_MAX,
              f"duration_s: {ticks} ticks x {actors} actors (robot, entities, cameras) "
              f"exceed the bound of {_RUN_WORK_MAX} tick-actors per run")
+    stations = 1 + sum(ent.v2x_equipped for ent in sc.entities)
+    _require(ticks * stations ** 2 <= _RADIO_WORK_MAX,
+             f"entities: {ticks} ticks x {stations}^2 radio stations (robot, V2X entities) "
+             f"exceed the bound of {_RADIO_WORK_MAX} per run")
     _require(sc.rng_seed >= 0, "rng_seed must be non-negative")
     # a STOP issued at any tick, the first to the last, completes at a writable time
     last, mod = (ticks - 1) * tick, robot.moderator  # the last tick's time

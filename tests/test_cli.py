@@ -338,6 +338,13 @@ def overlong_run(tmp_path):
     return input_file(tmp_path, "overlong.json", json.dumps(obj))
 
 
+def crowded_cell(obj):
+    # 2,000 V2X cars for 10 s: within the tick-actor bound, far past the radio one
+    obj.update(duration_s=10.0, entities=[{"station_id": 1000 + k, "trajectory": [
+        {"start_time_s": 0.0, "start_x_m": float(k), "speed_mps": 0.0, "accel_mps2": 0.0}]}
+        for k in range(2000)])
+
+
 # each command, given the directory its inputs go in, and what its one line says after "error: "
 ONE_ERROR_LINE = {
     "validate deep scenario": (lambda d: ["validate", input_file(d, "deep.json", DEEP)],
@@ -372,6 +379,10 @@ ONE_ERROR_LINE = {
         lambda d: ["validate", edited(d, ROTTERDAM, lambda obj: obj.update(duration_s=1e9))],
         r"\S+: duration_s: 20000000001 ticks x \d+ actors \(robot, entities, cameras\) "
         r"exceed the bound of 10000000 tick-actors per run$"),
+    "validate crowded radio cell": (
+        lambda d: ["validate", edited(d, REPEATER, crowded_cell)],
+        r"\S+: entities: 201 ticks x 2001\^2 radio stations \(robot, V2X entities\) "
+        r"exceed the bound of 10000000 per run$"),
     "validate overlong run": (lambda d: ["validate", overlong_run(d)],
                               r"\S+: duration_s: CAM message does not fit the wire: "),
 }

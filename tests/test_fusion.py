@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mergeguard.fusion import (FusedObject, FusionConfig, Source, fuse,
                                joint_distance)
+from reference_engine import all_pairs
 
 
 def v2x(ref_id, x, v, t=0.0):
@@ -118,13 +119,6 @@ class TestProperties:
     def test_idempotent_and_deterministic(self, vs, cs):
         assert fuse(vs, cs) == fuse(vs, cs)
         assert fuse(list(reversed(vs)), list(reversed(cs))) == fuse(vs, cs)
-
-
-def all_pairs(vs, cs, epsilon):
-    """The module docstring's rule, every camera object against every V2X one."""
-    return sorted(vs, key=lambda o: o.ref_id) + [
-        c for c in sorted(cs, key=lambda o: o.ref_id)
-        if all(joint_distance(c, v) >= epsilon for v in vs)]
 
 
 class TestWindowBoundary:

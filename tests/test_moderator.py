@@ -1,7 +1,5 @@
 """Robot-side messaging: CAM cadence, DENM relaying, and actuation timing."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,7 +7,8 @@ from hypothesis import strategies as st
 
 from mergeguard.decision import Action
 from mergeguard.messages import CamPayload, DenmPayload, Message
-from mergeguard.moderator import Moderator, ModeratorConfig, RobotPose, robot_cam
+from mergeguard.moderator import Moderator, ModeratorConfig, RobotPose
+from reference_engine import FullRuleModerator
 
 STILL = RobotPose(0.0, 0.0, 0.0, 0.0)
 
@@ -95,35 +94,6 @@ class TestCamCadence:
         gaps = np.diff(gen_times(mod, jumpy, 5.0))
         assert gaps.min() >= 0.1 - 1e-9
         assert gaps.max() < 1.0  # triggers fire well before the max interval
-
-
-class FullRuleModerator(Moderator):
-    """The moderator with the full kinematic rule on every tick: the
-    distance, speed and heading deltas since the last CAM are computed
-    whenever the minimum interval has passed, whatever the pose."""
-
-    def cam_tick(self, now_s, pose):
-        cfg = self.config
-        if self._last_cam_time is None:
-            due = True
-        elif now_s >= self._next_due:
-            due = True
-        elif now_s - self._last_cam_time >= cfg.cam_min_interval_s:
-            prev = self._last_cam_pose
-            moved = math.hypot(pose.pos_x_m - prev.pos_x_m, pose.pos_y_m - prev.pos_y_m)
-            dspeed = abs(pose.speed_mps - prev.speed_mps)
-            dheading = abs((pose.heading_deg - prev.heading_deg + 180.0) % 360.0 - 180.0)
-            due = (moved >= cfg.cam_pos_trigger_m
-                   or dspeed >= cfg.cam_speed_trigger_mps
-                   or dheading >= cfg.cam_heading_trigger_deg)
-        else:
-            due = False
-        if not due:
-            return None
-        self._last_cam_time = now_s
-        self._last_cam_pose = pose
-        self._next_due = now_s + cfg.cam_max_interval_s + self._interval_jitter()
-        return robot_cam(cfg.station_id, now_s, pose)
 
 
 TRIGGERS = ("cam_pos_trigger_m", "cam_speed_trigger_mps", "cam_heading_trigger_deg")

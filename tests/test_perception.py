@@ -17,6 +17,7 @@ from mergeguard.perception import (CameraSetup, Detection, InsufficientSamples,
                                    StaleDetection, TrackWindow,
                                    camera_speed_to_road, classify_motion,
                                    estimate_velocity)
+from reference_engine import ingest_projecting_first
 
 LINE = ReferenceLine((0.0, 0.0), (800.0, 0.0))
 MODEL = CalibrationModel(1, (5.0, 0.1))  # d = 5 + 0.1 s
@@ -207,20 +208,6 @@ class TestCpmAssembly:
         assert [s.sensor_id for s in msg.payload.sensors] == [0, 1]
         # advertised range is the calibrated span end in decimeters
         assert msg.payload.sensors[0].range_dm == int(round((5.0 + 0.1 * 800) * 10))
-
-
-def ingest_projecting_first(pipeline, det):
-    """``keeps`` then ``ingest`` the other way round: project every detection,
-    then let the window's rules decide on it, a dropped one changing nothing.
-    The reference for what the track windows hold."""
-    cam = pipeline.cameras[det.camera_id]
-    distance = estimate_distance(cam.model, project_to_line(det.bottom_center, cam.line))
-    window = pipeline.tracks.setdefault((det.camera_id, det.track_id),
-                                        TrackWindow(det.camera_id, det.track_id,
-                                                    det.object_class))
-    if window.takes(det.time_s, pipeline.config.sample_gap_s):
-        window.push(det.time_s, distance)
-        window.object_class = det.object_class
 
 
 def keep_then_ingest(pipeline, det):

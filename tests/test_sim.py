@@ -1,10 +1,8 @@
 """Scenario validation, trajectory math and end-to-end engine behaviour."""
 
-import contextlib
 import copy
 import functools
 import hashlib
-import heapq
 import importlib.util
 import json
 import math
@@ -29,6 +27,7 @@ from mergeguard.sim import (LOG_FORMAT_VERSION, EventLog, ParseError,
                             load_scenario, log_from_jsonl, make_pass_scenario,
                             run, scenario_from_dict, trajectory_summary,
                             vehicle_cam)
+from reference_engine import ReferenceEngine, reference_run, scalar_observe
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = {path.stem: json.loads(path.read_text()) for path in sorted(SCENARIO_DIR.glob("*.json"))}
@@ -90,11 +89,6 @@ TICK = 0.05
 CURSOR_TICKS = 40
 
 
-def skipping_nothing():
-    """The engine with its vehicle skip off: no vehicle has a pace, so none sleeps."""
-    return mock.patch.object(sim, "_pace", lambda *_: None)
-
-
 @st.composite
 def trajectories(draw):
     """Continuous trajectories whose later segments start on a tick, within
@@ -114,27 +108,20 @@ def trajectories(draw):
 
 
 class TestSegmentCursor:
-    @given(st.lists(trajectories(), min_size=1, max_size=3), st.booleans())
-    def test_world_matches_eval_trajectory(self, trajs, skip):
-        """Without the skip every vehicle is evaluated on every tick; with
-        it, every vehicle evaluated matches, and every one skipped lies
-        outside the span."""
+    @given(st.lists(trajectories(), min_size=1, max_size=3))
+    def test_world_matches_eval_trajectory(self, trajs):
+        """Each vehicle evaluated matches, and each one skipped lies outside the span."""
         sc = sim.Scenario(duration_s=CURSOR_TICKS * TICK, tick_s=TICK, rng_seed=0,
                           robot=sim.RobotSetup(),
                           entities=tuple(sim.Entity(trajectory=t) for t in trajs))
-        with contextlib.nullcontext() if skip else skipping_nothing():
-            engine = sim._Engine(sc, 0)
+        engine = sim._Engine(sc, 0)
         lo, hi = engine.span
         for i in range(engine.n_ticks + 1):
             now = i * TICK
             skipped = {idx for idx, wake in enumerate(engine.wake_s) if now < wake}
             engine.world(now)
-            expected = [eval_trajectory(t, now) for t in trajs]
-            if not skip:
-                assert not skipped
-                assert engine.entity_x == [x for x, _ in expected], now
-                assert engine.entity_v == [v for _, v in expected], now
-            for idx, (x, v) in enumerate(expected):
+            for idx, t in enumerate(trajs):
+                x, v = eval_trajectory(t, now)
                 if idx in skipped:
                     assert not lo <= x <= hi, (now, idx)
                 else:
@@ -763,28 +750,6 @@ class TestCrowdedCamera:
         assert sum(e["msg_type"] == "CPM" for e in res.log.of_type("msg_tx")) == 6
 
 
-def scalar_observe(sensor, positions):
-    """``SensorModel.observe`` of every entity, each sample kept, with one
-    scalar pixel-noise draw per sighting, whatever the std: the reference
-    that the block-drawn buffer must reproduce."""
-    out, std = [], sensor.config.pixel_noise_std
-    for cam, near, reach in sensor._views:
-        line = cam.line
-        for idx, x in enumerate(positions):
-            dist = cam.direction_sign * (x - cam.road_position_m)
-            if not near <= dist <= reach[idx]:
-                continue
-            s = cam.model.inverse(dist, line.s_max)
-            s = min(max(s + float(sensor.rng.normal(0.0, std)), 0.0), line.s_max)
-            point = (line.p0[0] + s * line.direction[0], line.p0[1] + s * line.direction[1])
-            out.append((cam.camera_id, idx, dist, point))
-    return out
-
-
-def keep_all(cam_id, idx, now_s):
-    return True
-
-
 class TestSensorDraws:
     def sensor(self, pixel_noise_std, n_entities):
         obj = with_infra(minimal())
@@ -807,7 +772,7 @@ class TestSensorDraws:
         for i in range(n_ticks):
             now = i * TICK
             positions = self.positions(n_entities, now)
-            got = block.observe(now, positions, range(n_entities), keep_all)
+            got = block.observe(now, positions, range(n_entities), lambda *_: True)
             assert got and got == scalar_observe(scalar, positions), now
 
     def test_a_subset_and_dropped_samples_keep_the_stream(self):
@@ -831,7 +796,7 @@ class TestSensorDraws:
         block, scalar = self.sensor(0.0, 30), self.sensor(0.0, 30)
         for i in range(20):
             positions = self.positions(30, i * TICK)
-            got = block.observe(i * TICK, positions, range(30), keep_all)
+            got = block.observe(i * TICK, positions, range(30), lambda *_: True)
             assert got and got == scalar_observe(scalar, positions), i
         # the reference drew one value per sighting; drawing the values the
         # block still holds unused brings it to the block's stream state
@@ -1335,21 +1300,38 @@ def v2x_cell_dict(rsu=None, **channel):
     return obj
 
 
+def counting(calls, name, fn):
+    """``fn``, adding 1 to ``calls[name]`` on each call."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def reception_keys(sc, events, latency_s):
+    """(time, index of its ``msg_tx``, receiver) of each ``msg_rx``, ``latency_s`` after it."""
+    station = {f"veh{k}": ent.station_id for k, ent in enumerate(sc.entities)}
+    station["robot"] = sc.robot.moderator.station_id
+    sent, keys = [], []
+    for e in events:
+        if e["type"] == "msg_tx":
+            sent.append((e["t"], e["station_id"], e["msg_type"], e["timestamp_ms"]))
+        elif e["type"] == "msg_rx":
+            (k,) = [k for k, (t, *tx) in enumerate(sent)
+                    if tx == [e["from_station"], e["msg_type"], e["timestamp_ms"]]
+                    and abs(t + latency_s - e["t"]) < 1e-8]
+            keys.append((e["t"], k, station[e["actor"]]))
+    return keys
+
+
 class TestRadio:
     def test_no_broadcast_is_decoded(self, monkeypatch):
         # each delivery carries the sent message itself, not a decoded copy
         sc = v2x_cell()
         plain = run(sc)
         calls = {"encode": 0, "decode": 0}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(sim, "encode_message", counting("encode", sim.encode_message))
-        monkeypatch.setattr(sim, "decode_message", counting("decode", sim.decode_message))
+        monkeypatch.setattr(sim, "encode_message", counting(calls, "encode", sim.encode_message))
+        monkeypatch.setattr(sim, "decode_message", counting(calls, "decode", sim.decode_message))
         counted = run(sc)
         n_tx = len(counted.log.of_type("msg_tx"))
         assert len(counted.log.of_type("msg_rx")) >= 3 * n_tx > 0
@@ -1381,55 +1363,23 @@ class TestRadio:
         # log then lists them in send order, each in ascending receiver order
         sc = v2x_cell(rsu=DENSE_RSU, loss_prob=0.0, latency_jitter_s=0.0)
         res = run(sc)
-        station = {f"veh{k}": ent.station_id for k, ent in enumerate(sc.entities)}
-        station["robot"] = sc.robot.moderator.station_id
-        sent, keys = [], []
-        for e in res.log.events:
-            if e["type"] == "msg_tx":
-                sent.append((e["t"], e["station_id"], e["msg_type"], e["timestamp_ms"]))
-            elif e["type"] == "msg_rx":
-                (k,) = [k for k, (t, sid, msg_type, ts) in enumerate(sent)
-                        if (sid, msg_type, ts) == (e["from_station"], e["msg_type"],
-                                                   e["timestamp_ms"])
-                        and abs(t + 0.01 - e["t"]) < 1e-8]
-                keys.append((e["t"], k, station[e["actor"]]))
+        keys = reception_keys(sc, res.log.events, 0.01)
         assert keys == sorted(set(keys))
         assert len({(t, k) for t, k, _ in keys}) > len({t for t, _, _ in keys}) > 0
         assert res.log.of_type("denm_relay")
 
-    @staticmethod
-    def listeners_each_tick(sc):
-        """The receiver list and radio positions after each tick's ``world``."""
-        seen = []
-
-        class Recording(sim._Engine):
-            def world(self, now_s):
-                super().world(now_s)
-                seen.append((self.receivers, dict(self.positions)))
-
-        with mock.patch.object(sim, "_Engine", Recording):
-            res = run(sc)
-        return res, seen
-
-    def test_a_radio_less_run_keeps_one_receiver_list(self):
+    def test_a_radio_less_run_keeps_one_receiver_list(self, monkeypatch):
         # no vehicle is equipped: the listeners are the robot alone, where it stands
         sc = scenario_from_dict(make_pass_scenario(1, v2x=False))
-        res, seen = self.listeners_each_tick(sc)
+        seen, world = [], sim._Engine.world  # the listeners after each tick's world
+        monkeypatch.setattr(sim._Engine, "world", lambda engine, now_s: world(engine, now_s)
+                            or seen.append((engine.receivers, dict(engine.positions))))
+        res = run(sc)
         assert res.log.of_type("msg_rx") and len(seen) == round(sc.duration_s / sc.tick_s) + 1
         first = seen[0][0]
         assert first == [(sc.robot.moderator.station_id, sc.robot.position)]
         assert all(receivers is first for receivers, _ in seen)
         assert all(positions == seen[0][1] for _, positions in seen)
-
-    def test_a_v2x_vehicle_moves_its_radio_position_every_tick(self):
-        sc = scenario_from_dict(make_pass_scenario(1, v2x=True))
-        (vehicle,) = [ent for ent in sc.entities if ent.v2x_equipped]
-        _, seen = self.listeners_each_tick(sc)
-        for i, (receivers, positions) in enumerate(seen):
-            at = (eval_trajectory(vehicle.trajectory, i * sc.tick_s)[0], 0.0)
-            assert positions[vehicle.station_id] == at, i
-            assert dict(receivers)[vehicle.station_id] == at, i
-        assert len({positions[vehicle.station_id] for _, positions in seen}) == len(seen)
 
     def test_broadcast_returns_receiver_time_pairs(self):
         ch = Channel(ChannelConfig(latency_jitter_s=0.0), seed=0)
@@ -1613,12 +1563,6 @@ class TestRoundingKernel:
         assert repr(KERNELS[n](x)) == repr(round(x, n))
 
 
-def rounding_with_round():
-    """The engine and ``series`` with every logged number rounded by ``round`` itself."""
-    return mock.patch.multiple(sim, _round9=lambda x: round(x, 9), _round6=lambda x: round(x, 6),
-                               _round3=lambda x: round(x, 3))
-
-
 def parked_far(obj):
     """``obj`` with a V2X vehicle parked where its logged position is too
     large for the kernels' fast path."""
@@ -1626,40 +1570,6 @@ def parked_far(obj):
                             "trajectory": [{"start_time_s": 0.0, "start_x_m": 6e5,
                                             "speed_mps": 0.0, "accel_mps2": 0.0}]})
     return obj
-
-
-def small_traffic_cell():
-    spec = importlib.util.spec_from_file_location(
-        "workloads", pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads.traffic_scenario(
-        5, name="small", n_vehicles=8, equipped_share=0.5, platoon_size=2, headway_s=1.0,
-        platoon_gap_s=4.0, first_arrival_s=-2.0, duration_s=12.0, loss_prob=0.2,
-        comm_range_m=150.0, rsu=True, merging=True)
-
-
-class TestRoundedRuns:
-    @pytest.mark.parametrize("name", ["pass", "v2x_cell", "traffic cell"])
-    def test_log_and_series_are_those_of_round(self, monkeypatch, name):
-        if name == "pass":
-            obj = make_pass_scenario(3, v2x=True, merging_offset_s=3.0)
-        elif name == "v2x_cell":
-            obj = v2x_cell_dict(rsu=DENSE_RSU)
-        else:
-            obj = small_traffic_cell()
-        sc = scenario_from_dict(parked_far(obj))
-        with rounding_with_round():
-            reference = run(sc)
-            reference_series = sim.series(sc, reference.log.events)
-        slow = []  # the kernels' own calls of round, for the parked vehicle's position
-        monkeypatch.setattr(sim, "round", lambda *args: slow.append(args) or round(*args),
-                            raising=False)
-        res = run(sc)
-        assert res.to_jsonl() == reference.to_jsonl()
-        assert sim.series(sc, res.log.events) == reference_series
-        assert (6e5, 6) in slow
-        assert any(e["pos_x_m"] == 6e5 for e in res.log.of_type("cam_gen"))
 
 
 # two cameras whose every vehicle's reach is 110.1 m, so that a vehicle at
@@ -1679,11 +1589,14 @@ def skip_world():
 def skip_trajectories(draw):
     """One to three segments toward the gate from either side: a far start,
     an accelerating approach, a turn at a turning point, a stop just
-    outside the span, or a slow start and a faster later segment."""
+    outside the span, a slow start and a faster later segment, or a crawl
+    in view whose second segment starts just after a tick, as far off the
+    first one's end as the loader allows."""
     side = draw(st.sampled_from([-1.0, 1.0]))  # -1: starts at negative x
     unit = functools.partial(st.floats, allow_nan=False, allow_infinity=False)
-    kind = draw(st.sampled_from(["far", "accelerating", "turning", "parking", "faster"]))
-    t1 = draw(unit(0.5, SKIP_DURATION_S - 0.5))
+    kind = draw(st.sampled_from(["far", "accelerating", "turning", "parking", "faster",
+                                 "nudged"]))
+    t1, jump = draw(unit(0.5, SKIP_DURATION_S - 0.5)), 0.0
     if kind == "far":
         pieces = [(side * draw(unit(200.0, 700.0)), -side * draw(unit(10.0, 40.0)), 0.0)]
     elif kind == "accelerating":
@@ -1697,34 +1610,26 @@ def skip_trajectories(draw):
         park_x = side * (EDGE + draw(unit(-3.0, 3.0)))
         pieces = [(park_x + side * 0.5 * decel * t1 * t1, -side * decel * t1, side * decel),
                   (t1, 0.0)]
-    else:
+    elif kind == "faster":
         pieces = [(side * draw(unit(150.0, 800.0)), -side * draw(unit(0.0, 5.0)), 0.0),
                   (t1, -side * draw(unit(1.0, 8.0)))]
         if draw(st.booleans()):
             pieces.append((draw(unit(t1 + 0.1, SKIP_DURATION_S)), 0.0))
+    else:
+        pieces = [(side * draw(unit(40.0, 130.0)), -side * draw(unit(0.0, 5.0)), 0.0),
+                  (round(t1 / TICK) * TICK + draw(st.sampled_from([0.5e-9, 0.99e-9])),
+                   draw(unit(-1.0, 1.0)))]
+        jump = draw(st.sampled_from([-0.9e-6, 0.9e-6]))
     x0, v0, a0 = pieces[0]
     segs = [TrajectorySegment(0.0, x0, v0, a0)]
     for start, accel in pieces[1:]:
         x, v = segs[-1].at(start)
-        segs.append(TrajectorySegment(start, x, v, accel))
+        segs.append(TrajectorySegment(start, x + jump, v, accel))
     return [{"start_time_s": seg.start_time_s, "start_x_m": seg.start_x_m,
              "speed_mps": seg.speed_mps, "accel_mps2": seg.accel_mps2} for seg in segs]
 
 
 class TestSkippedWork:
-    @settings(deadline=None, max_examples=80)
-    @given(st.lists(st.tuples(skip_trajectories(), st.sampled_from([False, False, True])),
-                    min_size=1, max_size=5),
-           st.integers(0, 2**16))
-    def test_log_is_that_of_a_run_that_skips_nothing(self, vehicles, seed):
-        obj = skip_world()
-        obj["entities"] = [{"station_id": 10 + idx if radio else 0, "trajectory": traj}
-                           for idx, (traj, radio) in enumerate(vehicles)]
-        sc = scenario_from_dict(obj)
-        with skipping_nothing():
-            reference = run(sc, seed).to_jsonl()
-        assert run(sc, seed).to_jsonl() == reference
-
     def test_span_is_the_zone_and_every_view_widened(self):
         obj = skip_world()
         obj["entities"] = [{"trajectory": [{"start_time_s": 0.0, "start_x_m": -1000.0,
@@ -1739,20 +1644,13 @@ class TestSkippedWork:
         obj = skip_world()
         obj["entities"] = [{"trajectory": [{"start_time_s": 0.0, "start_x_m": -1000.0,
                                             "speed_mps": 0.0, "accel_mps2": 0.0}]}]
-        sc = scenario_from_dict(obj)
-        at, calls = TrajectorySegment.at, []
-
-        def counted_at(seg, t_s):
-            calls.append(t_s)
-            return at(seg, t_s)
-
-        monkeypatch.setattr(TrajectorySegment, "at", counted_at)
+        sc, calls = scenario_from_dict(obj), {"at": 0}
+        monkeypatch.setattr(TrajectorySegment, "at", counting(calls, "at", TrajectorySegment.at))
         run(sc)
-        assert 1 <= len(calls) <= 3  # not one per tick
-        calls.clear()
-        with skipping_nothing():
-            run(sc)
-        assert len(calls) == int(round(SKIP_DURATION_S / TICK)) + 1
+        assert 1 <= calls["at"] <= 3  # not one per tick
+        calls["at"] = 0
+        reference_run(sc)
+        assert calls["at"] == int(round(SKIP_DURATION_S / TICK)) + 1
 
     @pytest.mark.parametrize("name", ["pass", "rotterdam_run"])
     def test_the_gap_rule_is_asked_once_per_detection(self, monkeypatch, name):
@@ -1770,23 +1668,140 @@ class TestSkippedWork:
     def test_only_kept_samples_get_an_image_point(self, monkeypatch):
         sc = scenario_from_dict(make_pass_scenario(3))
         counts = {"inverse": 0, "ingest": 0, "kept": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                counts[name] += 1
-                return fn(*args)
-            return wrapper
-
         monkeypatch.setattr(sim.CalibrationModel, "inverse",
-                            counted("inverse", sim.CalibrationModel.inverse))
+                            counting(counts, "inverse", sim.CalibrationModel.inverse))
         monkeypatch.setattr(sim.PerceptionPipeline, "ingest",
-                            counted("ingest", sim.PerceptionPipeline.ingest))
+                            counting(counts, "ingest", sim.PerceptionPipeline.ingest))
         # ingest turns each kept sample, and only those, into a distance
         monkeypatch.setattr(perception, "estimate_distance",
-                            counted("kept", perception.estimate_distance))
+                            counting(counts, "kept", perception.estimate_distance))
         detections = run(sc).log.of_type("detection")
         assert counts["inverse"] == counts["ingest"] == counts["kept"] > 0
         assert counts["kept"] < len(detections)
+
+
+@functools.cache
+def workloads():
+    """perfbench's workload generators, for ``traffic_scenario``."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", SCENARIO_DIR.parent / "perfbench" / "workloads.py")
+    spec.loader.exec_module(module := importlib.util.module_from_spec(spec))
+    return module
+
+
+def drawn(*values, up_to=None):
+    """One of ``values``, or a float in [0, ``up_to``]."""
+    return st.sampled_from(values) | st.floats(0.0, up_to) if up_to else st.sampled_from(values)
+
+
+@st.composite
+def reference_scenarios(draw):
+    """A pass, a V2X cell with a drawn channel, a small traffic cell or a
+    world of skippable vehicles; maybe with a V2X car parked far away, and
+    robot CAM triggers below, at or just above 0, or at their defaults."""
+    family = draw(drawn("pass", "v2x cell", "traffic", "skip"))
+    if family == "pass":
+        obj = make_pass_scenario(draw(st.integers(0, 2**16)), v2x=draw(st.booleans()),
+                                 merging_offset_s=draw(drawn(None, 0.5, 3.0)),
+                                 direction=draw(drawn(-1, 1)))
+    elif family == "v2x cell":
+        obj = v2x_cell_dict(draw(drawn(None, DENSE_RSU)),
+                            loss_prob=draw(drawn(0.0, 0.1, up_to=0.9)),
+                            latency_base_s=draw(drawn(0.0, 0.05, up_to=0.2)),
+                            latency_jitter_s=draw(drawn(0.0, 0.005, up_to=0.2)))
+    elif family == "traffic":
+        obj = workloads().traffic_scenario(
+            draw(st.integers(0, 2**16)), name="small", n_vehicles=draw(st.integers(1, 8)),
+            equipped_share=draw(drawn(0.0, 0.5, 1.0)), platoon_size=2, headway_s=1.0,
+            platoon_gap_s=4.0, first_arrival_s=-2.0, duration_s=draw(drawn(4.0, 12.0)),
+            loss_prob=draw(drawn(0.0, 0.2)), comm_range_m=150.0, rsu=draw(st.booleans()),
+            merging=draw(st.booleans()))
+    else:
+        obj = skip_world()
+        obj["entities"] = [{"station_id": radio and radio + idx, "trajectory": traj}
+                           for idx, (traj, radio) in enumerate(draw(st.lists(
+                               st.tuples(skip_trajectories(), drawn(0, 0, 10)), min_size=1,
+                               max_size=5)))]
+    if draw(st.booleans()):
+        parked_far(obj)
+    obj["robot"].setdefault("moderator", {}).update(
+        (name, draw(drawn(-1.0, 0.0, 5e-324, getattr(sim.ModeratorConfig(), name))))
+        for name in ("cam_pos_trigger_m", "cam_speed_trigger_mps", "cam_heading_trigger_deg"))
+    return obj
+
+
+def traffic_cell(seed, **changes):
+    """A ``traffic_scenario`` cell: 8 vehicles, half of them V2X, for 12 s."""
+    return workloads().traffic_scenario(seed, **{
+        "name": "cell", "n_vehicles": 8, "equipped_share": 0.5, "platoon_size": 2,
+        "headway_s": 1.0, "platoon_gap_s": 4.0, "first_arrival_s": -2.0, "duration_s": 12.0,
+        "loss_prob": 0.2, "comm_range_m": 150.0, "rsu": True, "merging": True, **changes})
+
+
+def with_section(obj, section, **values):
+    """``obj`` with ``values`` set in its ``section``, a dotted path."""
+    *parents, last = section.split(".")
+    functools.reduce(lambda node, key: node[key], parents, obj).setdefault(last, {}).update(values)
+    return obj
+
+
+# fixed scenarios beside the property's draws: the shipped ones, and cells
+# larger than the property draws
+NAMED_REFERENCE_SCENARIOS = {
+    "rotterdam_run": lambda: copy.deepcopy(SHIPPED["rotterdam_run"]),
+    "denm_repeater": lambda: copy.deepcopy(SHIPPED["denm_repeater"]),
+    "v2x pass merging": lambda: make_pass_scenario(3, v2x=True, merging_offset_s=3.0),
+    "pass toward +x": lambda: make_pass_scenario(5, direction=1),
+    "radio-less pass": lambda: make_pass_scenario(1, v2x=False),
+    "pass merging at entry": lambda: make_pass_scenario(7, v2x=True, merging_offset_s=0.0),
+    "trigger-0 pass": lambda: with_section(
+        make_pass_scenario(3, v2x=True), "robot.moderator", cam_pos_trigger_m=0.0,
+        cam_speed_trigger_mps=0.0, cam_heading_trigger_deg=0.0),
+    "zero-latency pass": lambda: with_section(
+        make_pass_scenario(3, v2x=True), "channel", latency_base_s=0.0, latency_jitter_s=0.0),
+    "dense cell": lambda: v2x_cell_dict(rsu=DENSE_RSU),
+    "zero-latency cell": lambda: v2x_cell_dict(rsu=DENSE_RSU, loss_prob=0.0,
+                                               latency_base_s=0.0, latency_jitter_s=0.0),
+    "traffic cell": lambda: parked_far(traffic_cell(5)),
+    "40-vehicle lossy cell": lambda: traffic_cell(11, n_vehicles=40, duration_s=20.0,
+                                                  loss_prob=0.4),
+    "30-vehicle all-V2X cell": lambda: traffic_cell(13, n_vehicles=30, equipped_share=1.0),
+}
+
+
+class TestReferenceEngine:
+    """``run`` gives the log of the plain engine in ``reference_engine``."""
+
+    @pytest.mark.parametrize("name", list(NAMED_REFERENCE_SCENARIOS))
+    def test_named_scenario_logs_that_of_the_reference(self, name):
+        sc = scenario_from_dict(NAMED_REFERENCE_SCENARIOS[name]())
+        res = run(sc)
+        reference, rows = reference_run(sc)
+        assert res.to_jsonl() == reference.to_jsonl()
+        assert sim.series(sc, res.log.events) == rows
+
+    # no explain phase: on a failure it reruns both engines many times
+    @settings(deadline=None, max_examples=60,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+    @given(reference_scenarios(), st.integers(0, 2**32 - 1))
+    def test_log_and_series_are_those_of_the_reference(self, obj, seed):
+        sc = scenario_from_dict(obj)
+        slow = []  # the kernels' own calls of round, for the parked car's position
+        with mock.patch.object(sim, "round", lambda *args: slow.append(args) or round(*args),
+                               create=True):
+            res = run(sc, seed)
+        reference, rows = reference_run(sc, seed)
+        assert res.to_jsonl() == reference.to_jsonl()
+        assert sim.series(sc, res.log.events) == rows
+        assert ((6e5, 6) in slow) == any(ent.station_id == 900 for ent in sc.entities)
+
+    REPLACED = ("send_at", "transmit", "flush", "merge", "world", "sense")  # its own way
+    SHARED = ("__init__", "hear", "beacons", "decide", "actuate")  # the contract, as it is
+
+    def test_every_engine_method_is_replaced_or_shared(self):
+        methods = [name for name, value in vars(sim._Engine).items() if callable(value)]
+        assert [name for name in methods if name not in self.REPLACED + self.SHARED] == []
+        assert [name for name in self.REPLACED if name not in vars(ReferenceEngine)] == []
 
 
 @pytest.fixture
@@ -1806,62 +1821,6 @@ def engines(monkeypatch):
 def queued(engine):
     """Every entry in ``engine``'s queue: the sorted part and the incoming one."""
     return [*engine.pending, *engine.incoming]
-
-
-class HeapQueueEngine(sim._Engine):
-    """The engine with its queue on one heap of ``(due time, push sequence,
-    receiver id or None, message, type name)`` entries, one push and one
-    pop per entry, each delivery reading its message's fields."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.pushed = 0
-
-    def send_at(self, time_s, msg):
-        if time_s <= self.last_flush_s:
-            heapq.heappush(self.pending, (time_s, self.pushed, None, msg, None))
-            self.pushed += 1
-
-    def transmit(self, msg, tx_time):
-        sender_id = msg.station_id
-        type_name = msg.msg_type.name
-        data = sim.encode_message(msg, max_hops=self.max_hops)
-        self.log.append({"t": sim._round9(tx_time), "type": "msg_tx",
-                         "actor": self.labels[sender_id], "msg_type": type_name,
-                         "station_id": sender_id, "timestamp_ms": msg.timestamp_ms,
-                         "size_b": len(data)})
-        receivers = [r for r in self.receivers if r[0] != sender_id]
-        for receiver_id, due in self.channel.broadcast(self.positions[sender_id], tx_time,
-                                                       receivers):
-            if due <= self.last_flush_s:
-                heapq.heappush(self.pending, (due, self.pushed, receiver_id, msg, type_name))
-                self.pushed += 1
-
-    def flush(self, now_s):
-        heap, due = self.pending, now_s + sim._TIME_EPS
-        while heap and heap[0][0] <= due:
-            time_s, _, receiver_id, msg, type_name = heapq.heappop(heap)
-            if receiver_id is None:
-                self.transmit(msg, time_s)
-                continue
-            event = {"t": sim._round9(time_s), "type": "msg_rx",
-                     "actor": self.labels[receiver_id], "msg_type": type_name,
-                     "from_station": msg.station_id, "timestamp_ms": msg.timestamp_ms,
-                     "latency_s": sim._round9(time_s - msg.timestamp_ms / 1000.0)}
-            if type_name == "DENM":
-                p = msg.payload
-                seen = (receiver_id, p.origin_station_id, p.sequence_number)
-                event.update(origin=p.origin_station_id, sequence=p.sequence_number,
-                             hop_count=p.hop_count, duplicate=seen in self.denm_seen)
-                self.denm_seen.add(seen)
-            self.log.append(event)
-            if receiver_id == self.robot_id and not event.get("duplicate"):
-                self.hear(msg, type_name, time_s)
-
-
-def queueing_on_a_heap():
-    """``run`` with the engine's queue on one heap."""
-    return mock.patch.object(sim, "_Engine", HeapQueueEngine)
 
 
 class TestQueueEnd:
@@ -1890,57 +1849,14 @@ class TestQueueEnd:
         sc = v2x_cell(rsu=DENSE_RSU, loss_prob=0.0, latency_base_s=0.0,
                       latency_jitter_s=0.0)
         res = run(sc)
-        station = {f"veh{k}": ent.station_id for k, ent in enumerate(sc.entities)}
-        robot_id = station["robot"] = sc.robot.moderator.station_id
-        sent, keys = [], []
-        for e in res.log.events:
-            if e["type"] == "msg_tx":
-                sent.append((e["t"], e["station_id"], e["msg_type"], e["timestamp_ms"]))
-            elif e["type"] == "msg_rx":
-                (k,) = [k for k, tx in enumerate(sent)
-                        if tx == (e["t"], e["from_station"], e["msg_type"], e["timestamp_ms"])]
-                keys.append((e["t"], k, station[e["actor"]]))
+        keys = reception_keys(sc, res.log.events, 0.0)
         assert len(keys) == len(res.log.of_type("msg_rx")) > 0
         assert keys == sorted(set(keys))
         relays = res.log.of_type("denm_relay")
         assert relays
         for relay in relays:
-            assert any(e["t"] == relay["t"] and e["from_station"] == robot_id
+            assert any(e["t"] == relay["t"] and e["from_station"] == sc.robot.moderator.station_id
                        for e in res.log.of_type("msg_rx"))
-
-
-QUEUE_SCENARIOS = {
-    "dense cell": lambda: v2x_cell(rsu=DENSE_RSU),
-    "zero-latency cell": lambda: v2x_cell(rsu=DENSE_RSU, loss_prob=0.0, latency_base_s=0.0,
-                                          latency_jitter_s=0.0),
-    "rotterdam_run": lambda: load_scenario(SCENARIO_DIR / "rotterdam_run.json"),
-    "traffic cell": lambda: scenario_from_dict(small_traffic_cell()),
-}
-
-
-class TestQueueOrder:
-    """The queue runs its entries in (due time, push order) order: ``run``
-    logs what it logs with the queue on one heap."""
-
-    @pytest.mark.parametrize("name", list(QUEUE_SCENARIOS))
-    def test_log_is_that_of_a_heap(self, name):
-        sc = QUEUE_SCENARIOS[name]()
-        with queueing_on_a_heap():
-            reference = run(sc)
-        assert run(sc).to_jsonl() == reference.to_jsonl()
-
-    # no explain phase: on a failure it reruns both engines for minutes
-    @settings(deadline=None, max_examples=40,
-              phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
-    @given(st.sampled_from([0.0, 0.1]) | st.floats(0.0, 0.9),
-           st.sampled_from([0.0, 0.05]) | st.floats(0.0, 0.2),
-           st.sampled_from([0.0, 0.005]) | st.floats(0.0, 0.2))
-    def test_any_channel_logs_what_a_heap_logs(self, loss_prob, base_s, jitter_s):
-        sc = v2x_cell(rsu=DENSE_RSU, loss_prob=loss_prob, latency_base_s=base_s,
-                      latency_jitter_s=jitter_s)
-        with queueing_on_a_heap():
-            reference = run(sc)
-        assert run(sc).to_jsonl() == reference.to_jsonl()
 
 
 def cpm(timestamp_ms, *objects):
@@ -2007,26 +1923,6 @@ class TestRoadPicture:
         assert seen == [([10, 12], [4])]
 
 
-def recorded_series(scenario):
-    """A run with no vehicle skipped, and the engine's own state after
-    ``actuate`` on each tick: its decision mode, whether it sees a merging
-    vehicle, and every vehicle's position and signed speed."""
-    rows = []
-
-    class Recording(sim._Engine):
-        def actuate(self, now_s):
-            super().actuate(now_s)
-            row = {"time_s": round(now_s, 9), "mode": self.state.mode.value,
-                   "merging": int(self.scenario.merging_seen(now_s))}
-            for idx, (x, v) in enumerate(zip(self.entity_x, self.entity_v)):
-                row[f"x_veh{idx}"] = round(x, 6)
-                row[f"v_veh{idx}"] = round(v, 6)
-            rows.append(row)
-
-    with skipping_nothing(), mock.patch.object(sim, "_Engine", Recording):
-        return run(scenario), rows
-
-
 PASS_VARIANTS = [make_pass_scenario(seed, v2x=v2x, merging_offset_s=offset, direction=direction)
                  for seed in (1, 2) for v2x in (False, True) for offset in (None, 0.5, 3.0)
                  for direction in (-1, 1)]
@@ -2050,7 +1946,7 @@ class TestSeries:
         else:
             scenarios = [scenario_from_dict(obj) for obj in PASS_VARIANTS]
         for sc in scenarios:
-            res, rows = recorded_series(sc)
+            res, rows = reference_run(sc)
             assert sim.series(sc, res.log.events) == rows, sc.name
 
 
