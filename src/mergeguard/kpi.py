@@ -87,6 +87,8 @@ def compute(events: list[dict], *, subject_station: int | None = None,
     subject_station selects whose CAMs/zone crossings the vw_* metrics
     describe; None means "any station".  end_time_s closes intervals
     still open when the log stops (defaults to the last event time).
+    Raises ValueError for a first detection whose ``cam_distance_m`` is not
+    a number: the report passes it on without arithmetic that would fail.
     """
     if end_time_s is None:
         end_time_s = events[-1]["t"] if events else 0.0
@@ -125,7 +127,10 @@ def compute(events: list[dict], *, subject_station: int | None = None,
         elif kind == "detection":
             n_detections += 1
             if e.get("first") and is_subject(e):
-                first_detects.append(e["cam_distance_m"])
+                distance = e["cam_distance_m"]
+                if type(distance) not in (int, float):
+                    raise ValueError(f"cam_distance_m is not a number: {distance!r}")
+                first_detects.append(distance)
         elif kind == "denm_relay":
             n_relays += 1
         elif kind == "decision":

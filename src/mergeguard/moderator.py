@@ -85,13 +85,9 @@ class Moderator:
     _last_cam_pose: RobotPose | None = field(default=None, init=False)
     _next_due: float = field(default=0.0, init=False)
     _pending: list[ActuationEvent] = field(default_factory=list, init=False)
-    _triggers_positive: bool = field(init=False)
 
     def __post_init__(self):
         self._rng = np.random.default_rng(self.jitter_seed)
-        cfg = self.config
-        self._triggers_positive = all(trigger > 0 for trigger in (
-            cfg.cam_pos_trigger_m, cfg.cam_speed_trigger_mps, cfg.cam_heading_trigger_deg))
 
     # -- CAM generation ---------------------------------------------------
 
@@ -102,21 +98,10 @@ class Moderator:
                                                self.config.cam_jitter_std_s)))
 
     def cam_tick(self, now_s: float, pose: RobotPose) -> Message | None:
-        """Return a CAM if one is due at now_s, else None.
-
-        A pose equal to the last CAM's has moved by zero in every trigger,
-        so when every trigger is above 0 (the moderator checks this once)
-        it is due only at the next interval, and its deltas are not
-        computed; the engine hands over one pose object all run long, so
-        the test is mostly one of identity.  A trigger at or below 0
-        leaves every pose to the full rule, as a zero delta fires it.
-        """
+        """Return a CAM if one is due at now_s, else None."""
         cfg = self.config
         if self._last_cam_time is None or now_s >= self._next_due:
             due = True
-        elif self._triggers_positive and (pose is self._last_cam_pose
-                                          or pose == self._last_cam_pose):
-            due = False
         elif now_s - self._last_cam_time >= cfg.cam_min_interval_s:
             prev = self._last_cam_pose
             moved = math.hypot(pose.pos_x_m - prev.pos_x_m, pose.pos_y_m - prev.pos_y_m)

@@ -14,43 +14,20 @@ contract:
     CAM, RSU DENMs) -> decide (fusion, decision and issued actuation,
     every decision period) -> actuate (due completions) -> flush
 
-Two stages skip work that cannot change a byte of the log.  ``world``
-does not evaluate a radio-less vehicle while it lies outside the span:
-the zone plus every camera's view (from the near cutoff to the farthest
-reach), widened by 1 m.  It wakes at the earliest time its top speed,
-the largest |v| at the ends of its segments, could bring it back.  This
-is exact: until then it stays more than the margin outside, so no zone
-edge is crossed and no camera sees it, and the margin is far larger than
-the rounding of a computed position (vehicles whose positions could grow
-past 1e12 m are never skipped).  ``sense`` scans only the vehicles inside
-the span.  Each sighting takes one pixel-noise draw (zeros for a zero
-std) and logs a ``detection`` event with its camera distance.  It asks
-perception's gap rule, ``keeps``, once: only a sample it keeps gets an
-image point and becomes a ``Detection`` to ``ingest``.  In a run with no
-V2X vehicle the radio listeners are the robot alone, at its fixed
-position, so the engine builds that receiver list once and ``world``
-leaves it and the radio positions alone.  This is exact: rebuilding it
-each tick would give an equal list and write back the same position.
-
-Radio deliveries and queued sends (CPMs, CAMs, DENM copies) wait in one
-queue of ``(due time, receiver id, sent)`` entries that run in order of
-due time, then push order; that order is part of the contract too.  A
-receiver id of None means "transmit the message ``sent``"; any other
-entry delivers a broadcast, whose deliveries share one ``sent`` tuple:
-the message, its type name, sender id and ``timestamp_ms``, and that
-timestamp in seconds.  What falls due at one time runs in the order it
-was pushed, so the deliveries of one broadcast run in ascending receiver
+Radio deliveries and queued sends (CPMs, CAMs, DENM copies) run in
+order of due time, then push order; that order is part of the contract
+too.  So the deliveries of one broadcast run in ascending receiver
 order, after those of every earlier broadcast due at that time.
-``send_at`` and ``transmit`` append to an incoming list; a flush sorts
-it into the rest of the queue once something in it is due, and again
-when an entry it runs queues something due in that flush.  Nothing due
-after the last tick's flush is queued, since it would never run.
 ``flush`` builds, completes and logs the ``msg_rx`` event of each
 reception, a DENM's fields included; ``hear`` applies what a reception
 by the robot changes: its road picture and the relay of a new DENM.
-The skips and the queue are checked against ``tests/reference_engine.py``,
-a plain engine that takes none of these shortcuts and must log the same
-bytes.
+
+The engine takes shortcuts that leave every byte of the log as it is,
+such as skipping a vehicle no camera can see and queueing in sorted
+batches.  ``docs/shortcuts.md`` lists each one: where it lives, the part
+of ``tests/reference_engine.py`` that checks it (a plain engine that
+takes none of them and must log the same bytes), and what it is worth.
+Each one's argument for exactness sits next to its code.
 
 All randomness (sensor draws, channel loss and jitter, CAM generation
 jitter) comes from streams spawned off one seed, so a given (scenario,
@@ -92,8 +69,9 @@ from __future__ import annotations
 import json
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import MISSING, dataclass, field, fields
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -198,19 +176,19 @@ class TrajectorySegment:
                 self.speed_mps + self.accel_mps2 * dt)
 
 
+_START_TIME = attrgetter("start_time_s")
+
+
 def eval_trajectory(segments: Sequence[TrajectorySegment], t_s: float) -> tuple[float, float]:
     """Position and signed velocity at time t (piecewise constant acceleration).
 
     The segment in force is the last one starting no later than
-    ``t_s + _TIME_EPS``.
+    ``t_s + _TIME_EPS``, found by bisection over the strictly increasing
+    start times that the loader checks, so a call costs O(log segments).
+    A time before the first start takes the first segment.
     """
-    seg = segments[0]
-    for cand in segments:
-        if cand.start_time_s <= t_s + _TIME_EPS:
-            seg = cand
-        else:
-            break
-    return seg.at(t_s)
+    k = bisect_right(segments, t_s + _TIME_EPS, key=_START_TIME) or 1
+    return segments[k - 1].at(t_s)
 
 
 def _pace(segments: Sequence[TrajectorySegment], horizon_s: float) -> float | None:
@@ -709,7 +687,7 @@ class SensorModel:
     bring it back: before then no camera can see it.  And ``observe`` is
     told which vehicles to scan, and asks perception's gap rule once per
     sighting.  A dropped sample still takes its noise draw, so the stream
-    that later sightings read does not change, but its point is None: its
+    that later sightings read does not change, but it gets no point: its
     inverse and its point are never computed.
     """
 
@@ -972,9 +950,13 @@ class _Engine:
         # alone for the whole run, else rebuilt by world()
         self.receivers: list[tuple[int, tuple[float, float]]] = [(robot_id, robot_cfg.position)]
 
-        # the queue: ``pending`` in reverse run order, and the entries pushed
-        # since, in push order, the earliest due at ``incoming_due``; plain
-        # values, so it holds no reference cycle to the engine
+        # the queue of ``(due time, receiver id, sent)`` entries: ``pending``
+        # in reverse run order, and the entries pushed since, in push order,
+        # the earliest due at ``incoming_due``.  A receiver id of None
+        # transmits the message ``sent``; the deliveries of one broadcast
+        # share one ``sent`` tuple: the message, its type name, sender id,
+        # ``timestamp_ms`` and that timestamp in seconds.  Plain values, so
+        # the queue holds no reference cycle to the engine
         self.pending: list[tuple[float, int | None, tuple | Message]] = []
         self.incoming: list[tuple[float, int | None, tuple | Message]] = []
         self.incoming_due = math.inf
@@ -989,7 +971,6 @@ class _Engine:
         self.state = DecisionState()
         self.last_action: Action | None = None
         n = len(scenario.entities)
-        self.segment = [0] * n  # the index of each entity's segment in force
         self.station_ids = [e.station_id for e in scenario.entities]
         self.entity_x = [0.0] * n
         self.entity_v = [0.0] * n
@@ -1019,19 +1000,16 @@ class _Engine:
         self.decision_every = int(round(robot_cfg.decision_period_s / tick))
 
     def send_at(self, time_s: float, msg: Message) -> None:
-        """Queue the transmission of ``msg`` at the flush due at ``time_s``,
-        unless that falls after the last flush."""
-        if time_s <= self.last_flush_s:
-            self.incoming.append((time_s, None, msg))
-            if time_s < self.incoming_due:
-                self.incoming_due = time_s
+        """Queue the transmission of ``msg`` at the flush due at ``time_s``."""
+        self.incoming.append((time_s, None, msg))
+        if time_s < self.incoming_due:
+            self.incoming_due = time_s
 
     def transmit(self, msg: Message, tx_time: float) -> None:
         """Send from ``msg.station_id`` and queue its deliveries, all of the
         sent message.  It is encoded for its size and its checks, not
         decoded: a valid message decodes to itself, and the loader spot
-        checks that.  A delivery due after the last flush would never
-        run, so it is not queued; the channel still draws for it."""
+        checks that."""
         sender_id = msg.station_id
         type_name = msg.msg_type.name
         data = encode_message(msg, max_hops=self.max_hops)
@@ -1041,13 +1019,12 @@ class _Engine:
                          "size_b": len(data)})
         receivers = [r for r in self.receivers if r[0] != sender_id]
         sent = (msg, type_name, sender_id, msg.timestamp_ms, msg.timestamp_ms / 1000.0)
-        incoming, last, first = self.incoming, self.last_flush_s, self.incoming_due
+        incoming, first = self.incoming, self.incoming_due
         for receiver_id, due in self.channel.broadcast(self.positions[sender_id], tx_time,
                                                        receivers):
-            if due <= last:
-                incoming.append((due, receiver_id, sent))
-                if due < first:
-                    first = due
+            incoming.append((due, receiver_id, sent))
+            if due < first:
+                first = due
         self.incoming_due = first
 
     def hear(self, msg: Message, type_name: str, rx_time: float) -> None:
@@ -1130,30 +1107,23 @@ class _Engine:
         self.incoming.clear()
         self.incoming_due = math.inf
 
-    def world(self, now_s: float) -> None:
-        # time only grows, so each entity's segment cursor only advances; it
-        # stops where eval_trajectory's scan would; the log time is rounded
-        # only when a crossing is logged.  A skipped vehicle keeps its last
-        # position, outside the span and the zone
-        due, t = now_s + _TIME_EPS, None
+    def world(self, now_s: float, t: float) -> None:
+        # a skipped radio-less vehicle keeps its last position.  Skipping is
+        # exact: until ``wake_s`` it stays more than the margin outside the
+        # span, so it crosses no zone edge and no camera sees it, and the
+        # margin is far larger than the rounding of a computed position
+        # (``pace`` is None where positions could grow past the scale limit)
         contains, append = self.robot.zod.contains, self.log.append
-        segment, entity_x, entity_v, in_zone = (self.segment, self.entity_x,
-                                                self.entity_v, self.in_zone)
+        entity_x, entity_v, in_zone = self.entity_x, self.entity_v, self.in_zone
         wake, pace, (lo, hi) = self.wake_s, self.pace, self.span
         self.in_span = in_span = []
         for idx, ent in enumerate(self.scenario.entities):
             if now_s < wake[idx]:
                 continue
-            segs, k = ent.trajectory, segment[idx]
-            while k + 1 < len(segs) and segs[k + 1].start_time_s <= due:
-                k += 1
-            segment[idx] = k
-            x, v = segs[k].at(now_s)
+            x, v = eval_trajectory(ent.trajectory, now_s)
             entity_x[idx], entity_v[idx] = x, v
             inside = contains(x)
             if inside != in_zone[idx]:
-                if t is None:
-                    t = _round9(now_s)
                 append({"t": t, "type": "zod_enter" if inside else "zod_exit",
                         "actor": self.veh_label[idx], "station_id": self.station_ids[idx],
                         "road_x_m": _round6(x)})
@@ -1162,25 +1132,25 @@ class _Engine:
                 in_span.append(idx)
             elif pace[idx] is not None:
                 wake[idx] = now_s + (lo - x if x < lo else x - hi) * pace[idx]
-        # radio positions hold until the next tick
+        # radio positions hold until the next tick.  With no V2X vehicle the
+        # listeners are the robot alone, where it stands: rebuilding the list
+        # would give an equal one and write back the same position
         if self.v2x_vehicles:
             self.receivers = receivers = [
                 (self.robot_id, self.robot.position),
                 *((sid, (entity_x[idx], 0.0)) for idx, sid, _ in self.v2x_vehicles)]
             self.positions.update(receivers)
 
-    def sense(self, i: int, now_s: float) -> None:
+    def sense(self, i: int, now_s: float, t: float) -> None:
         if self.sensor is None:
             return
         perception = self.perception
-        t, append, ingest = None, self.log.append, perception.ingest
+        append, ingest = self.log.append, perception.ingest
         classes, station_ids = self.classes, self.station_ids
         entity_x, first_detected = self.entity_x, self.first_detected
         # a sample that perception drops gets no image point and no ingest
         for cam_id, idx, dist, point in self.sensor.observe(now_s, entity_x, self.in_span,
                                                             perception.keeps):
-            if t is None:
-                t = _round9(now_s)
             append({"t": t, "type": "detection", "actor": "infra",
                     "camera_id": cam_id, "track_id": idx, "station_id": station_ids[idx],
                     "cam_distance_m": _round6(dist),
@@ -1190,20 +1160,16 @@ class _Engine:
                 ingest(Detection(cam_id, idx, point, classes[idx], now_s))
         if i % self.cpm_every == 0:
             cpm = self.perception.assemble_cpm(now_s)
-            append({"t": _round9(now_s) if t is None else t, "type": "cpm_gen",
-                    "actor": "infra", "timestamp_ms": cpm.timestamp_ms,
-                    "n_objects": len(cpm.payload.objects)})
+            append({"t": t, "type": "cpm_gen", "actor": "infra",
+                    "timestamp_ms": cpm.timestamp_ms, "n_objects": len(cpm.payload.objects)})
             self.send_at(now_s + self.scenario.infra.cpm_processing_delay_s, cpm)
 
-    def beacons(self, i: int, now_s: float) -> None:
+    def beacons(self, i: int, now_s: float, t: float) -> None:
         # vehicle CAMs at their configured period, then the robot's own
-        # (ETSI-rule generation), then due roadworks notifications; the log
-        # time is rounded only when a CAM is logged
-        t, append = None, self.log.append
+        # (ETSI-rule generation), then due roadworks notifications
+        append = self.log.append
         for idx, sid, every in self.v2x_vehicles:
             if i % every == 0:
-                if t is None:
-                    t = _round9(now_s)
                 x, v = self.entity_x[idx], self.entity_v[idx]
                 cam_msg = vehicle_cam(sid, now_s, x, v)
                 append({"t": t, "type": "cam_gen", "actor": self.veh_label[idx],
@@ -1212,8 +1178,7 @@ class _Engine:
                 self.send_at(now_s, cam_msg)
         robot_cam = self.moderator.cam_tick(now_s, self.pose)
         if robot_cam is not None:
-            append({"t": _round9(now_s) if t is None else t, "type": "cam_gen",
-                    "actor": "robot", "station_id": self.robot_id,
+            append({"t": t, "type": "cam_gen", "actor": "robot", "station_id": self.robot_id,
                     "pos_x_m": _round6(self.pose.pos_x_m), "speed_mps": 0.0,
                     "timestamp_ms": robot_cam.timestamp_ms})
             self.send_at(now_s, robot_cam)
@@ -1232,14 +1197,14 @@ class _Engine:
                 self.send_at(due, denm)
             self.rsu_sent += 1
 
-    def decide(self, i: int, now_s: float) -> None:
+    def decide(self, i: int, now_s: float, t: float) -> None:
         if i % self.decision_every:
             return
         stale = self.robot.zod.staleness_s
         v2x_objs = [o for o in self.v2x_objects.values() if not now_s - o.last_update_s > stale]
         cam_objs = [o for o in self.camera_objects if not now_s - o.last_update_s > stale]
         fused = fuse(v2x_objs, cam_objs, self.robot.fusion)
-        t, append = _round9(now_s), self.log.append
+        append = self.log.append
         append({"t": t, "type": "fusion_out", "actor": "robot",
                 "n_v2x": len(v2x_objs), "n_camera": len(cam_objs),
                 "objects": [{"src": o.source.value, "id": o.ref_id,
@@ -1257,13 +1222,10 @@ class _Engine:
                         "phase": f"{action.value}_issued", "completes_at": _round9(ev.due_s)})
         self.last_action = action
 
-    def actuate(self, now_s: float) -> None:
-        due = self.moderator.due_actuations(now_s)
-        if due:
-            t = _round9(now_s)
-            for ev in due:
-                self.log.append({"t": t, "type": "actuation", "actor": "robot",
-                                 "phase": ev.phase})
+    def actuate(self, now_s: float, t: float) -> None:
+        for ev in self.moderator.due_actuations(now_s):
+            self.log.append({"t": t, "type": "actuation", "actor": "robot",
+                             "phase": ev.phase})
 
 
 def check_seed(seed) -> int:
@@ -1277,17 +1239,19 @@ def run(scenario: Scenario, seed: int | None = None) -> RunResult:
     """Execute one scenario and return its event log.
 
     ``seed`` overrides the scenario's rng_seed; the seed actually used is
-    echoed in the returned header.
+    echoed in the returned header.  Each tick's time is rounded once, for
+    the stages that log at it; ``flush`` rounds each entry's own due time.
     """
     engine = _Engine(scenario, check_seed(scenario.rng_seed if seed is None else seed))
     for i in range(engine.n_ticks + 1):
         now = i * scenario.tick_s
+        t = _round9(now)
         engine.flush(now)
-        engine.world(now)
-        engine.sense(i, now)
-        engine.beacons(i, now)
-        engine.decide(i, now)
-        engine.actuate(now)
+        engine.world(now, t)
+        engine.sense(i, now, t)
+        engine.beacons(i, now, t)
+        engine.decide(i, now, t)
+        engine.actuate(now, t)
         engine.flush(now)
     return RunResult(header=engine.header, log=engine.log)
 

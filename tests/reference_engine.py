@@ -7,8 +7,8 @@ event builders of ``hear``, ``beacons``, ``decide`` and ``actuate``.  It
 queues every send and delivery on one heap, decodes each delivered copy,
 draws each uniform and each pixel noise on its own, evaluates and sees
 every vehicle and rebuilds the listeners on every tick, and projects each
-sample before the gap rule decides on it.  The CAM rule computes every
-delta, fusion tests all pairs, and ``round`` rounds.
+sample before the gap rule decides on it.  Fusion tests all pairs, and
+``round`` rounds.
 """
 
 from __future__ import annotations
@@ -23,28 +23,7 @@ from mergeguard import sim
 from mergeguard.calibration import estimate_distance, project_to_line
 from mergeguard.fusion import joint_distance
 from mergeguard.messages import decode_message, encode_message
-from mergeguard.moderator import Moderator, robot_cam
 from mergeguard.perception import Detection, TrackWindow
-
-
-class FullRuleModerator(Moderator):
-    """The moderator computing the distance, speed and heading deltas since
-    the last CAM whenever the minimum interval has passed, whatever the pose."""
-
-    def cam_tick(self, now_s, pose):
-        cfg, last, prev = self.config, self._last_cam_time, self._last_cam_pose
-        if last is not None and not now_s >= self._next_due:
-            if not now_s - last >= cfg.cam_min_interval_s:
-                return None
-            moved = math.hypot(pose.pos_x_m - prev.pos_x_m, pose.pos_y_m - prev.pos_y_m)
-            dspeed = abs(pose.speed_mps - prev.speed_mps)
-            dheading = abs((pose.heading_deg - prev.heading_deg + 180.0) % 360.0 - 180.0)
-            if not (moved >= cfg.cam_pos_trigger_m or dspeed >= cfg.cam_speed_trigger_mps
-                    or dheading >= cfg.cam_heading_trigger_deg):
-                return None
-        self._last_cam_time, self._last_cam_pose = now_s, pose
-        self._next_due = now_s + cfg.cam_max_interval_s + self._interval_jitter()
-        return robot_cam(cfg.station_id, now_s, pose)
 
 
 def all_pairs(vs, cs, epsilon):
@@ -133,7 +112,7 @@ class ReferenceEngine(sim._Engine):
     def merge(self):
         raise AssertionError("the reference queues on its heap alone")
 
-    def world(self, now_s):
+    def world(self, now_s, t):
         for idx, ent in enumerate(self.scenario.entities):
             x, v = sim.eval_trajectory(ent.trajectory, now_s)
             self.entity_x[idx], self.entity_v[idx] = x, v
@@ -147,7 +126,7 @@ class ReferenceEngine(sim._Engine):
                           *((sid, (self.entity_x[idx], 0.0)) for idx, sid, _ in self.v2x_vehicles)]
         self.positions.update(self.receivers)
 
-    def sense(self, i, now_s):
+    def sense(self, i, now_s, t):
         if self.sensor is None:
             return
         for cam_id, idx, dist, point in scalar_observe(self.sensor, self.entity_x):
@@ -166,8 +145,8 @@ class ReferenceEngine(sim._Engine):
                              "n_objects": len(cpm.payload.objects)})
             self.send_at(now_s + self.scenario.infra.cpm_processing_delay_s, cpm)
 
-    def actuate(self, now_s):
-        super().actuate(now_s)
+    def actuate(self, now_s, t):
+        super().actuate(now_s, round(now_s, 9))
         row = {"time_s": round(now_s, 9), "mode": self.state.mode.value,
                "merging": int(self.scenario.merging_seen(now_s))}
         for idx, (x, v) in enumerate(zip(self.entity_x, self.entity_v)):
@@ -175,14 +154,20 @@ class ReferenceEngine(sim._Engine):
         self.rows.append(row)
 
 
+# the plain rules that ``reference_run`` puts in place of ``sim``'s own
+PLAIN_RULES = {
+    "fuse": lambda vs, cs, config: all_pairs(vs, cs, config.epsilon),
+    "_round9": lambda x: round(x, 9),
+    "_round6": lambda x: round(x, 6),
+    "_round3": lambda x: round(x, 3),
+}
+
+
 def reference_run(scenario, seed=None):
-    """``sim.run`` of a ``ReferenceEngine``, with the full CAM rule, all-pairs
-    fusion and ``round``; returns its result and its per-tick ``rows``."""
+    """``sim.run`` of a ``ReferenceEngine``, with all-pairs fusion and
+    ``round``; returns its result and its per-tick ``rows``."""
     rows = []
     with mock.patch.multiple(sim, _Engine=functools.partial(ReferenceEngine, rows=rows),
-                             Moderator=FullRuleModerator,
-                             fuse=lambda vs, cs, config: all_pairs(vs, cs, config.epsilon),
-                             _round9=lambda x: round(x, 9), _round6=lambda x: round(x, 6),
-                             _round3=lambda x: round(x, 3)):
+                             **PLAIN_RULES):
         result = sim.run(scenario, seed)
     return result, rows

@@ -207,6 +207,21 @@ class TestReport:
         assert main(["report", str(bad)]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: malformed log")
 
+    @pytest.mark.parametrize("output", [[], ["--csv"], ["--json"]], ids=["stdout", "csv", "json"])
+    @pytest.mark.parametrize("distance", ["far", None, True], ids=["string", "null", "bool"])
+    def test_first_detection_distance_that_is_not_a_number(self, log_path, tmp_path, capsys,
+                                                           output, distance):
+        lines = log_path.read_text().splitlines()
+        (k, event), *_ = [(k, json.loads(ln)) for k, ln in enumerate(lines)
+                          if '"type":"detection"' in ln and '"first":true' in ln]
+        event["cam_distance_m"] = distance
+        lines[k] = json.dumps(event)
+        log_path.write_text("\n".join(lines) + "\n")
+        out = [*output, str(tmp_path / "kpi")] if output else []
+        capsys.readouterr()
+        assert main(["report", str(log_path), *out]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: malformed log")
+
     @pytest.mark.parametrize("log_format", [99, None], ids=["99", "missing"])
     def test_log_in_another_format(self, tmp_path, capsys, log_format):
         log = tmp_path / "run.jsonl"

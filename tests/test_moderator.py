@@ -2,13 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from mergeguard.decision import Action
 from mergeguard.messages import CamPayload, DenmPayload, Message
 from mergeguard.moderator import Moderator, ModeratorConfig, RobotPose
-from reference_engine import FullRuleModerator
 
 STILL = RobotPose(0.0, 0.0, 0.0, 0.0)
 
@@ -94,46 +91,6 @@ class TestCamCadence:
         gaps = np.diff(gen_times(mod, jumpy, 5.0))
         assert gaps.min() >= 0.1 - 1e-9
         assert gaps.max() < 1.0  # triggers fire well before the max interval
-
-
-TRIGGERS = ("cam_pos_trigger_m", "cam_speed_trigger_mps", "cam_heading_trigger_deg")
-
-
-def trigger_values(name):
-    return st.sampled_from([-1.0, 0.0, 5e-324, getattr(ModeratorConfig(), name)])
-
-
-@st.composite
-def pose_runs(draw):
-    """Per tick, the pose handed to ``cam_tick``: one pose all run long (the
-    same object, or an equal copy each tick), or a walk over a few poses
-    that returns to earlier ones, with moves both under and over a trigger."""
-    coords = st.sampled_from([0.0, -0.0, 0.1, 3.99, 4.0, 7.5, 359.0])
-    pool = draw(st.lists(st.builds(RobotPose, coords, coords, coords, coords),
-                         min_size=1, max_size=4))
-    n_ticks = draw(st.integers(1, 80))
-    if len(pool) == 1:
-        walk = [pool[0]] * n_ticks
-    else:
-        walk = [pool[k] for k in draw(st.lists(st.integers(0, len(pool) - 1),
-                                               min_size=n_ticks, max_size=n_ticks))]
-    if draw(st.booleans()):
-        walk = [RobotPose(p.pos_x_m, p.pos_y_m, p.speed_mps, p.heading_deg) for p in walk]
-    return walk
-
-
-class TestStaticPoseRule:
-    """``cam_tick`` computes no delta for a pose equal to the last CAM's when
-    every trigger is above 0; it still sends what the full rule sends."""
-
-    @given(st.fixed_dictionaries({name: trigger_values(name) for name in TRIGGERS}),
-           st.booleans(), st.integers(0, 2**32 - 1), pose_runs())
-    def test_cams_are_those_of_the_full_rule(self, triggers, jitter, seed, poses):
-        cfg = ModeratorConfig(cam_jitter_enabled=jitter, **triggers)
-        fast, full = Moderator(cfg, jitter_seed=seed), FullRuleModerator(cfg, jitter_seed=seed)
-        for i, pose in enumerate(poses):
-            now = i * 0.05
-            assert fast.cam_tick(now, pose) == full.cam_tick(now, pose), (i, now)
 
 
 class TestCamJitter:

@@ -27,7 +27,7 @@ from mergeguard.sim import (LOG_FORMAT_VERSION, EventLog, ParseError,
                             load_scenario, log_from_jsonl, make_pass_scenario,
                             run, scenario_from_dict, trajectory_summary,
                             vehicle_cam)
-from reference_engine import ReferenceEngine, reference_run, scalar_observe
+from reference_engine import PLAIN_RULES, ReferenceEngine, reference_run, scalar_observe
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = {path.stem: json.loads(path.read_text()) for path in sorted(SCENARIO_DIR.glob("*.json"))}
@@ -84,48 +84,37 @@ class TestEvalTrajectory:
     def test_at_rest_after_stop(self):
         assert eval_trajectory(SEGS, 12.0) == (65.0, 0.0)
 
+    @pytest.mark.parametrize("offset,in_force", [(0.5e-9, True), (1.5e-9, False)])
+    def test_a_segment_starting_within_time_eps_is_in_force(self, offset, in_force):
+        # the second segment starts ``offset`` after t = 1; _TIME_EPS is 1e-9
+        segs = (TrajectorySegment(0.0, 0.0, 10.0, 0.0),
+                TrajectorySegment(1.0 + offset, 10.0 + 10.0 * offset, 10.0, -4.0))
+        assert eval_trajectory(segs, 1.0) == (segs[1] if in_force else segs[0]).at(1.0)
+
+    def test_many_segments_are_bisected(self):
+        # a trajectory of 2**16 segments: each call reads a few dozen, not
+        # every segment up to the one in force
+        class Counted:
+            reads = 0
+
+            def __init__(self, items):
+                self.items = items
+
+            def __len__(self):
+                return len(self.items)
+
+            def __getitem__(self, k):  # iteration reads through here too
+                Counted.reads += 1
+                return self.items[k]
+
+        segs = Counted([TrajectorySegment(float(k), float(k), 0.0, 0.0) for k in range(2 ** 16)])
+        for t, k in [(0.0, 0), (0.5, 0), (1.0 - 0.5e-9, 1), (40000.25, 40000), (1e6, 2 ** 16 - 1)]:
+            Counted.reads = 0
+            assert eval_trajectory(segs, t) == segs[k].at(t)
+            assert Counted.reads <= 2 * 17
+
 
 TICK = 0.05
-CURSOR_TICKS = 40
-
-
-@st.composite
-def trajectories(draw):
-    """Continuous trajectories whose later segments start on a tick, within
-    _TIME_EPS of one, or between two."""
-    finite = functools.partial(st.floats, allow_nan=False, allow_infinity=False)
-    segs = [TrajectorySegment(0.0, draw(finite(-300.0, 300.0)), draw(finite(-30.0, 30.0)),
-                              draw(finite(-5.0, 5.0)))]
-    ticks = draw(st.lists(st.integers(1, CURSOR_TICKS), min_size=1, max_size=4, unique=True))
-    for k in sorted(ticks):
-        offset = draw(st.one_of(
-            st.sampled_from([0.0, 0.5e-9, -0.5e-9, 0.99e-9, -0.99e-9, 1.5e-9]),
-            finite(0.0, 0.9).map(lambda f: f * TICK)))
-        t = k * TICK + offset
-        x, v = eval_trajectory(segs, t)
-        segs.append(TrajectorySegment(t, x, v, draw(finite(-5.0, 5.0))))
-    return tuple(segs)
-
-
-class TestSegmentCursor:
-    @given(st.lists(trajectories(), min_size=1, max_size=3))
-    def test_world_matches_eval_trajectory(self, trajs):
-        """Each vehicle evaluated matches, and each one skipped lies outside the span."""
-        sc = sim.Scenario(duration_s=CURSOR_TICKS * TICK, tick_s=TICK, rng_seed=0,
-                          robot=sim.RobotSetup(),
-                          entities=tuple(sim.Entity(trajectory=t) for t in trajs))
-        engine = sim._Engine(sc, 0)
-        lo, hi = engine.span
-        for i in range(engine.n_ticks + 1):
-            now = i * TICK
-            skipped = {idx for idx, wake in enumerate(engine.wake_s) if now < wake}
-            engine.world(now)
-            for idx, t in enumerate(trajs):
-                x, v = eval_trajectory(t, now)
-                if idx in skipped:
-                    assert not lo <= x <= hi, (now, idx)
-                else:
-                    assert (engine.entity_x[idx], engine.entity_v[idx]) == (x, v), (now, idx)
 
 
 class TestTrajectorySummary:
@@ -1372,7 +1361,7 @@ class TestRadio:
         # no vehicle is equipped: the listeners are the robot alone, where it stands
         sc = scenario_from_dict(make_pass_scenario(1, v2x=False))
         seen, world = [], sim._Engine.world  # the listeners after each tick's world
-        monkeypatch.setattr(sim._Engine, "world", lambda engine, now_s: world(engine, now_s)
+        monkeypatch.setattr(sim._Engine, "world", lambda engine, now_s, t: world(engine, now_s, t)
                             or seen.append((engine.receivers, dict(engine.positions))))
         res = run(sc)
         assert res.log.of_type("msg_rx") and len(seen) == round(sc.duration_s / sc.tick_s) + 1
@@ -1392,12 +1381,12 @@ class TestRadio:
 class TestDenmCopies:
     def test_no_copy_is_queued_past_the_end(self, engines):
         # one notification whose copies outlast the 30 s run; those due
-        # after the last tick's flush never go out, so they are not queued
+        # after the last tick's flush never go out, so none is queued
         obj = copy.deepcopy(SHIPPED["denm_repeater"])
         obj["rsu"]["denm"] = {"repeat_count": 1000, "repeat_gap_s": 0.05, "period_s": 1e300}
         sc = scenario_from_dict(obj)
         res = run(sc)
-        assert queued(engines[0]) == []
+        assert [entry for entry in queued(engines[0]) if entry[1] is None] == []
         sent = [e for e in res.log.of_type("msg_tx") if e["station_id"] == 200]
         assert len(sent) == int(round(30.0 / 0.05)) + 1
 
@@ -1496,33 +1485,6 @@ class TestRobotDenmMemory:
         # the hop-1 copy is not relayed, and the hop-0 copy after it is a duplicate
         engine, _ = self.flush(denm_from_rsu(1), denm_from_rsu(0))
         assert engine.log.of_type("denm_relay") == []
-
-
-class TestSenseRounding:
-    def test_an_idle_camera_tick_rounds_nothing(self, monkeypatch):
-        # the only vehicle is far out of every camera's view, and tick 1 is no
-        # CPM tick, so sense logs nothing and rounds no time
-        obj = with_infra(minimal())
-        obj["entities"] = [{"trajectory": [{"start_time_s": 0.0, "start_x_m": -1000.0,
-                                            "speed_mps": 0.0, "accel_mps2": 0.0}]}]
-        engine = sim._Engine(scenario_from_dict(obj), 0)
-        engine.world(0.05)
-        calls = []
-
-        def counting(n, kernel):
-            def rounded(x):
-                calls.append((x, n))
-                return kernel(x)
-            return rounded
-
-        for n in (9, 6, 3):
-            name = f"_round{n}"
-            monkeypatch.setattr(sim, name, counting(n, getattr(sim, name)))
-        assert 1 % engine.cpm_every
-        engine.sense(1, 0.05)
-        assert calls == [] and engine.log.events == []
-        engine.sense(engine.cpm_every, 0.2)  # a CPM tick: one rounding for its event
-        assert calls == [(0.2, 9)] and len(engine.log.of_type("cpm_gen")) == 1
 
 
 KERNELS = {9: sim._round9, 6: sim._round6, 3: sim._round3}
@@ -1651,6 +1613,21 @@ class TestSkippedWork:
         calls["at"] = 0
         reference_run(sc)
         assert calls["at"] == int(round(SKIP_DURATION_S / TICK)) + 1
+
+    @given(st.lists(skip_trajectories(), min_size=1, max_size=3))
+    def test_a_skipped_vehicle_lies_outside_the_span(self, trajs):
+        obj = skip_world()
+        obj["entities"] = [{"trajectory": traj} for traj in trajs]
+        sc = scenario_from_dict(obj)
+        engine = sim._Engine(sc, 0)
+        lo, hi = engine.span
+        for i in range(engine.n_ticks + 1):
+            now = i * sc.tick_s
+            skipped = [idx for idx, wake in enumerate(engine.wake_s) if now < wake]
+            engine.world(now, sim._round9(now))
+            for idx in skipped:
+                x, _ = eval_trajectory(sc.entities[idx].trajectory, now)
+                assert not lo <= x <= hi, (now, idx)
 
     @pytest.mark.parametrize("name", ["pass", "rotterdam_run"])
     def test_the_gap_rule_is_asked_once_per_detection(self, monkeypatch, name):
@@ -1803,6 +1780,15 @@ class TestReferenceEngine:
         assert [name for name in methods if name not in self.REPLACED + self.SHARED] == []
         assert [name for name in self.REPLACED if name not in vars(ReferenceEngine)] == []
 
+    def test_the_shortcut_ledger_names_every_replaced_rule(self):
+        # each method the reference replaces and each rule it patches in
+        # stands in docs/shortcuts.md, inside a code span
+        doc = (SCENARIO_DIR.parent / "docs" / "shortcuts.md").read_text()
+        names = {word for span in re.findall(r"`([^`]+)`", doc)
+                 for word in re.findall(r"\w+", span)}
+        checked = [*self.REPLACED, *PLAIN_RULES, "_log_lines_from_jsonl", "log_to_jsonl"]
+        assert [name for name in checked if name not in names] == []
+
 
 @pytest.fixture
 def engines(monkeypatch):
@@ -1824,22 +1810,6 @@ def queued(engine):
 
 
 class TestQueueEnd:
-    def test_no_delivery_is_queued_past_the_end(self, engines):
-        # every vehicle sends a CAM on the last tick; their deliveries fall
-        # due after the last flush, so they are not queued
-        sc = v2x_cell()
-        res = run(sc)
-        assert [e for e in res.log.of_type("msg_tx") if e["t"] == sc.duration_s]
-        assert queued(engines[0]) == []
-
-    def test_no_send_is_queued_past_the_end(self, engines):
-        # the last CPMs would go out after the last flush
-        sc = load_scenario(SCENARIO_DIR / "rotterdam_run.json")
-        res = run(sc)
-        delay = sc.infra.cpm_processing_delay_s
-        assert [e for e in res.log.of_type("cpm_gen") if e["t"] + delay > sc.duration_s]
-        assert queued(engines[0]) == []
-
     def test_deliveries_due_in_the_flush_that_sends_them(self):
         # with no latency each reception is due in the flush that transmits
         # it, and the log still follows (due time, push sequence): every
@@ -1876,7 +1846,7 @@ class TestRoadPicture:
 
     @staticmethod
     def picture(engine, now_s):
-        engine.decide(0, now_s)
+        engine.decide(0, now_s, now_s)
         (out,) = [e for e in engine.log.of_type("fusion_out") if e["t"] == now_s]
         return [(o["src"], o["id"], o["x"]) for o in out["objects"]]
 
@@ -1919,7 +1889,7 @@ class TestRoadPicture:
         self.receive(engine, vehicle_cam(13, 0.45, -20.0, 5.0), 0.5)
         self.receive(engine, vehicle_cam(12, 1.0, -30.0, 5.0), 1.0)
         self.receive(engine, cpm(1000, (4, -5000, 0), (5, -8000, 600)), 1.0)
-        engine.decide(0, 1.5)
+        engine.decide(0, 1.5, 1.5)
         assert seen == [([10, 12], [4])]
 
 
