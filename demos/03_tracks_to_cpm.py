@@ -27,9 +27,9 @@ LINE = ReferenceLine(p0=(0.0, 0.0), p1=(150.0, 0.0))
 
 def main() -> None:
     cameras = [
-        CameraSetup(camera_id=0, line=LINE, model=IDENTITY,
+        CameraSetup(camera_id=0, line=LINE, calibration=IDENTITY,
                     road_position_m=-24.0, direction_sign=-1),
-        CameraSetup(camera_id=1, line=LINE, model=IDENTITY,
+        CameraSetup(camera_id=1, line=LINE, calibration=IDENTITY,
                     road_position_m=24.0, direction_sign=1),
     ]
     pipeline = PerceptionPipeline(station_id=10, cameras=cameras,

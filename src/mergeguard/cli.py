@@ -45,6 +45,10 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _scenario_fail(where, exc: sim.ScenarioError) -> int:
+    return _fail(f"{where}: {exc}", EXIT_INVALID)
+
+
 def _seed_error(seed: int | None) -> str | None:
     """Why ``sim.run`` would refuse the ``--seed`` given, or None."""
     try:
@@ -62,21 +66,16 @@ def _cmd_run(args) -> int:
     path = _resolve_scenario(args.scenario)
     try:
         scenario = sim.load_scenario(path)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
     except sim.ScenarioError as exc:
-        return _fail(f"{path}: {exc}", EXIT_INVALID)
+        return _scenario_fail(path, exc)
     result = sim.run(scenario, seed=args.seed)
     text = result.to_jsonl()
-    try:
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
-        if args.series is not None:
-            _write_series(Path(args.series), sim.series(scenario, result.log.events))
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+    if args.series is not None:
+        _write_series(Path(args.series), sim.series(scenario, result.log.events))
     print(f"{scenario.name}: {len(result.log.events)} events, "
           f"seed {result.header['seed']}", file=sys.stderr)
     return EXIT_OK
@@ -100,10 +99,7 @@ def _cmd_batch(args) -> int:
     if not paths:
         return _fail(f"no scenario files in {directory}", EXIT_IO)
     out_dir = Path(args.out_dir) if args.out_dir else directory
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
+    out_dir.mkdir(parents=True, exist_ok=True)
     worst = EXIT_OK
     for path in paths:
         try:
@@ -115,7 +111,7 @@ def _cmd_batch(args) -> int:
             worst = max(worst, _fail(str(exc), EXIT_IO))
             continue
         except sim.ScenarioError as exc:
-            worst = max(worst, _fail(f"{path.name}: {exc}", EXIT_INVALID))
+            worst = max(worst, _scenario_fail(path.name, exc))
             continue
         print(f"{path.name}: {len(result.log.events)} events -> {out_path.name}",
               file=sys.stderr)
@@ -123,43 +119,31 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:
-        data = Path(args.log).read_bytes()
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
+    data = Path(args.log).read_bytes()
     try:  # bytes that are not UTF-8 are a malformed log too
         header, events = sim.log_from_jsonl(data.decode("utf-8"))
         if header.get("log_format") != sim.LOG_FORMAT_VERSION:
             raise ValueError(f"unsupported log_format {header.get('log_format')!r}")
         report = kpi.compute(events, subject_station=args.subject,
-                             end_time_s=header.get("duration_s"))
+                             end_time_s=kpi.finite(header.get("duration_s"), "duration_s"))
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         return _fail(f"malformed log: {exc}", EXIT_INVALID)
     payload = dict(scenario=header.get("scenario"), seed=header.get("seed"),
                    **report.to_json_dict())
-    try:
-        if args.csv:
-            Path(args.csv).write_text(report.to_csv())
-        if args.json:
-            Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
-        if not args.csv and not args.json:
-            json.dump(payload, sys.stdout, indent=2)
-            sys.stdout.write("\n")
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
+    if args.csv:
+        Path(args.csv).write_text(report.to_csv())
+    if args.json:
+        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
+    if not args.csv and not args.json:
+        json.dump(payload, sys.stdout, indent=2)
+        sys.stdout.write("\n")
     return EXIT_OK
 
 
 def _cmd_calibrate(args) -> int:
     try:
-        calib = load_calibration_csv(args.csv)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
+        model = fit(load_calibration_csv(args.csv), order=args.order)
     except (CalibrationError, ValueError) as exc:
-        return _fail(str(exc), EXIT_INVALID)
-    try:
-        model = fit(calib, order=args.order)
-    except CalibrationError as exc:
         return _fail(str(exc), EXIT_INVALID)
     json.dump({"order": model.order, "weights": list(model.weights)}, sys.stdout)
     sys.stdout.write("\n")
@@ -169,14 +153,14 @@ def _cmd_calibrate(args) -> int:
 def _cmd_validate(args) -> int:
     worst = EXIT_OK
     for path_str in args.scenarios:
-        path = _resolve_scenario(path_str)
         try:
+            path = _resolve_scenario(path_str)
             scenario = sim.load_scenario(path)
-        except OSError as exc:
+        except OSError as exc:  # its text names the file it could not open
             worst = max(worst, _fail(str(exc), EXIT_IO))
             continue
         except sim.ScenarioError as exc:
-            worst = max(worst, _fail(f"{path}: {exc}", EXIT_INVALID))
+            worst = max(worst, _scenario_fail(path, exc))
             continue
         print(f"ok: {path} ({scenario.name}, {len(scenario.entities)} entities, "
               f"{scenario.duration_s:g} s)")
@@ -226,7 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # its text names the file it could not read or write
+        return _fail(str(exc), EXIT_IO)
 
 
 if __name__ == "__main__":

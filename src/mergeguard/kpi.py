@@ -28,6 +28,7 @@ t_in cancels the stop, and a pass at the stop's own time does not.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 
@@ -39,6 +40,13 @@ def _mean_gap(times: list[float]) -> float:
     if len(times) < 2:
         return math.nan
     return (times[-1] - times[0]) / (len(times) - 1)
+
+def finite(value, name: str) -> float:
+    """``value`` if it is a finite int or float (a bool is neither), else
+    ValueError naming ``name``: no sum, gap or report value takes it in."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} is not a finite number: {value!r}")
+    return value
 
 def _json_value(value):
     if isinstance(value, tuple):
@@ -87,11 +95,14 @@ def compute(events: list[dict], *, subject_station: int | None = None,
     subject_station selects whose CAMs/zone crossings the vw_* metrics
     describe; None means "any station".  end_time_s closes intervals
     still open when the log stops (defaults to the last event time).
-    Raises ValueError for a first detection whose ``cam_distance_m`` is not
-    a number: the report passes it on without arithmetic that would fail.
+    Raises ValueError (by ``finite``) for an ``end_time_s``, or a ``t``,
+    ``latency_s``, ``timestamp_ms`` or ``cam_distance_m`` that a metric
+    reads, that is not a finite number.
     """
     if end_time_s is None:
-        end_time_s = events[-1]["t"] if events else 0.0
+        end_time_s = finite(events[-1]["t"], "t") if events else 0.0
+    else:
+        finite(end_time_s, "end_time_s")
 
     def is_subject(ev: dict, key: str = "station_id") -> bool:
         return subject_station is None or ev.get(key) == subject_station
@@ -113,41 +124,39 @@ def compute(events: list[dict], *, subject_station: int | None = None,
                 continue
             msg_type = e["msg_type"]
             if msg_type == "CAM" and is_subject(e, "from_station"):
-                subject_cam_rx.append(e["t"])
+                subject_cam_rx.append(finite(e["t"], "t"))
             elif msg_type == "CPM":
-                cpm_latencies.append(e["latency_s"])
+                cpm_latencies.append(finite(e["latency_s"], "latency_s"))
             elif (msg_type == "DENM" and e.get("hop_count") == 0
                     and not e.get("duplicate", False)):
-                rsu_rx_ts[(e["origin"], e["sequence"])] = e["timestamp_ms"] / 1000.0
+                rsu_rx_ts[(e["origin"], e["sequence"])] = (
+                    finite(e["timestamp_ms"], "timestamp_ms") / 1000.0)
         elif kind == "msg_tx":
             n_tx += 1
         elif kind == "cam_gen":
             if e["actor"] == "robot":
-                robot_cam_times.append(e["t"])
+                robot_cam_times.append(finite(e["t"], "t"))
         elif kind == "detection":
             n_detections += 1
             if e.get("first") and is_subject(e):
-                distance = e["cam_distance_m"]
-                if type(distance) not in (int, float):
-                    raise ValueError(f"cam_distance_m is not a number: {distance!r}")
-                first_detects.append(distance)
+                first_detects.append(finite(e["cam_distance_m"], "cam_distance_m"))
         elif kind == "denm_relay":
             n_relays += 1
         elif kind == "decision":
             # DANGER intervals from decision transitions
             action = e["action"]
             if action == "stop" and stop_since is None:
-                stop_since = e["t"]
+                stop_since = finite(e["t"], "t")
                 n_stops += 1
             elif action == "pass" and stop_since is not None:
-                stop_time += e["t"] - stop_since
+                stop_time += finite(e["t"], "t") - stop_since
                 stop_since = None
         elif kind == "zod_enter":
             if is_subject(e):
-                entered[e["actor"]] = e["t"]
+                entered[e["actor"]] = finite(e["t"], "t")
         elif kind == "zod_exit":
             if is_subject(e) and e["actor"] in entered:
-                zod_time += e["t"] - entered.pop(e["actor"])
+                zod_time += finite(e["t"], "t") - entered.pop(e["actor"])
     for t_in in entered.values():
         zod_time += end_time_s - t_in
     if stop_since is not None:
@@ -175,17 +184,18 @@ def stop_lead_times(events: list[dict], subject_station: int | None = None) -> l
     """Lead time of each subject zone entry with a stop in force, in log order.
 
     The lead time is how much margin the intervention bought; the module
-    docstring gives the rule and its ties.
+    docstring gives the rule and its ties.  Raises ValueError (by
+    ``finite``) for a decision or entry time that is not a finite number.
     """
     decided: dict[str, list[float]] = {"stop": [], "pass": []}
     entries = []
     for e in events:
         kind = e["type"]
         if kind == "decision" and e["action"] in decided:
-            decided[e["action"]].append(e["t"])
+            decided[e["action"]].append(finite(e["t"], "t"))
         elif kind == "zod_enter" and (subject_station is None
                                       or e.get("station_id") == subject_station):
-            entries.append(e["t"])
+            entries.append(finite(e["t"], "t"))
     stops, passes = sorted(decided["stop"]), sorted(decided["pass"])
     leads = []
     for t_in in entries:

@@ -84,7 +84,7 @@ class CameraSetup:
 
     camera_id: int
     line: ReferenceLine
-    model: CalibrationModel
+    calibration: CalibrationModel
     road_position_m: float
     direction_sign: int
 
@@ -107,7 +107,6 @@ class Detection(NamedTuple):
 class TrackWindow:
     """Ring of the most recent distance samples for one camera track."""
 
-    camera_id: int
     track_id: int
     object_class: int
     times: list[float] = field(default_factory=list)
@@ -174,7 +173,7 @@ class PerceptionPipeline:
             raise PerceptionError("camera ids must be unique")
         self._sensors = tuple(
             SensorInfo(sensor_id=cam.camera_id, sensor_type=SensorType.CAMERA,
-                       range_dm=int(round(cam.model.raw(cam.line.s_max) * 10)))
+                       range_dm=int(round(cam.calibration.raw(cam.line.s_max) * 10)))
             for cam in sorted(cameras, key=lambda c: c.camera_id))
         self.config = config or PerceptionConfig()
         self.tracks: dict[tuple[int, int], TrackWindow] = {}
@@ -196,11 +195,10 @@ class PerceptionPipeline:
             if detection.track_id >> _TRACK_ID_BITS:  # also true for a negative id
                 raise PerceptionError(f"track id {detection.track_id} does not fit the "
                                       f"CPM object_id ({_TRACK_ID_BITS} bits)")
-            window = TrackWindow(detection.camera_id, detection.track_id,
-                                 detection.object_class)
+            window = TrackWindow(detection.track_id, detection.object_class)
             self.tracks[key] = window
         s = project_to_line(detection.bottom_center, cam.line)
-        window.push(detection.time_s, estimate_distance(cam.model, s))
+        window.push(detection.time_s, estimate_distance(cam.calibration, s))
         window.object_class = detection.object_class
         return window
 

@@ -438,7 +438,6 @@ _SCALARS = {
     tuple[float, float]: ("two finite numbers", lambda v: _numbers(v, 2)),
     tuple[float, ...]: ("a list of finite numbers", _numbers),
 }
-_KEYS = {(CameraSetup, "model"): "calibration"}  # the fields stored under another key
 
 
 def _require(cond: bool, why: str) -> None:
@@ -470,14 +469,14 @@ def _reader(hint):
 
 
 def _field_table(cls) -> tuple[list, frozenset | None]:
-    """``(name, key, kind, read, required)`` for each field of ``cls``; and
-    the keys its object may hold when it is read whole, else None."""
+    """``(name, kind, read, required)`` for each field of ``cls``; and the
+    names its object may hold when it is read whole, else None."""
     hints = get_type_hints(cls)
-    table = [(f.name, _KEYS.get((cls, f.name), f.name), *_reader(hints[f.name]),
+    table = [(f.name, *_reader(hints[f.name]),
               f.default is MISSING and f.default_factory is MISSING)
              for f in fields(cls) if f.init]
-    whole = all(kind for _, _, kind, _, _ in table)
-    return table, frozenset(key for _, key, *_ in table) if whole else None
+    whole = all(kind for _, kind, _, _ in table)
+    return table, frozenset(name for name, *_ in table) if whole else None
 
 
 _FIELDS = {cls: _field_table(cls) for cls in (
@@ -489,13 +488,13 @@ _FIELDS = {cls: _field_table(cls) for cls in (
 def _read(cls, raw, why: str):
     """The ``cls`` that the JSON object ``raw``, at path ``why``, describes.
 
-    Each field comes from the key of its name (or its ``_KEYS`` entry), by
-    its annotation: a scalar by the type rules, a record from an object,
-    ``tuple[R, ...]`` from a list of objects, ``R | None`` from null or an
-    R object.  A missing key leaves the field to its default, and is an
-    error where it has none.  A record of scalars only is read whole, so a
-    key naming none of its fields is an error; a record holding records
-    ignores other keys.  What ``cls`` refuses becomes a ValidationError.
+    Each field comes from the key of its name, by its annotation: a scalar
+    by the type rules, a record from an object, ``tuple[R, ...]`` from a
+    list of objects, ``R | None`` from null or an R object.  A missing key
+    leaves the field to its default, and is an error where it has none.  A
+    record of scalars only is read whole, so a key naming none of its
+    fields is an error; a record holding records ignores other keys.  What
+    ``cls`` refuses becomes a ValidationError.
     """
     table, keys = _FIELDS[cls]
     if not isinstance(raw, dict):
@@ -504,14 +503,14 @@ def _read(cls, raw, why: str):
         unknown = ", ".join(sorted(map(repr, raw.keys() - keys)))
         raise ValidationError(f"{why}: unknown field {unknown}")
     kwargs = {}
-    for name, key, kind, read, required in table:
-        if key in raw:
-            val = read(raw[key]) if kind else read(raw[key], _path(why, key))
+    for name, kind, read, required in table:
+        if name in raw:
+            val = read(raw[name]) if kind else read(raw[name], _path(why, name))
             if val is None and kind:
-                raise ValidationError(f"{_path(why, key)} must be {kind}")
+                raise ValidationError(f"{_path(why, name)} must be {kind}")
             kwargs[name] = val
         elif required:
-            raise ValidationError(f"missing field: {_path(why, key)}")
+            raise ValidationError(f"missing field: {_path(why, name)}")
     try:
         return cls(**kwargs)
     except (ValueError, ChannelError, PerceptionError, CalibrationError) as exc:
@@ -556,7 +555,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
                  "tick_s must divide infra.perception.cpm_period_s")
         for i, cam in enumerate(infra.cameras):
             # the sensor model inverts the polynomial, so it must be increasing
-            vals = [cam.model.raw(s) for s in np.linspace(0.0, cam.line.s_max, 101).tolist()]
+            vals = [cam.calibration.raw(s) for s in np.linspace(0.0, cam.line.s_max, 101).tolist()]
             _require(all(b > a for a, b in zip(vals, vals[1:])),
                      f"infra.cameras[{i}]: calibration polynomial must increase over [0, s_max]")
     if rsu:
@@ -703,8 +702,8 @@ class SensorModel:
         self.view_span: tuple[float, float] | None = None
         ends = []
         for cam in self.cameras:
-            far = cam.model.raw(cam.line.s_max)
-            near = max(config.detect_near_m, cam.model.raw(0.0))
+            far = cam.calibration.raw(cam.line.s_max)
+            near = max(config.detect_near_m, cam.calibration.raw(0.0))
             reach = [min(r, far) for r in ranges]
             self._views.append((cam, near, reach))
             farthest = max(reach, default=-math.inf)
@@ -743,7 +742,7 @@ class SensorModel:
             pos = 0
         for cam, near, reach in self._views:
             cam_id, sign, road_x, inverse = (cam.camera_id, cam.direction_sign,
-                                             cam.road_position_m, cam.model.inverse)
+                                             cam.road_position_m, cam.calibration.inverse)
             line = cam.line
             s_max, (x0, y0), (ux, uy) = line.s_max, line.p0, line.direction
             for idx in indices:
@@ -1284,8 +1283,7 @@ def series(scenario: Scenario, events: Sequence[dict]) -> list[dict]:
 
 def make_pass_scenario(seed: int, *, v2x: bool = False,
                        merging_offset_s: float | None = None,
-                       direction: int = -1, pixel_noise_std: float = 2.0,
-                       tau_th_s: float = 5.0) -> dict:
+                       direction: int = -1) -> dict:
     """One randomized constant-speed pass scenario, as a schema dict.
 
     A single vehicle starts beyond everyone's detection range on the
@@ -1324,12 +1322,12 @@ def make_pass_scenario(seed: int, *, v2x: bool = False,
         "channel": {"comm_range_m": 400.0, "loss_prob": 0.0,
                     "latency_base_s": 0.01, "latency_jitter_s": 0.005},
         "robot": {"position": [0.0, 0.0],
-                  "zod": {"half_extent_m": 25.0, "tau_th_s": tau_th_s},
+                  "zod": {"half_extent_m": 25.0, "tau_th_s": 5.0},
                   "moderator": {"station_id": 1},
                   "merging_detect_range_m": 15.0},
         "infra": {"station_id": 100, "position": [0.0, 6.0],
                   "cameras": [camera],
-                  "sensor": {"pixel_noise_std": pixel_noise_std}},
+                  "sensor": {"pixel_noise_std": 2.0}},
         "entities": [{"station_id": 7 if v2x else 0, "object_class": 1,
                       "v2x_equipped": v2x,
                       "trajectory": [{"start_time_s": 0.0, "start_x_m": round(start_x, 6),

@@ -43,7 +43,7 @@ def scalar_observe(sensor, positions):
             dist = cam.direction_sign * (x - cam.road_position_m)
             if not near <= dist <= reach[idx]:
                 continue
-            s = cam.model.inverse(dist, line.s_max)
+            s = cam.calibration.inverse(dist, line.s_max)
             s = min(max(s + float(sensor.rng.normal(0.0, std)), 0.0), line.s_max)
             point = (line.p0[0] + s * line.direction[0], line.p0[1] + s * line.direction[1])
             out.append((cam.camera_id, idx, dist, point))
@@ -54,9 +54,9 @@ def ingest_projecting_first(pipeline, det):
     """``keeps`` then ``ingest`` the other way round: project every detection,
     then let the window's rules decide on it, a dropped one changing nothing."""
     cam = pipeline.cameras[det.camera_id]
-    distance = estimate_distance(cam.model, project_to_line(det.bottom_center, cam.line))
-    window = pipeline.tracks.setdefault((det.camera_id, det.track_id), TrackWindow(
-        det.camera_id, det.track_id, det.object_class))
+    distance = estimate_distance(cam.calibration, project_to_line(det.bottom_center, cam.line))
+    window = pipeline.tracks.setdefault((det.camera_id, det.track_id),
+                                        TrackWindow(det.track_id, det.object_class))
     if window.takes(det.time_s, pipeline.config.sample_gap_s):
         window.push(det.time_s, distance)
         window.object_class = det.object_class

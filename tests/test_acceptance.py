@@ -33,6 +33,14 @@ def report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
+def noiseless_pass(seed: int, tau_th_s: float = 5.0, **kwargs) -> dict:
+    """``make_pass_scenario`` with a noise-free camera and the hazard horizon ``tau_th_s``."""
+    sc = make_pass_scenario(seed, **kwargs)
+    sc["infra"]["sensor"]["pixel_noise_std"] = 0.0
+    sc["robot"]["zod"]["tau_th_s"] = tau_th_s
+    return sc
+
+
 @pytest.fixture(scope="module")
 def urban():
     scenario = load_scenario(SCENARIO_DIR / "rotterdam_run.json")
@@ -227,7 +235,7 @@ class TestVelocityOracle:
             g1, g2 = rng.uniform(0.05, 1.0, size=2)
             t2, t3 = t1 + float(g1), t1 + float(g1) + float(g2)
             d1, d2, d3 = (float(v) for v in rng.uniform(0.0, 200.0, size=3))
-            w = TrackWindow(camera_id=0, track_id=0, object_class=1)
+            w = TrackWindow(track_id=0, object_class=1)
             for t, d in ((t1, d1), (t2, d2), (t3, d3)):
                 w.push(t, d)
             got = estimate_velocity(w)
@@ -299,8 +307,7 @@ class TestInterventionProperties:
         leads_all = []
         for seed in range(700):
             offset = float(np.random.default_rng(10_000 + seed).uniform(1.0, 6.0))
-            sc = make_pass_scenario(seed, merging_offset_s=offset,
-                                    pixel_noise_std=0.0)
+            sc = noiseless_pass(seed, merging_offset_s=offset)
             result = run(scenario_from_dict(sc))
             leads = stop_lead_times(result.log.events)
             if len(leads) != 1 or not (0.0 <= leads[0] <= tau):
@@ -316,7 +323,7 @@ class TestInterventionProperties:
     def test_no_stops_without_merging(self):
         stops = 0
         for seed in range(300):
-            sc = make_pass_scenario(seed, pixel_noise_std=0.0)
+            sc = noiseless_pass(seed)
             result = run(scenario_from_dict(sc))
             stops += compute(result.log.events).n_stops
         report("no merging window, no intervention", stops == 0,
@@ -330,8 +337,7 @@ class TestInterventionProperties:
             stop_times[tau] = {}
             for seed in range(150):
                 offset = float(np.random.default_rng(20_000 + seed).uniform(1.0, 6.0))
-                sc = make_pass_scenario(seed, merging_offset_s=offset,
-                                        pixel_noise_std=0.0, tau_th_s=tau)
+                sc = noiseless_pass(seed, merging_offset_s=offset, tau_th_s=tau)
                 result = run(scenario_from_dict(sc))
                 stops = [e["t"] for e in result.log.events
                          if e["type"] == "decision" and e["action"] == "stop"]

@@ -164,6 +164,17 @@ class TestCalibrate:
         assert main(["calibrate", str(tmp_path / "none.csv")]) == EXIT_IO
 
 
+# each number a report reads: the scenario whose log holds it, and a record holding it
+KPI_FIELDS = {
+    "t": (ROTTERDAM, {"type": "cam_gen", "actor": "robot"}),
+    "latency_s": (ROTTERDAM, {"type": "msg_rx", "actor": "robot", "msg_type": "CPM"}),
+    "timestamp_ms": (REPEATER, {"type": "msg_rx", "actor": "robot", "msg_type": "DENM",
+                                "hop_count": 0, "duplicate": False}),
+    "cam_distance_m": (ROTTERDAM, {"type": "detection", "first": True}),
+    "duration_s": (ROTTERDAM, {"log_format": 1}),  # the header's, where intervals close
+}
+
+
 class TestReport:
     @pytest.fixture()
     def log_path(self, tmp_path):
@@ -276,6 +287,23 @@ class TestReport:
         assert main(["report", str(log_path)]) == EXIT_INVALID
         err = capsys.readouterr().err
         assert err.startswith("error: malformed log") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("token, shown", [("true", "True"), ('"1"', "'1'"),
+                                              ("null", "None"), ("1e400", "inf")],
+                             ids=["true", "string", "null", "1e400"])
+    @pytest.mark.parametrize("field", list(KPI_FIELDS))
+    def test_field_that_is_not_a_finite_number(self, tmp_path, capsys, field, token, shown):
+        scenario, record = KPI_FIELDS[field]
+        lines = sim.run(sim.load_scenario(scenario)).to_jsonl().splitlines()
+        i = next(i for i, line in enumerate(lines) if record.items() <= json.loads(line).items())
+        fields = json.loads(lines[i])
+        fields[field] = "@"  # a JSON token json.dumps cannot write: 1e400 is not a float
+        lines[i] = json.dumps(fields, separators=(",", ":")).replace('"@"', token)
+        log = pathlib.Path(input_file(tmp_path, "log.jsonl", "\n".join(lines) + "\n"))
+        capsys.readouterr()
+        assert main(["report", str(log)]) == EXIT_INVALID
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: malformed log: {field} is not a finite number: {shown}"]
 
 
 class TestBatch:
@@ -412,6 +440,47 @@ class TestOneErrorLine:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and re.match("error: " + says, err[0]), err
         assert not any((tmp_path / "out").iterdir())  # no log written
+
+
+def log_of(tmp_path):
+    """A log of a quick run, among the inputs."""
+    log = sim.run(sim.load_scenario(quick_scenario(tmp_path))).to_jsonl()
+    return input_file(tmp_path, "log.jsonl", log)
+
+
+# each command, given its directory, and the path its one error line names
+IO_REFUSALS = {
+    "run missing scenario": lambda d: (["run", "@", *log_out(d)], d / "none.json"),
+    "run --out into a missing directory": lambda d: (
+        ["run", str(quick_scenario(d)), "--out", "@"], d / "none" / "log.jsonl"),
+    "run --series into a missing directory": lambda d: (
+        ["run", str(quick_scenario(d)), "--series", "@"], d / "none" / "series.csv"),
+    "batch missing directory": lambda d: (
+        ["batch", "@", "--out-dir", str(d / "out")], d / "none"),
+    "batch --out-dir at a file": lambda d: (
+        ["batch", str(d), "--out-dir", "@"], quick_scenario(d)),
+    "report missing log": lambda d: (["report", "@"], d / "none.jsonl"),
+    "report --csv into a missing directory": lambda d: (
+        ["report", log_of(d), "--csv", "@"], d / "none" / "kpi.csv"),
+    "report --json into a missing directory": lambda d: (
+        ["report", log_of(d), "--json", "@"], d / "none" / "kpi.json"),
+    "calibrate missing table": lambda d: (["calibrate", "@"], d / "none.csv"),
+    "validate missing scenario": lambda d: (["validate", "@"], d / "none.json"),
+}
+
+
+class TestIoRefusal:
+    @pytest.mark.parametrize("case", list(IO_REFUSALS))
+    def test_refusal_names_the_path_once(self, tmp_path, capsys, case):
+        (tmp_path / "out").mkdir()
+        argv, path = IO_REFUSALS[case](tmp_path)
+        argv = [str(path) if arg == "@" else arg for arg in argv]
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(argv) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and err[0].count(str(path)) == 1
+        assert sorted(tmp_path.rglob("*")) == before  # no output file
 
 
 class TestEntryPoint:

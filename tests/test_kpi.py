@@ -190,6 +190,15 @@ class TestStopLeadTimes:
                   ev(3.0, "zod_enter", "veh0", station_id=0)]
         assert stop_lead_times(events) == [2.0]
 
+    @pytest.mark.parametrize("t", [True, "3.0", None, math.inf, math.nan, 10 ** 400])
+    @pytest.mark.parametrize("at", [0, 1], ids=["decision", "entry"])
+    def test_time_that_is_not_a_finite_number(self, at, t):
+        events = [ev(1.0, "decision", action="stop"),
+                  ev(3.0, "zod_enter", "veh0", station_id=0)]
+        events[at]["t"] = t
+        with pytest.raises(ValueError, match="^t is not a finite number: "):
+            stop_lead_times(events)
+
 
 class TestAgainstStoredRun:
     def test_replayed_log_reproduces_live_report(self):

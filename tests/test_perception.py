@@ -24,7 +24,7 @@ MODEL = CalibrationModel(1, (5.0, 0.1))  # d = 5 + 0.1 s
 
 
 def make_camera(camera_id=0, road_position_m=-24.0, direction_sign=-1):
-    return CameraSetup(camera_id=camera_id, line=LINE, model=MODEL,
+    return CameraSetup(camera_id=camera_id, line=LINE, calibration=MODEL,
                        road_position_m=road_position_m,
                        direction_sign=direction_sign)
 
@@ -63,39 +63,39 @@ class TestProjectionToRoad:
 
 class TestWindow:
     def test_velocity_example(self):
-        w = TrackWindow(0, 1, 1)
+        w = TrackWindow(1, 1)
         for t, d in [(0.0, 50.0), (0.2, 50.5), (0.4, 49.8)]:
             w.push(t, d)
         assert estimate_velocity(w) == pytest.approx(-0.5)
 
     def test_insufficient_samples(self):
-        w = TrackWindow(0, 1, 1)
+        w = TrackWindow(1, 1)
         w.push(0.0, 50.0)
         w.push(0.2, 50.5)
         with pytest.raises(InsufficientSamples):
             estimate_velocity(w)
 
     def test_time_regression_rejected(self):
-        w = TrackWindow(0, 1, 1)
+        w = TrackWindow(1, 1)
         w.push(1.0, 50.0)
         with pytest.raises(StaleDetection):
             w.push(0.5, 49.0)
 
     def test_same_instant_replaces(self):
-        w = TrackWindow(0, 1, 1)
+        w = TrackWindow(1, 1)
         w.push(1.0, 50.0)
         w.push(1.0, 51.0)
         assert w.distances == [51.0]
 
     def test_window_slides(self):
-        w = TrackWindow(0, 1, 1)
+        w = TrackWindow(1, 1)
         for i in range(5):
             w.push(0.2 * i, 100.0 - i)
         assert w.times == pytest.approx([0.4, 0.6, 0.8])
         assert w.distances == [98.0, 97.0, 96.0]
 
     def test_min_gap_drops_dense_samples(self):
-        w = TrackWindow(0, 1, 1)
+        w = TrackWindow(1, 1)
         for i in range(9):
             if w.takes(0.05 * i, 0.2):
                 w.push(0.05 * i, 100.0 - i)
@@ -108,7 +108,7 @@ class TestWindow:
                     unique_by=lambda td: td[0]).map(sorted))
     def test_two_slope_formula(self, samples):
         (t1, d1), (t2, d2), (t3, d3) = samples
-        w = TrackWindow(0, 0, 1)
+        w = TrackWindow(0, 1)
         for t, d in samples:
             w.push(t, d)
         expected = 0.5 * ((d2 - d1) / (t2 - t1) + (d3 - d2) / (t3 - t2))

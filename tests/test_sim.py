@@ -627,7 +627,7 @@ class TestLoadScenario:
     def test_schema_doc_names_every_scenario_key(self):
         doc = (SCENARIO_DIR.parent / "docs" / "scenario_schema.md").read_text()
         words = set(re.findall(r"\w+", doc))
-        keys = {key for table, _ in sim._FIELDS.values() for _, key, *_ in table}
+        keys = {name for table, _ in sim._FIELDS.values() for name, *_ in table}
         assert sorted(keys - words) == []
 
 

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -24,7 +25,11 @@ def ab_run(tmp_path, a, b, *args):
 def test_ab_run_compares_this_checkout_with_itself(tmp_path):
     out = ab_run(tmp_path, ROOT, ROOT, "--rounds", "1", "--jobs", "2")
     assert out.returncode == 0, out.stderr
-    assert "2 jobs, 1 rounds" in out.stdout and "rounds won: " in out.stdout
+    lines = out.stdout.splitlines()
+    assert "2 jobs, 1 rounds" in lines[0] and "rounds won: " in lines[-2]
+    # one round: its speed-up is the lowest, the median and the highest
+    assert re.fullmatch(r"per-round B speed-up: lowest x(\d+\.\d{4}), "
+                        r"median x\1, highest x\1", lines[-1]), lines[-1]
 
 
 def test_ab_run_refuses_a_checkout_whose_log_differs(tmp_path):

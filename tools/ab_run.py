@@ -14,7 +14,9 @@ the script names the first such job and exits 1.  Then each round runs
 every job on both sides, job by job, alternating which side goes first,
 and sums each side's ``sim.run`` CPU seconds.  It prints each side's
 median over the rounds, the speed-up of B with A's median as its base,
-and how many rounds each side won.
+and how many rounds each side won; then the lowest, median and highest
+of the rounds' own B speed-ups (A's time over B's), the width a verdict
+near a bar must be read with.
 """
 
 from __future__ import annotations
@@ -85,6 +87,9 @@ def compare(sims: dict, jobs: list, rounds: int) -> int:
         print(f"{side.upper()}: median {medians[side]:.6f} s CPU per round of {len(jobs)} jobs")
     print(f"B speed-up: x{medians['a'] / medians['b']:.4f} (base: A's median); "
           f"rounds won: B {b_won}, A {a_won}, of {rounds}")
+    per_round = sorted(a / b for a, b in zip(totals["a"], totals["b"]))
+    print(f"per-round B speed-up: lowest x{per_round[0]:.4f}, "
+          f"median x{statistics.median(per_round):.4f}, highest x{per_round[-1]:.4f}")
     return 0
 
 
