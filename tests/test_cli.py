@@ -482,6 +482,17 @@ class TestIoRefusal:
         assert len(err) == 1 and err[0].startswith("error: ") and err[0].count(str(path)) == 1
         assert sorted(tmp_path.rglob("*")) == before  # no output file
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_name_too_long_to_look_up(self, tmp_path, capsys, command):
+        # looking the name up, before any read, already raises OSError
+        name = "x" * 300
+        more = [ROTTERDAM] if command == "validate" else log_out(tmp_path)
+        assert main([command, name, *more]) == EXIT_IO
+        out, err = capsys.readouterr()
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and err[0].count(name) == 1
+        assert out.count("ok:") == (command == "validate")  # the next file is still checked
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
