@@ -76,7 +76,7 @@ def _cmd_run(args) -> int:
         sys.stdout.write(text)
     if args.series is not None:
         _write_series(Path(args.series), sim.series(scenario, result.log.events))
-    print(f"{scenario.name}: {len(result.log.events)} events, "
+    print(f"{scenario.name}: {len(result.log)} events, "
           f"seed {result.header['seed']}", file=sys.stderr)
     return EXIT_OK
 
@@ -113,7 +113,7 @@ def _cmd_batch(args) -> int:
         except sim.ScenarioError as exc:
             worst = max(worst, _scenario_fail(path.name, exc))
             continue
-        print(f"{path.name}: {len(result.log.events)} events -> {out_path.name}",
+        print(f"{path.name}: {len(result.log)} events -> {out_path.name}",
               file=sys.stderr)
     return worst
 

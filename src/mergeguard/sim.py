@@ -22,6 +22,11 @@ order, after those of every earlier broadcast due at that time.
 reception, a DENM's fields included; ``hear`` applies what a reception
 by the robot changes: its road picture and the relay of a new DENM.
 
+Each event is logged as a plain tuple of its values in key order, the
+type name second; ``EventLog.events`` builds their dicts on demand.
+``log_to_jsonl`` writes each event from its shape's ``%`` template, the
+line ``json`` writes for its dict (the event log section gives the rules).
+
 The engine takes shortcuts that leave every byte of the log as it is,
 such as skipping a vehicle no camera can see and queueing in sorted
 batches.  ``docs/shortcuts.md`` lists each one: where it lives, the part
@@ -34,13 +39,14 @@ jitter) comes from streams spawned off one seed, so a given (scenario,
 seed) pair always produces a byte-identical event log.  Besides the
 stage order above, the bytes rest on inputs from outside the package:
 NumPy's ``SeedSequence.spawn`` and ``Generator`` ``random`` and
-``normal`` streams (a test pins their first draws), ``float.__repr__``
-and ``json``, ``math`` (``hypot`` in the channel, ``cos`` in ``hear``),
-and the rounding of every logged number: times to 9 decimals, positions,
-speeds and distances to 6, fused objects to 3, each to exactly the float
-``round(x, n)`` gives.  The engine and ``series`` round through
-``_round9``, ``_round6`` and ``_round3``, which reach that float with
-IEEE-754 double arithmetic and leave to ``round`` what they cannot prove.
+``normal`` streams (a test pins their first draws), ``float.__repr__``,
+``int.__repr__`` and ``json``, ``math`` (``hypot`` in the channel,
+``cos`` in ``hear``), and the rounding of every logged number: times to
+9 decimals, positions, speeds and distances to 6, fused objects to 3,
+each to exactly the float ``round(x, n)`` gives.  The engine and
+``series`` round through ``_round9``, ``_round6`` and ``_round3``, which
+reach that float with IEEE-754 double arithmetic and leave to ``round``
+what they cannot prove.
 
 Scenario layout (see docs/scenario_schema.md for the field-by-field
 reference)::
@@ -70,9 +76,10 @@ import json
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import MISSING, dataclass, field, fields
-from operator import attrgetter, itemgetter
-from typing import Callable, Sequence, get_args, get_origin, get_type_hints
+from collections.abc import Iterator, Sequence
+from dataclasses import MISSING, dataclass, fields
+from operator import attrgetter, eq, itemgetter
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -89,11 +96,6 @@ from .perception import (CameraSetup, Detection, PerceptionConfig,
 
 SCHEMA_VERSION = 1
 LOG_FORMAT_VERSION = 1
-
-EVENT_TYPES = frozenset({
-    "msg_tx", "msg_rx", "detection", "cpm_gen", "cam_gen", "denm_relay",
-    "fusion_out", "decision", "actuation", "zod_enter", "zod_exit",
-})
 
 _TIME_EPS = 1e-9
 _DUE = itemgetter(0)  # a queue entry's due time
@@ -763,32 +765,140 @@ class SensorModel:
 # event log
 
 
-@dataclass
+# An event is a tuple of its values in log order: ``t`` (rounded to 9
+# decimals), ``type``, ``actor`` and the rest of its shape's fields; its
+# type and length pick its shape.
+_SHAPE_FIELDS = {
+    "msg_tx": ["msg_type station_id timestamp_ms size_b"],
+    "msg_rx": ["msg_type from_station timestamp_ms latency_s",
+               "msg_type from_station timestamp_ms latency_s origin sequence hop_count duplicate"],
+    "detection": ["camera_id track_id station_id cam_distance_m road_x_m first"],
+    "cpm_gen": ["timestamp_ms n_objects"],
+    "cam_gen": ["station_id pos_x_m speed_mps timestamp_ms"],
+    "denm_relay": ["origin sequence hop_count"],
+    "fusion_out": ["n_v2x n_camera objects"],
+    "decision": ["mode action merging_seen blocking"],
+    "actuation": ["phase", "phase completes_at"],
+    "zod_enter": ["station_id road_x_m"],
+    "zod_exit": ["station_id road_x_m"],
+}
+EVENT_TYPES = frozenset(_SHAPE_FIELDS)
+# How a line writes each field, as ``json`` does: a float by %r, its repr
+# (``append`` refuses NaN and infinities); a name as it is, as names hold
+# only [A-Za-z0-9_]; a flag as the literal %b stands for, %.0s taking the
+# bool; a list or a null ``blocking`` by ``json``; any other field, an int,
+# by %d, ``int.__repr__`` even for a subclass.  Tests hold engine events to
+# these types: an ``np.float64``, for one, has another repr.
+_WRITE_AS = {name: rule for rule, names in [
+    ("%r", "t latency_s cam_distance_m road_x_m pos_x_m speed_mps completes_at"),
+    ('"%s"', "type actor msg_type mode action phase"),
+    ("%b", "duplicate first merging_seen"),
+    ("%s", "objects blocking")] for name in names.split()}
+
+
+class _Shape(NamedTuple):
+    fields: tuple[str, ...]
+    floats: tuple[int, ...]  # where its float fields are
+    write: Callable[[tuple], str]  # an event's JSON line
+
+
+def _shape(rest: str) -> _Shape:
+    fields = ("t", "type", "actor", *rest.split())
+    rules = [_WRITE_AS.get(name, "%d") for name in fields]
+    template = "{%s}" % ",".join(f'"{name}":{rule}' for name, rule in zip(fields, rules))
+    templates = [template.replace("%b", word + "%.0s") for word in ("false", "true")]
+    flag = "%b" in rules and rules.index("%b")  # False, or where the flag is
+    nested = {i for i, rule in enumerate(rules) if rule == "%s"}
+
+    def write(event: tuple) -> str:
+        if nested:  # from a list: on Python 3.11, tuple() of a generator leaves
+            # the collector's count one higher per call, moving collections later
+            event = tuple([_TO_JSON(v) if i in nested else v for i, v in enumerate(event)])
+        return templates[flag and event[flag]] % event
+    floats = tuple(i for i, rule in enumerate(rules) if rule == "%r")
+    return _Shape(fields, floats, write if flag or nested else template.__mod__)
+
+
+def _by_size(rests: list[str]) -> tuple[_Shape | None, ...]:
+    """A type's shapes, each at the index of its number of fields."""
+    shapes = {len(shape.fields): shape for shape in map(_shape, rests)}
+    return tuple(map(shapes.get, range(max(shapes) + 1)))
+
+
+_SHAPES = {kind: _by_size(rests) for kind, rests in _SHAPE_FIELDS.items()}
+
+
 class EventLog:
-    events: list[dict] = field(default_factory=list)
+    """A run's events in order, each a tuple of one of the shapes above."""
 
-    def append(self, event: dict) -> None:
-        """Append ``event``, a dict whose first keys are ``t`` (a time
-        rounded to 9 decimals), ``type`` and ``actor``.
+    def __init__(self) -> None:
+        self._events: list[tuple] = []
 
-        Every event passes here, so every event is checked: its type must
-        be known and its time finite and no earlier than the last one's.
-        """
-        if event["type"] not in EVENT_TYPES:
-            raise ValueError(f"unknown event type: {event['type']!r}")
-        t = event["t"]
-        if not math.isfinite(t):
-            raise ValueError(f"event log time is not finite: {t}")
-        events = self.events
-        if events and not t >= events[-1]["t"] - _TIME_EPS:
-            raise ValueError(f"event log time regression: {t} after {events[-1]['t']}")
+    def __len__(self) -> int:
+        return len(self._events)
+
+    def append(self, event: tuple) -> None:
+        """Append ``event``, as every event is: its shape must be known, its
+        floats finite and its time no earlier than the last one's."""
+        try:
+            shape = _SHAPES[event[1]][len(event)]
+        except (KeyError, IndexError):
+            shape = None
+        if shape is None:
+            raise ValueError(f"unknown event shape: {event[1]!r} with {len(event)} fields")
+        for i in shape.floats:
+            if not math.isfinite(event[i]):
+                raise ValueError(f"event {shape.fields[i]} is not finite: {event[i]}")
+        t, events = event[0], self._events
+        if events and not t >= events[-1][0] - _TIME_EPS:
+            raise ValueError(f"event log time regression: {t} after {events[-1][0]}")
         events.append(event)
 
+    @property
+    def events(self) -> _EventDicts:
+        """The events as dicts of their fields, in order."""
+        return _EventDicts(self._events)
+
     def of_type(self, event_type: str) -> list[dict]:
-        return [e for e in self.events if e["type"] == event_type]
+        return [_as_dict(e) for e in self._events if e[1] == event_type]
+
+
+def _as_dict(event: tuple) -> dict:
+    return dict(zip(_SHAPES[event[1]][len(event)].fields, event))
+
+
+class _EventDicts(Sequence):
+    """A log's events as dicts, each built when it is read and not kept, so
+    that reading them takes no more memory than the tuples do."""
+
+    def __init__(self, events: list[tuple]) -> None:
+        self._events = events
+
+    def __len__(self) -> int:
+        return len(self._events)
+
+    def __iter__(self) -> Iterator[dict]:
+        return map(_as_dict, self._events)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [*map(_as_dict, self._events[i])]
+        return _as_dict(self._events[i])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
 _TO_JSON = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def log_to_jsonl(header: dict, log: EventLog) -> str:
+    """The JSONL text of a log: the header object on the first line, then
+    one event object per line, each line ending in ``\\n``, all ASCII."""
+    shapes = _SHAPES
+    return "\n".join([_TO_JSON(header), *[shapes[e[1]][len(e)].write(e) for e in log._events], ""])
 
 
 def _not_json(token: str):
@@ -809,36 +919,6 @@ def _line_end(token: str):
 
 
 _FROM_JSON_LINES = json.JSONDecoder(parse_constant=_line_end).decode
-
-
-# objects per encoder call: the C encoder keeps every chunk of a call (about
-# 1.3 kB per event) until it joins them, so one call per log would raise the
-# peak memory of a run; 128 objects per call are as fast as one call
-_ENCODE_BATCH = 128
-
-
-def log_to_jsonl(header: dict, log: EventLog) -> str:
-    """The JSONL text of a log: the header object on the first line, then
-    one event object per line, each line ending in ``\\n``, all ASCII.
-
-    The objects are encoded a batch per call, as the list ``[o1, nan, o2,
-    nan, ..., ok]``, and cut at the ``,NaN,`` separators.  No value's
-    encoding begins with ``NaN,`` or ends in ``,NaN``, so every separator
-    is found; the pieces are used only when there is exactly one per
-    object, i.e. when no object's own encoding holds ``,NaN,`` (a NaN in a
-    list does).  Otherwise each object of the batch is encoded on its own.
-    Either way the text is that of encoding each object on its own.
-    """
-    objs = [header, *log.events]
-    lines = []
-    for i in range(0, len(objs), _ENCODE_BATCH):
-        batch = objs[i:i + _ENCODE_BATCH]
-        joined = [math.nan] * (2 * len(batch) - 1)
-        joined[::2] = batch
-        pieces = _TO_JSON(joined)[1:-1].split(",NaN,")
-        lines += pieces if len(pieces) == len(batch) else map(_TO_JSON, batch)
-    lines.append("")  # the final newline, without a copy of the whole text
-    return "\n".join(lines)
 
 
 def _log_lines_from_jsonl(text: str) -> tuple[dict, list[dict]]:
@@ -1012,10 +1092,8 @@ class _Engine:
         sender_id = msg.station_id
         type_name = msg.msg_type.name
         data = encode_message(msg, max_hops=self.max_hops)
-        self.log.append({"t": _round9(tx_time), "type": "msg_tx",
-                         "actor": self.labels[sender_id], "msg_type": type_name,
-                         "station_id": sender_id, "timestamp_ms": msg.timestamp_ms,
-                         "size_b": len(data)})
+        self.log.append((_round9(tx_time), "msg_tx", self.labels[sender_id], type_name,
+                         sender_id, msg.timestamp_ms, len(data)))
         receivers = [r for r in self.receivers if r[0] != sender_id]
         sent = (msg, type_name, sender_id, msg.timestamp_ms, msg.timestamp_ms / 1000.0)
         incoming, first = self.incoming, self.incoming_due
@@ -1053,9 +1131,8 @@ class _Engine:
             relayed = self.moderator.relay_denm(msg)
             if relayed is not None:
                 p = relayed.payload
-                self.log.append({"t": _round9(rx_time), "type": "denm_relay", "actor": "robot",
-                                 "origin": p.origin_station_id,
-                                 "sequence": p.sequence_number, "hop_count": p.hop_count})
+                self.log.append((_round9(rx_time), "denm_relay", "robot", p.origin_station_id,
+                                 p.sequence_number, p.hop_count))
                 self.transmit(relayed, rx_time)
 
     def flush(self, now_s: float) -> None:
@@ -1076,17 +1153,17 @@ class _Engine:
                 self.transmit(sent, time_s)
             else:
                 msg, type_name, sender_id, timestamp_ms, timestamp_s = sent
-                event = {"t": _round9(time_s), "type": "msg_rx", "actor": labels[receiver_id],
-                         "msg_type": type_name, "from_station": sender_id,
-                         "timestamp_ms": timestamp_ms, "latency_s": _round9(time_s - timestamp_s)}
+                event = (_round9(time_s), "msg_rx", labels[receiver_id], type_name, sender_id,
+                         timestamp_ms, _round9(time_s - timestamp_s))
+                duplicate = False
                 if type_name == "DENM":
                     p = msg.payload
                     seen = (receiver_id, p.origin_station_id, p.sequence_number)
-                    event.update(origin=p.origin_station_id, sequence=p.sequence_number,
-                                 hop_count=p.hop_count, duplicate=seen in self.denm_seen)
+                    duplicate = seen in self.denm_seen
+                    event += (p.origin_station_id, p.sequence_number, p.hop_count, duplicate)
                     self.denm_seen.add(seen)
                 append(event)
-                if receiver_id != robot_id or event.get("duplicate"):
+                if receiver_id != robot_id or duplicate:
                     continue
                 self.hear(msg, type_name, time_s)
             # a transmission, the robot's relay included, may queue
@@ -1123,9 +1200,8 @@ class _Engine:
             entity_x[idx], entity_v[idx] = x, v
             inside = contains(x)
             if inside != in_zone[idx]:
-                append({"t": t, "type": "zod_enter" if inside else "zod_exit",
-                        "actor": self.veh_label[idx], "station_id": self.station_ids[idx],
-                        "road_x_m": _round6(x)})
+                append((t, "zod_enter" if inside else "zod_exit", self.veh_label[idx],
+                        self.station_ids[idx], _round6(x)))
                 in_zone[idx] = inside
             if lo <= x <= hi:
                 in_span.append(idx)
@@ -1150,17 +1226,14 @@ class _Engine:
         # a sample that perception drops gets no image point and no ingest
         for cam_id, idx, dist, point in self.sensor.observe(now_s, entity_x, self.in_span,
                                                             perception.keeps):
-            append({"t": t, "type": "detection", "actor": "infra",
-                    "camera_id": cam_id, "track_id": idx, "station_id": station_ids[idx],
-                    "cam_distance_m": _round6(dist),
-                    "road_x_m": _round6(entity_x[idx]), "first": not first_detected[idx]})
+            append((t, "detection", "infra", cam_id, idx, station_ids[idx], _round6(dist),
+                    _round6(entity_x[idx]), not first_detected[idx]))
             first_detected[idx] = True
             if point is not None:
                 ingest(Detection(cam_id, idx, point, classes[idx], now_s))
         if i % self.cpm_every == 0:
             cpm = self.perception.assemble_cpm(now_s)
-            append({"t": t, "type": "cpm_gen", "actor": "infra",
-                    "timestamp_ms": cpm.timestamp_ms, "n_objects": len(cpm.payload.objects)})
+            append((t, "cpm_gen", "infra", cpm.timestamp_ms, len(cpm.payload.objects)))
             self.send_at(now_s + self.scenario.infra.cpm_processing_delay_s, cpm)
 
     def beacons(self, i: int, now_s: float, t: float) -> None:
@@ -1171,15 +1244,13 @@ class _Engine:
             if i % every == 0:
                 x, v = self.entity_x[idx], self.entity_v[idx]
                 cam_msg = vehicle_cam(sid, now_s, x, v)
-                append({"t": t, "type": "cam_gen", "actor": self.veh_label[idx],
-                        "station_id": sid, "pos_x_m": _round6(x),
-                        "speed_mps": _round6(v), "timestamp_ms": cam_msg.timestamp_ms})
+                append((t, "cam_gen", self.veh_label[idx], sid, _round6(x), _round6(v),
+                        cam_msg.timestamp_ms))
                 self.send_at(now_s, cam_msg)
         robot_cam = self.moderator.cam_tick(now_s, self.pose)
         if robot_cam is not None:
-            append({"t": t, "type": "cam_gen", "actor": "robot", "station_id": self.robot_id,
-                    "pos_x_m": _round6(self.pose.pos_x_m), "speed_mps": 0.0,
-                    "timestamp_ms": robot_cam.timestamp_ms})
+            append((t, "cam_gen", "robot", self.robot_id, _round6(self.pose.pos_x_m), 0.0,
+                    robot_cam.timestamp_ms))
             self.send_at(now_s, robot_cam)
         r = self.scenario.rsu
         while r is not None:
@@ -1204,27 +1275,22 @@ class _Engine:
         cam_objs = [o for o in self.camera_objects if not now_s - o.last_update_s > stale]
         fused = fuse(v2x_objs, cam_objs, self.robot.fusion)
         append = self.log.append
-        append({"t": t, "type": "fusion_out", "actor": "robot",
-                "n_v2x": len(v2x_objs), "n_camera": len(cam_objs),
-                "objects": [{"src": o.source.value, "id": o.ref_id,
-                             "x": _round3(o.road_x_m), "v": _round3(o.speed_mps)}
-                            for o in fused]})
+        append((t, "fusion_out", "robot", len(v2x_objs), len(cam_objs),
+                [{"src": o.source.value, "id": o.ref_id,
+                  "x": _round3(o.road_x_m), "v": _round3(o.speed_mps)} for o in fused]))
         merging = self.scenario.merging_seen(now_s)
         self.state, action = step(self.state, fused, merging, now_s, self.robot.zod)
         if action is not self.last_action and action in (Action.STOP, Action.PASS):
             blocking = self.state.blocking_key
-            append({"t": t, "type": "decision", "actor": "robot", "mode": self.state.mode.value,
-                    "action": action.value, "merging_seen": merging,
-                    "blocking": list(blocking) if blocking else None})
+            append((t, "decision", "robot", self.state.mode.value, action.value, merging,
+                    list(blocking) if blocking else None))
             for ev in self.moderator.actuate(action, now_s):
-                append({"t": t, "type": "actuation", "actor": "robot",
-                        "phase": f"{action.value}_issued", "completes_at": _round9(ev.due_s)})
+                append((t, "actuation", "robot", f"{action.value}_issued", _round9(ev.due_s)))
         self.last_action = action
 
     def actuate(self, now_s: float, t: float) -> None:
         for ev in self.moderator.due_actuations(now_s):
-            self.log.append({"t": t, "type": "actuation", "actor": "robot",
-                             "phase": ev.phase})
+            self.log.append((t, "actuation", "robot", ev.phase))
 
 
 def check_seed(seed) -> int:

@@ -75,10 +75,8 @@ class ReferenceEngine(sim._Engine):
 
     def transmit(self, msg, tx_time):
         sender_id, data = msg.station_id, encode_message(msg, max_hops=self.max_hops)
-        self.log.append({"t": round(tx_time, 9), "type": "msg_tx",
-                         "actor": self.labels[sender_id], "msg_type": msg.msg_type.name,
-                         "station_id": sender_id, "timestamp_ms": msg.timestamp_ms,
-                         "size_b": len(data)})
+        self.log.append((round(tx_time, 9), "msg_tx", self.labels[sender_id],
+                         msg.msg_type.name, sender_id, msg.timestamp_ms, len(data)))
         cfg, rng = self.channel.config, self.channel.rng
         tx_x, tx_y = self.positions[sender_id]
         for rid, (x, y) in sorted(self.receivers):  # a loss draw for each one in range
@@ -95,18 +93,18 @@ class ReferenceEngine(sim._Engine):
                 continue
             msg = decode_message(item, max_hops=self.max_hops)
             type_name = msg.msg_type.name
-            event = {"t": round(time_s, 9), "type": "msg_rx", "actor": self.labels[receiver_id],
-                     "msg_type": type_name, "from_station": msg.station_id,
-                     "timestamp_ms": msg.timestamp_ms,
-                     "latency_s": round(time_s - msg.timestamp_ms / 1000.0, 9)}
+            event = (round(time_s, 9), "msg_rx", self.labels[receiver_id], type_name,
+                     msg.station_id, msg.timestamp_ms,
+                     round(time_s - msg.timestamp_ms / 1000.0, 9))
+            duplicate = False
             if type_name == "DENM":
                 p = msg.payload
                 seen = (receiver_id, p.origin_station_id, p.sequence_number)
-                event.update(origin=p.origin_station_id, sequence=p.sequence_number,
-                             hop_count=p.hop_count, duplicate=seen in self.denm_seen)
+                duplicate = seen in self.denm_seen
+                event += (p.origin_station_id, p.sequence_number, p.hop_count, duplicate)
                 self.denm_seen.add(seen)
             self.log.append(event)
-            if receiver_id == self.robot_id and not event.get("duplicate"):
+            if receiver_id == self.robot_id and not duplicate:
                 self.hear(msg, type_name, time_s)
 
     def merge(self):
@@ -118,9 +116,8 @@ class ReferenceEngine(sim._Engine):
             self.entity_x[idx], self.entity_v[idx] = x, v
             inside = self.robot.zod.contains(x)
             if inside != self.in_zone[idx]:
-                self.log.append({"t": round(now_s, 9), "type": ("zod_exit", "zod_enter")[inside],
-                                 "actor": f"veh{idx}", "station_id": ent.station_id,
-                                 "road_x_m": round(x, 6)})
+                self.log.append((round(now_s, 9), ("zod_exit", "zod_enter")[inside],
+                                 f"veh{idx}", ent.station_id, round(x, 6)))
                 self.in_zone[idx] = inside
         self.receivers = [(self.robot_id, self.robot.position),
                           *((sid, (self.entity_x[idx], 0.0)) for idx, sid, _ in self.v2x_vehicles)]
@@ -130,19 +127,16 @@ class ReferenceEngine(sim._Engine):
         if self.sensor is None:
             return
         for cam_id, idx, dist, point in scalar_observe(self.sensor, self.entity_x):
-            self.log.append({"t": round(now_s, 9), "type": "detection", "actor": "infra",
-                             "camera_id": cam_id, "track_id": idx,
-                             "station_id": self.station_ids[idx], "cam_distance_m": round(dist, 6),
-                             "road_x_m": round(self.entity_x[idx], 6),
-                             "first": not self.first_detected[idx]})
+            self.log.append((round(now_s, 9), "detection", "infra", cam_id, idx,
+                             self.station_ids[idx], round(dist, 6),
+                             round(self.entity_x[idx], 6), not self.first_detected[idx]))
             self.first_detected[idx] = True
             ingest_projecting_first(self.perception,
                                     Detection(cam_id, idx, point, self.classes[idx], now_s))
         if i % self.cpm_every == 0:
             cpm = self.perception.assemble_cpm(now_s)
-            self.log.append({"t": round(now_s, 9), "type": "cpm_gen", "actor": "infra",
-                             "timestamp_ms": cpm.timestamp_ms,
-                             "n_objects": len(cpm.payload.objects)})
+            self.log.append((round(now_s, 9), "cpm_gen", "infra", cpm.timestamp_ms,
+                             len(cpm.payload.objects)))
             self.send_at(now_s + self.scenario.infra.cpm_processing_delay_s, cpm)
 
     def actuate(self, now_s, t):

@@ -6,9 +6,11 @@ import hashlib
 import importlib.util
 import json
 import math
+import operator
 import os
 import pathlib
 import re
+import string
 import subprocess
 import sys
 import typing
@@ -21,7 +23,8 @@ from hypothesis import strategies as st
 
 from mergeguard import perception, sim
 from mergeguard.channel import _DRAW_BLOCK, Channel, ChannelConfig
-from mergeguard.messages import CpmPayload, DenmPayload, Message, PerceivedObject
+from mergeguard.messages import (CpmPayload, DenmPayload, Message, ObjectClass,
+                                 PerceivedObject)
 from mergeguard.sim import (LOG_FORMAT_VERSION, EventLog, ParseError,
                             TrajectorySegment, ValidationError, eval_trajectory,
                             load_scenario, log_from_jsonl, make_pass_scenario,
@@ -893,26 +896,29 @@ class TestLogDiscipline:
 
     def test_append_rejects_unknown_type(self):
         log = EventLog()
-        with pytest.raises(ValueError, match="unknown event type"):
-            log.append({"t": 0.0, "type": "lunch_break", "actor": "robot"})
+        for event in [(0.0, "lunch_break", "robot"), (0.0, "actuation", "robot"),
+                      (0.0, "actuation", "robot", "lane_clear", 1.0, 2.0)]:
+            with pytest.raises(ValueError, match="unknown event shape"):
+                log.append(event)
+        assert len(log) == 0
 
     def test_append_rejects_time_regression(self):
         log = EventLog()
-        log.append({"t": 5.0, "type": "decision", "actor": "robot"})
+        log.append((5.0, "actuation", "robot", "lane_clear"))
         with pytest.raises(ValueError, match="time regression"):
-            log.append({"t": 4.0, "type": "decision", "actor": "robot"})
+            log.append((4.0, "actuation", "robot", "lane_clear"))
 
     def test_append_allows_regression_within_time_eps(self):
         # a time up to sim._TIME_EPS (1e-9) before the last one is accepted
         log = EventLog()
-        log.append({"t": 1.0, "type": "decision", "actor": "robot"})
-        log.append({"t": 1.0 - 5e-10, "type": "decision", "actor": "robot"})
+        log.append((1.0, "actuation", "robot", "lane_clear"))
+        log.append((1.0 - 5e-10, "actuation", "robot", "lane_clear"))
         with pytest.raises(ValueError, match="time regression"):
-            log.append({"t": 1.0 - 2e-9, "type": "decision", "actor": "robot"})
+            log.append((1.0 - 2e-9, "actuation", "robot", "lane_clear"))
         assert [e["t"] for e in log.events] == [1.0, 1.0 - 5e-10]
 
     def test_every_event_passes_the_log_checks(self, monkeypatch):
-        # every event site builds its dict and hands it to append
+        # every event site builds its tuple and hands it to append
         checked = []
         append = EventLog.append
 
@@ -926,19 +932,32 @@ class TestLogDiscipline:
         for scenario in [*scenarios, v2x_cell(rsu=DENSE_RSU)]:
             checked.clear()
             res = run(scenario)
-            assert checked == res.log.events
-            seen |= {e["type"] for e in checked}
+            assert checked == res.log._events
+            seen |= {e[1] for e in checked}
         assert seen == sim.EVENT_TYPES
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_append_rejects_non_finite_time(self, bad):
         log = EventLog()
         with pytest.raises(ValueError, match="not finite"):
-            log.append({"t": bad, "type": "decision", "actor": "robot"})
-        log.append({"t": 0.0, "type": "decision", "actor": "robot"})
+            log.append((bad, "actuation", "robot", "lane_clear"))
+        log.append((0.0, "actuation", "robot", "lane_clear"))
         with pytest.raises(ValueError, match="not finite"):
-            log.append({"t": bad, "type": "decision", "actor": "robot"})
+            log.append((bad, "actuation", "robot", "lane_clear"))
         assert [e["t"] for e in log.events] == [0.0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind,fields,i", [
+        (kind, shape.fields, i) for kind, by_size in sim._SHAPES.items()
+        for shape in filter(None, by_size) for i in shape.floats])
+    def test_append_rejects_every_non_finite_float(self, kind, fields, i, bad):
+        # json would write NaN or Infinity, which no log line may hold
+        event = [plain_value(name) for name in fields]
+        event[1], event[i] = kind, bad
+        log = EventLog()
+        with pytest.raises(ValueError, match=f"{fields[i]} is not finite"):
+            log.append(tuple(event))
+        assert len(log) == 0
 
     def test_append_checks_survive_optimized_mode(self):
         # each case: times accepted in turn, then one the log must refuse
@@ -947,9 +966,9 @@ class TestLogDiscipline:
                 "    log = EventLog()\n"
                 "    *ok, bad = times\n"
                 "    for t in ok:\n"
-                "        log.append({'t': t, 'type': 'decision', 'actor': 'robot'})\n"
+                "        log.append((t, 'actuation', 'robot', 'lane_clear'))\n"
                 "    try:\n"
-                "        log.append({'t': bad, 'type': 'decision', 'actor': 'robot'})\n"
+                "        log.append((bad, 'actuation', 'robot', 'lane_clear'))\n"
                 "    except ValueError:\n"
                 "        print('rejected')\n")
         src = str(pathlib.Path(sim.__file__).resolve().parent.parent)
@@ -1060,7 +1079,7 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# event log I/O: the batched writer and one-call reader against their references
+# event log I/O: the template writer and one-call reader against their references
 
 
 @functools.cache
@@ -1192,6 +1211,36 @@ class TestLogReader:
         assert calls == []
 
 
+def plain_value(name):
+    """The plainest value of field ``name``'s kind."""
+    return {"%r": 0.0, "%d": 0, "%b": False, '"%s"': "x", "%s": []}[sim._WRITE_AS.get(name, "%d")]
+
+
+NAMES = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=8)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e-7, 1e16, 1e308, -1e308])
+INTS = st.integers(-2**64, 2**64) | st.sampled_from(list(ObjectClass))
+OBJECTS = st.lists(st.fixed_dictionaries({"src": NAMES, "id": INTS, "x": st.floats(),
+                                          "v": st.floats()}), max_size=3)
+FIELD_VALUES = {"%r": FLOATS, "%d": INTS, "%b": st.booleans(), '"%s"': NAMES}
+
+
+@st.composite
+def shaped_events(draw):
+    """One event of each shape, in a drawn order, with drawn field values
+    and times in order."""
+    shapes = [(kind, shape.fields) for kind, by_size in sim._SHAPES.items()
+              for shape in filter(None, by_size)]
+    times = sorted(draw(st.lists(FLOATS, min_size=len(shapes), max_size=len(shapes))))
+    events = []
+    for t, (kind, fields) in zip(times, draw(st.permutations(shapes))):
+        values = [draw(OBJECTS if name == "objects"
+                       else st.none() | st.tuples(NAMES, INTS).map(list) if name == "blocking"
+                       else FIELD_VALUES[sim._WRITE_AS.get(name, "%d")]) for name in fields]
+        events.append((t, kind, *values[2:]))
+    return events
+
+
 class TestLogWriter:
     @pytest.mark.parametrize("name", sorted(SHIPPED))
     def test_shipped_log(self, name):
@@ -1200,30 +1249,68 @@ class TestLogWriter:
 
     @pytest.mark.parametrize("events", [
         [],
-        [{"t": 0.0, "type": "cam_gen", "actor": "robot"}],
-        # a NaN inside a list encodes as ",NaN,": the objects are encoded one by one
-        [{"t": 0.0, "type": "fusion_out", "actor": "robot", "x": [1.0, math.nan, 2.0]},
-         {"t": 1.0, "type": "cam_gen", "actor": "robot"}],
-        [{"t": 0.0, "type": "cam_gen", "actor": ",NaN,"},
-         {"t": 1.0, "type": "cam_gen", "actor": "robot"}],
-        [{"t": float(k), "type": "cam_gen", "actor": "robot",
-          "x": [k, math.nan, k] if k == 200 else k} for k in range(300)],
-    ], ids=["no events", "one event", "NaN in a list", "separator in a string",
-            "NaN in one batch of several"])
+        [(0.0, "actuation", "robot", "lane_clear")],
+        # a NaN in a nested list is written by json, as NaN
+        [(0.0, "fusion_out", "robot", 1, 0, [{"src": "v2x", "id": 7, "x": math.nan, "v": 1.0}]),
+         (1.0, "actuation", "robot", "stop_issued", -0.0)],
+        [(0.0, "decision", "robot", "STOPPED", "STOP", True, ["camera", 3]),
+         (0.0, "decision", "robot", "CLEAR", "PASS", False, None)],
+        [(float(k), "detection", "infra", 0, k, 7, 1e16 / (k + 1), -5e-324, k % 2 == 0)
+         for k in range(300)],
+    ], ids=["no events", "one event", "NaN in a list", "both flags and a null", "many events"])
     def test_log_encodes_as_its_objects_one_by_one(self, events):
         header = {"log_format": LOG_FORMAT_VERSION, "scenario": "s"}
-        log = EventLog(events)
+        log = EventLog()
+        for event in events:
+            log.append(event)
         assert sim.log_to_jsonl(header, log) == jsonl_one_by_one(header, log)
 
-    @given(st.lists(st.recursive(
-        st.none() | st.booleans() | st.integers() | st.floats() | st.text(",NaN[]{}\"x"),
-        lambda inner: st.lists(inner, max_size=3)
-        | st.dictionaries(st.text("aN,", max_size=3), inner, max_size=3),
-        max_leaves=8), max_size=6))
+    @given(shaped_events())
     def test_any_values_encode_as_one_by_one(self, events):
+        # every shape's template writes the line json writes for its dict
         header = {"n": math.nan}
-        log = EventLog(events)
+        log = EventLog()
+        for event in events:
+            log.append(event)
         assert sim.log_to_jsonl(header, log) == jsonl_one_by_one(header, log)
+
+    def test_engine_events_keep_to_the_written_types(self):
+        # the template rules hold for these types: a float that is a float
+        # (an np.float64 reprs otherwise), an int, a bool, and names that
+        # json writes as they are, needing no escape
+        scenarios = [load_scenario(path) for path in sorted(SCENARIO_DIR.glob("*.json"))]
+        scenarios.append(v2x_cell(rsu=DENSE_RSU))
+        for workload in ("seed_sweep", "v2x_dense", "mixed_lossy"):
+            scenarios += [scenario_from_dict(obj) for _, obj in
+                          workloads().make_jobs(workload, 1, SCENARIO_DIR)]
+        by_shape = {}
+        for sc in scenarios:
+            for event in run(sc).log._events:
+                by_shape.setdefault((event[1], len(event)), []).append(event)
+        types, names = {}, set()  # the types each rule met, nested scalars included
+
+        def met(rule, values):
+            types.setdefault(rule, set()).update(map(type, values))
+            if rule == '"%s"':
+                names.update(values)
+        for (kind, size), events in by_shape.items():
+            for i, name in enumerate(sim._SHAPES[kind][size].fields):
+                column = list(map(operator.itemgetter(i), events))
+                if name == "objects":
+                    column = [o for objects in column for o in objects]
+                    assert {tuple(o) for o in column} <= {("src", "id", "x", "v")}
+                    met('"%s"', [o["src"] for o in column])
+                    met("%d", [o["id"] for o in column])
+                    met("%r", [o[k] for o in column for k in "xv"])
+                elif name == "blocking":
+                    column = [b for b in column if b is not None]
+                    assert {(type(b), len(b)) for b in column} <= {(list, 2)}
+                    met('"%s"', [b[0] for b in column])
+                    met("%d", [b[1] for b in column])
+                else:
+                    met(sim._WRITE_AS.get(name, "%d"), column)
+        assert types == {"%r": {float}, "%d": {int}, "%b": {bool}, '"%s"': {str}}
+        assert [name for name in names if not re.fullmatch(r"[A-Za-z0-9_]+", name)] == []
 
 
 def _sha256(text: str) -> str:

@@ -1,4 +1,5 @@
-"""Compare ``sim.run`` CPU time of two checkouts on one benchmark workload.
+"""Compare the CPU time of ``sim.run`` and of writing its log (``to_jsonl``)
+between two checkouts on one benchmark workload.
 
     python3 tools/ab_run.py A B --workload W [--seed S] [--rounds R] [--jobs N]
 
@@ -12,11 +13,12 @@ built by this checkout's ``perfbench/workloads.py`` with side A's
 First every job must give the same JSONL on both sides; if one does not,
 the script names the first such job and exits 1.  Then each round runs
 every job on both sides, job by job, alternating which side goes first,
-and sums each side's ``sim.run`` CPU seconds.  It prints each side's
-median over the rounds, the speed-up of B with A's median as its base,
-and how many rounds each side won; then the lowest, median and highest
-of the rounds' own B speed-ups (A's time over B's), the width a verdict
-near a bar must be read with.
+and sums each side's CPU seconds in ``sim.run`` and in ``to_jsonl`` of
+its result.  For each of the two, it prints each side's median over the
+rounds, the speed-up of B with A's median as its base, and how many
+rounds each side won; then the lowest, median and highest of the rounds'
+own B speed-ups (A's time over B's), the width a verdict near a bar must
+be read with.
 """
 
 from __future__ import annotations
@@ -58,10 +60,30 @@ def load_workloads(sim):
     return module
 
 
-def cpu_seconds(sim, scenario) -> float:
+STAGES = ("sim.run", "to_jsonl")
+
+
+def cpu_seconds(sim, scenario) -> tuple[float, float]:
+    """CPU seconds of ``sim.run`` of ``scenario`` and of writing its log."""
     start = time.process_time()
-    sim.run(scenario)
-    return time.process_time() - start
+    result = sim.run(scenario)
+    ran = time.process_time()
+    result.to_jsonl()
+    return ran - start, time.process_time() - ran
+
+
+def summarise(stage: str, totals: dict, jobs: int, rounds: int) -> None:
+    medians = {side: statistics.median(totals[side]) for side in SIDES}
+    b_won = sum(b < a for a, b in zip(totals["a"], totals["b"]))
+    a_won = sum(a < b for a, b in zip(totals["a"], totals["b"]))
+    for side in SIDES:
+        print(f"{stage} {side.upper()}: median {medians[side]:.6f} s CPU per round "
+              f"of {jobs} jobs")
+    print(f"{stage} B speed-up: x{medians['a'] / medians['b']:.4f} (base: A's median); "
+          f"rounds won: B {b_won}, A {a_won}, of {rounds}")
+    per_round = sorted(a / b for a, b in zip(totals["a"], totals["b"]))
+    print(f"{stage} per-round B speed-up: lowest x{per_round[0]:.4f}, "
+          f"median x{statistics.median(per_round):.4f}, highest x{per_round[-1]:.4f}")
 
 
 def compare(sims: dict, jobs: list, rounds: int) -> int:
@@ -72,24 +94,18 @@ def compare(sims: dict, jobs: list, rounds: int) -> int:
         if logs["a"] != logs["b"]:
             print(f"job {name}: the JSONL logs of A and B differ")
             return 1
-    totals = {side: [] for side in SIDES}
+    totals = {stage: {side: [] for side in SIDES} for stage in STAGES}
     for r in range(rounds):
-        spent = dict.fromkeys(SIDES, 0.0)
+        spent = {side: [0.0] * len(STAGES) for side in SIDES}
         for k in range(len(jobs)):
             for side in (SIDES if (r + k) % 2 == 0 else SIDES[::-1]):
-                spent[side] += cpu_seconds(sims[side], scenarios[side][k])
+                for i, seconds in enumerate(cpu_seconds(sims[side], scenarios[side][k])):
+                    spent[side][i] += seconds
         for side in SIDES:
-            totals[side].append(spent[side])
-    medians = {side: statistics.median(totals[side]) for side in SIDES}
-    b_won = sum(b < a for a, b in zip(totals["a"], totals["b"]))
-    a_won = sum(a < b for a, b in zip(totals["a"], totals["b"]))
-    for side in SIDES:
-        print(f"{side.upper()}: median {medians[side]:.6f} s CPU per round of {len(jobs)} jobs")
-    print(f"B speed-up: x{medians['a'] / medians['b']:.4f} (base: A's median); "
-          f"rounds won: B {b_won}, A {a_won}, of {rounds}")
-    per_round = sorted(a / b for a, b in zip(totals["a"], totals["b"]))
-    print(f"per-round B speed-up: lowest x{per_round[0]:.4f}, "
-          f"median x{statistics.median(per_round):.4f}, highest x{per_round[-1]:.4f}")
+            for stage, seconds in zip(STAGES, spent[side]):
+                totals[stage][side].append(seconds)
+    for stage in STAGES:
+        summarise(stage, totals[stage], len(jobs), rounds)
     return 0
 
 
