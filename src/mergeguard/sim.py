@@ -46,7 +46,8 @@ NumPy's ``SeedSequence.spawn`` and ``Generator`` ``random`` and
 each to exactly the float ``round(x, n)`` gives.  The engine and
 ``series`` round through ``_round9``, ``_round6`` and ``_round3``, which
 reach that float with IEEE-754 double arithmetic and leave to ``round``
-what they cannot prove.
+what they cannot prove.  A log's KPIs rest on ``orjson`` reading numbers
+as ``float()`` and ``int()`` do, which a test pins too.
 
 Scenario layout (see docs/scenario_schema.md for the field-by-field
 reference)::
@@ -82,6 +83,7 @@ from operator import attrgetter, eq, itemgetter
 from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
+import orjson
 
 from .calibration import CalibrationError, CalibrationModel, ReferenceLine
 from .channel import Channel, ChannelConfig, ChannelError
@@ -193,10 +195,11 @@ def eval_trajectory(segments: Sequence[TrajectorySegment], t_s: float) -> tuple[
     return segments[k - 1].at(t_s)
 
 
-def _pace(segments: Sequence[TrajectorySegment], horizon_s: float) -> float | None:
+def _pace(segments: Sequence[TrajectorySegment], horizon_s: float,
+          limit_m: float = _SPAN_SCALE_MAX_M) -> float | None:
     """Seconds per metre at the top speed of a trajectory up to ``horizon_s``
-    (inf if it never moves), or None if its positions may grow so large
-    that rounding could reach the span margin.
+    (inf if it never moves), or None if its positions may reach ``limit_m``,
+    by default so large that rounding could reach the span margin.
 
     The speed changes linearly within a segment, so its largest magnitude
     over a piece is at one of the piece's ends.  The terms that
@@ -212,7 +215,7 @@ def _pace(segments: Sequence[TrajectorySegment], horizon_s: float) -> float | No
         top = max(top, abs(seg.speed_mps),
                   abs(seg.speed_mps + seg.accel_mps2 * (end - seg.start_time_s)))
         start = max(start, abs(seg.start_x_m))
-    if not start + 2.0 * top * horizon_s < _SPAN_SCALE_MAX_M:
+    if not start + 2.0 * top * horizon_s < limit_m:
         return None
     return 1.0 / top if top else math.inf
 
@@ -584,6 +587,8 @@ def scenario_from_dict(obj: dict) -> Scenario:
     # comes back from the wire unchanged
     probes = []
     for i, ent in enumerate(sc.entities):
+        _require(_pace(ent.trajectory, last + _TIME_EPS, math.inf) is not None,
+                 f"entities[{i}]: trajectory positions overflow a float during the run")
         if not ent.v2x_equipped:
             continue
         _require(_divisible(ent.cam_period_s, tick),
@@ -901,28 +906,19 @@ def log_to_jsonl(header: dict, log: EventLog) -> str:
     return "\n".join([_TO_JSON(header), *[shapes[e[1]][len(e)].write(e) for e in log._events], ""])
 
 
-def _not_json(token: str):
-    raise ValueError(f"{token} is not JSON")
+def _finite(token: str) -> float:
+    if not math.isfinite(value := float(token)):
+        raise ValueError(f"{token} is not a finite number")
+    return value
 
 
-# strict JSON: the NaN, Infinity and -Infinity that json.loads takes are refused
-_FROM_JSON = json.JSONDecoder(parse_constant=_not_json).decode
-
-# the one-call reader's line separator: NaN, which no log line may hold
-_LINE_END = object()
-
-
-def _line_end(token: str):
-    if token != "NaN":
-        _not_json(token)
-    return _LINE_END
-
-
-_FROM_JSON_LINES = json.JSONDecoder(parse_constant=_line_end).decode
+# strict JSON: the NaN, Infinity and -Infinity that json.loads takes are
+# refused, and so is a number too large for a float, which it reads as inf
+_FROM_JSON = json.JSONDecoder(parse_constant=_finite, parse_float=_finite).decode
 
 
 def _log_lines_from_jsonl(text: str) -> tuple[dict, list[dict]]:
-    """``log_from_jsonl`` one line at a time: the reference for its meaning."""
+    """``log_from_jsonl`` with ``json``: the reference for its meaning."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty log")
@@ -935,35 +931,39 @@ def _log_lines_from_jsonl(text: str) -> tuple[dict, list[dict]]:
         raise ValueError(str(exc)) from None
 
 
+# digits as 0, so that a run of 19 digits shows as "0" * 19
+_DIGITS_TO_0 = str.maketrans("123456789", "000000000")
+# orjson recurses with no depth limit, about 32 bytes of stack a character of
+# nesting (3.8.3): a line this long nests within about 1 MB
+_ORJSON_LINE_MAX = 2 ** 15
+
+
 def log_from_jsonl(text: str) -> tuple[dict, list[dict]]:
     """The header and events of a JSONL log, as ``log_to_jsonl`` writes it.
 
-    Each non-blank line holds one strict JSON value (no ``NaN`` or
-    ``Infinity``), and the first one, the header, must be an object.
-    Blank lines are skipped and any line ending ``str.splitlines`` knows
-    is taken, CRLF included.  Raises ``ValueError`` otherwise.
+    Each non-blank line holds one strict JSON value, with no ``NaN`` or
+    number that is not finite as a float, and the first one, the header,
+    must be an object.  Blank lines are skipped and any line end that
+    ``str.splitlines`` knows is taken.  Raises ``ValueError`` otherwise.
 
-    A log as written (ASCII, no ``\\r``, no ``NaN``, ``\\n``-terminated) is
-    decoded in one call, as the list that putting ``,NaN,`` after every
-    ``\\n`` and closing with ``0]`` makes.  Only ``\\n`` ends a line of such a
-    text, since the other ASCII line ends cannot appear in valid JSON, and
-    a blank line leaves an empty item, which the decoder refuses.  The text
-    held no ``NaN``, so every NaN decoded is a separator added; when all of
-    them sit at the top level, alternating with the values, each line held
-    exactly one value, the one that decoding the line alone gives.  Any
-    other text, and any that fails this check, is read line by line.
+    ``orjson`` decodes each line as ``json`` does, but reads an integer
+    outside [-2**63, 2**64), which has 19 digits or more, as a float.  So
+    ``json`` reads, line by line, a text that is not ASCII, holds 19 digits
+    in a row or a line over ``_ORJSON_LINE_MAX``, has a line ``orjson``
+    refuses (a blank one, say) or a header that is not an object.  One
+    difference is meant: ``orjson`` reads a line nested deeper than
+    ``json``'s recursion limit (about 1,000 levels), which ``json`` refuses.
     """
-    if (text.isascii() and "\r" not in text and "NaN" not in text
-            and text.endswith("\n")):
-        n = text.count("\n")
+    lines = text.isascii() and "0" * 19 not in text.translate(_DIGITS_TO_0) and text.splitlines()
+    if lines and max(map(len, lines)) <= _ORJSON_LINE_MAX:
+        lines.reverse()  # popped, each line is freed as it is decoded
+        pop, loads = lines.pop, orjson.loads
         try:
-            items = _FROM_JSON_LINES("[" + text.replace("\n", "\n,NaN,") + "0]")
-        except (ValueError, RecursionError):
-            pass  # the line reader below raises what it finds
-        else:
-            if (len(items) == 2 * n + 1 and items[1::2].count(_LINE_END) == n
-                    and isinstance(items[0], dict)):
-                return items[0], items[2:-1:2]
+            values = [loads(pop()) for _ in range(len(lines))]
+            if isinstance(values[0], dict):
+                return values[0], values[1:]
+        except orjson.JSONDecodeError:
+            pass  # the line reader below reads the text or raises what it finds
     return _log_lines_from_jsonl(text)
 
 

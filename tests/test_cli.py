@@ -288,11 +288,14 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed log") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("token, shown", [("true", "True"), ('"1"', "'1'"),
-                                              ("null", "None"), ("1e400", "inf")],
-                             ids=["true", "string", "null", "1e400"])
+    @pytest.mark.parametrize("token, says", [
+        ("true", "{field} is not a finite number: True"),
+        ('"1"', "{field} is not a finite number: '1'"),
+        ("null", "{field} is not a finite number: None"),
+        ("1e400", "1e400 is not a finite number"),  # the reader refuses it
+    ], ids=["true", "string", "null", "1e400"])
     @pytest.mark.parametrize("field", list(KPI_FIELDS))
-    def test_field_that_is_not_a_finite_number(self, tmp_path, capsys, field, token, shown):
+    def test_field_that_is_not_a_finite_number(self, tmp_path, capsys, field, token, says):
         scenario, record = KPI_FIELDS[field]
         lines = sim.run(sim.load_scenario(scenario)).to_jsonl().splitlines()
         i = next(i for i, line in enumerate(lines) if record.items() <= json.loads(line).items())
@@ -303,7 +306,7 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", str(log)]) == EXIT_INVALID
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: malformed log: {field} is not a finite number: {shown}"]
+        assert err == ["error: malformed log: " + says.format(field=field)]
 
 
 class TestBatch:
@@ -352,10 +355,10 @@ def edited(tmp_path, base, edit):
     return input_file(tmp_path, "edited.json", json.dumps(obj))
 
 
-def deep_log(tmp_path, line):
+def deep_log(tmp_path, line, value=DEEP):
     """A log of rotterdam_run whose ``line`` is nested deeper than the decoder can recurse."""
     lines = sim.run(sim.load_scenario(ROTTERDAM)).to_jsonl().splitlines()
-    lines[line] = DEEP
+    lines[line] = value
     return input_file(tmp_path, "deep.jsonl", "\n".join(lines) + "\n")
 
 
@@ -381,6 +384,23 @@ def overlong_run(tmp_path):
     return input_file(tmp_path, "overlong.json", json.dumps(obj))
 
 
+def overflowing_car(tmp_path):
+    # a radio-less car in the zone at 1.7e308 m/s and 1e308 m/s^2, whose
+    # position is inf a tick after the start
+    obj = {"schema_version": 1, "name": "overflow", "duration_s": 4.0, "tick_s": 1.0,
+           "rng_seed": 0, "robot": {"station_id": 1, "decision_period_s": 1.0},
+           "entities": [{"trajectory": [{"start_time_s": 0.0, "start_x_m": 0.0,
+                                         "speed_mps": 1.7e308, "accel_mps2": 1e308}]}]}
+    return input_file(tmp_path, "overflow.json", json.dumps(obj))
+
+
+def first_event_at(tmp_path, token):
+    """A log of denm_repeater whose first event's time is ``token``."""
+    header, first, *rest = sim.run(sim.load_scenario(REPEATER)).to_jsonl().splitlines()
+    first = '{"t":' + token + first[first.index(","):]
+    return input_file(tmp_path, "log.jsonl", "\n".join([header, first, *rest]) + "\n")
+
+
 def crowded_cell(obj):
     # 2,000 V2X cars for 10 s: within the tick-actor bound, far past the radio one
     obj.update(duration_s=10.0, entities=[{"station_id": 1000 + k, "trajectory": [
@@ -399,6 +419,11 @@ ONE_ERROR_LINE = {
         "--out-dir", str(d / "out")], r"deep\.json: "),
     "report deep header": (lambda d: ["report", deep_log(d, 0)], "malformed log: "),
     "report deep event": (lambda d: ["report", deep_log(d, 1)], "malformed log: "),
+    "report deep closed event": (  # past the stack orjson recurses on
+        lambda d: ["report", deep_log(d, 1, '{"":' * 100_000 + "0" + "}" * 100_000)],
+        "malformed log: "),
+    "report time past a float": (lambda d: ["report", first_event_at(d, "1e400")],
+                                 "malformed log: 1e400 is not a finite number$"),
     "report non-UTF-8 log": (lambda d: ["report", input_file(d, "bom.jsonl", b"\xff\xfe{}\n")],
                              "malformed log: 'utf-8' codec can't decode"),
     "run seed -1": (lambda d: ["run", ROTTERDAM, "--seed", "-1", *log_out(d)],
@@ -422,6 +447,14 @@ ONE_ERROR_LINE = {
         lambda d: ["validate", edited(d, ROTTERDAM, lambda obj: obj.update(duration_s=1e9))],
         r"\S+: duration_s: 20000000001 ticks x \d+ actors \(robot, entities, cameras\) "
         r"exceed the bound of 10000000 tick-actors per run$"),
+    "validate overflowing car": (
+        lambda d: ["validate", overflowing_car(d)],
+        r"\S+overflow\.json: entities\[0\]: trajectory positions overflow a float "
+        r"during the run$"),
+    "run overflowing car": (
+        lambda d: ["run", overflowing_car(d), *log_out(d)],
+        r"\S+overflow\.json: entities\[0\]: trajectory positions overflow a float "
+        r"during the run$"),
     "validate crowded radio cell": (
         lambda d: ["validate", edited(d, REPEATER, crowded_cell)],
         r"\S+: entities: 201 ticks x 2001\^2 radio stations \(robot, V2X entities\) "

@@ -17,6 +17,7 @@ import typing
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
@@ -1055,6 +1056,38 @@ class TestRandomStreams:
                 "so every log that draws from it differs too")
 
 
+# the log's numbers: times to 9 decimals, positions and speeds to 6
+LOGGED_FLOATS = st.integers(-10**15, 10**15).map(lambda k: round(k / 1e9, 9)) | \
+    st.integers(-10**12, 10**12).map(lambda k: round(k / 1e6, 6))
+
+
+class TestJsonNumbers:
+    """A log's KPIs rest on orjson reading its numbers as float() and int()
+    do, which orjson does not promise across releases; this names the number
+    read apart."""
+
+    @settings(max_examples=2000)
+    @given(st.floats(allow_nan=False, allow_infinity=False) | LOGGED_FLOATS)
+    @example(5e-324)  # the least subnormal
+    @example(2.225073858507201e-308)  # the largest subnormal
+    @example(sys.float_info.min)
+    @example(sys.float_info.max)
+    @example(-sys.float_info.max)
+    @example(-0.0)
+    def test_float_reads_as_float_of_its_repr(self, x):
+        got = orjson.loads(repr(x))
+        assert type(got) is float and got.hex() == float(repr(x)).hex(), repr(x)
+
+    @settings(max_examples=2000)
+    @given(st.integers(-10**18, 10**18))
+    @example(-10**18)
+    @example(10**18)
+    @example(0)
+    def test_int_reads_as_int(self, n):
+        got = orjson.loads(str(n))
+        assert type(got) is int and got == int(str(n)), n
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical(self):
         sc = load_scenario(SCENARIO_DIR / "rotterdam_run.json")
@@ -1079,7 +1112,7 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# event log I/O: the template writer and one-call reader against their references
+# event log I/O: the template writer and the orjson reader against their references
 
 
 @functools.cache
@@ -1109,6 +1142,10 @@ def assert_reads_like_line_reader(text):
 
 LINE_ENDS = ["\n", "\r\n", "\r"]
 BARE_VALUES = ["NaN", "Infinity", "-Infinity", "7", '"x"', "null", "{},{}"]
+# numbers orjson reads otherwise than json, or refuses: integers past its
+# 64 bits, a 19-digit run, an overflowing literal; then a long one it reads alike
+WIDE_NUMBERS = [str(2**64), str(-2**63 - 1), "1" * 30, "0.1234567890123456789", "1e400",
+                "-1e400", "123456789012345678.123456789012345678e-30"]
 
 
 @st.composite
@@ -1119,8 +1156,8 @@ def mutated_logs(draw):
     for _ in range(draw(st.integers(1, 3))):
         edit = draw(st.sampled_from([
             "join", "split", "crlf", "blank", "separator in string",
-            "NaN in string", "non-finite number", "bare value", "bom",
-            "header only", "no final newline"]))
+            "NaN in string", "surrogate in string", "non-finite number", "wide number",
+            "bare value", "bom", "header only", "no final newline"]))
         ends = [m.start() for m in re.finditer("\n", text)] or [len(text)]
         at = ends[draw(st.sampled_from([0, -1]) | st.integers(0, len(ends) - 1))]
         if edit == "join":  # two lines as one, or as two values on one line
@@ -1134,17 +1171,19 @@ def mutated_logs(draw):
         elif edit == "blank":  # before the first line or after any other
             at = draw(st.sampled_from([-1, at]))
             text = text[:at + 1] + draw(st.sampled_from(["\n", " \t\n"])) + text[at + 1:]
-        elif edit in ("separator in string", "NaN in string"):
+        elif edit in ("separator in string", "NaN in string", "surrogate in string"):
             opens = [m.end() for m in re.finditer('[{,:]"', text)] or [0]
             pos = opens[draw(st.integers(0, len(opens) - 1))]
             insert = (draw(st.sampled_from(["\u2028", "\x85"]))
-                      if edit == "separator in string" else "NaN")
+                      if edit == "separator in string" else
+                      "NaN" if edit == "NaN in string" else "\\ud800")
             text = text[:pos] + insert + text[pos:]
-        elif edit == "non-finite number":
+        elif edit in ("non-finite number", "wide number"):
             nums = list(re.finditer(r"(?<=:)-?\d[\d.eE+-]*", text))
             if nums:
                 m = nums[draw(st.integers(0, len(nums) - 1))]
-                token = draw(st.sampled_from(["Infinity", "-Infinity", "NaN"]))
+                token = draw(st.sampled_from(["Infinity", "-Infinity", "NaN"]
+                                             if edit == "non-finite number" else WIDE_NUMBERS))
                 text = text[:m.start()] + token + text[m.end():]
         elif edit == "bare value":  # a line replaced by a value that is not an object
             start = text.rfind("\n", 0, at) + 1
@@ -1179,21 +1218,51 @@ class TestLogReader:
     @pytest.mark.parametrize("text", [
         HEADER + '{"z":0},{"a":[1\n2]}\n',
         HEADER + "{},{}\n",
-        HEADER + "{},{},{}\n",  # the separators stay at odd places
-        HEADER + '{"a":[1\n2]}\n{},{},{}\n',  # and the item count is right
+        HEADER + "{},{},{}\n",
+        HEADER + '{"a":[1\n2]}\n{},{},{}\n',
         HEADER + '{"t":\r0}\n',  # JSON whitespace, but a line end to splitlines
         HEADER + '{"a":"\u2028"}\n',
         HEADER + "NaN\n",
-        HEADER + "7",  # the closing 0] must not extend the last number
+        HEADER + "7",
         '7\n{}\n',
         HEADER + "\n \n{}\r\n",
         "\n" + HEADER,
+        HEADER + '{"t":18446744073709551616}\n',  # orjson: a float
+        HEADER + '{"t":-9223372036854775809}\n',
+        HEADER + '{"t":1e400}\n',
+        HEADER + '{"a":"\\ud800"}\n',  # json: a lone surrogate; orjson refuses it
     ], ids=["value over two lines", "two values on a line", "three values on a line",
             "split value and three values", "lone CR", "line separator in a string",
             "bare NaN", "no final newline", "header not an object",
-            "blank lines and CRLF", "blank first line"])
+            "blank lines and CRLF", "blank first line", "integer at 2**64",
+            "integer below -2**63", "overflowing number", "lone surrogate escape"])
     def test_case_reads_as_line_by_line(self, text):
         assert_reads_like_line_reader(text)
+
+    @pytest.mark.parametrize("text, by_line", [
+        (HEADER + '{"a":"\u00e9"}\n', True),
+        (HEADER + '{"a":"1234567890123456789"}\n', True),  # 19 digits, even in a string
+        (HEADER + '{"a":123456789012345678}\n', False),
+        (HEADER + '{"a":"' + "x" * (sim._ORJSON_LINE_MAX - 7) + '"}\n', True),
+        (HEADER + '{"a":"' + "x" * (sim._ORJSON_LINE_MAX - 8) + '"}\n', False),
+        ("7\n{}\n", True),
+        (HEADER + "\n{}\n", True),
+    ], ids=["not ASCII", "19-digit run", "18-digit run", "line past the limit",
+            "line at the limit", "header not an object", "blank line"])
+    def test_text_orjson_may_read_apart_goes_to_the_line_reader(self, text, by_line, monkeypatch):
+        calls, line_reader = [], sim._log_lines_from_jsonl
+        monkeypatch.setattr(sim, "_log_lines_from_jsonl",
+                            lambda t: calls.append(t) or line_reader(t))
+        assert str(read(log_from_jsonl, text)) == str(read(line_reader, text))
+        assert calls == [text] * by_line
+
+    def test_line_too_deep_for_json_is_read(self):
+        # the one difference meant: orjson has no recursion limit to reach
+        text = HEADER + "[" * 5000 + "]" * 5000 + "\n"
+        with pytest.raises(ValueError, match="recursion"):
+            sim._log_lines_from_jsonl(text)
+        header, (event,) = log_from_jsonl(text)
+        assert header == {"log_format": 1} and isinstance(event, list)
 
     @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
     def test_every_line_end_reads_alike(self, end):
@@ -1201,7 +1270,7 @@ class TestLogReader:
         assert log_from_jsonl(text.replace("\n", end)) == log_from_jsonl(text)
 
     @pytest.mark.parametrize("name", sorted(SHIPPED))
-    def test_shipped_log_is_read_in_one_call(self, name, monkeypatch):
+    def test_shipped_log_is_read_without_the_line_reader(self, name, monkeypatch):
         res = shipped_result(name)
         text = res.to_jsonl()
         want = sim._log_lines_from_jsonl(text)

@@ -26,11 +26,12 @@ def test_ab_run_compares_this_checkout_with_itself(tmp_path):
     out = ab_run(tmp_path, ROOT, ROOT, "--rounds", "1", "--jobs", "2")
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert "2 jobs, 1 rounds" in lines[0] and len(lines) == 9
-    # sim.run, then the writer: each side's median, the speed-up and the
-    # round wins, then the per-round speed-ups; with one round its speed-up
-    # is the lowest, the median and the highest
-    for stage, block in zip(("sim.run", "to_jsonl"), (lines[1:5], lines[5:9])):
+    assert "2 jobs, 1 rounds" in lines[0] and len(lines) == 13
+    # sim.run, the writer, then the reader: each side's median, the speed-up
+    # and the round wins, then the per-round speed-ups; with one round its
+    # speed-up is the lowest, the median and the highest
+    for stage, block in zip(("sim.run", "to_jsonl", "log_from_jsonl"),
+                            (lines[1:5], lines[5:9], lines[9:13])):
         assert [line.split(" ")[0] for line in block] == [stage] * 4
         assert "rounds won: " in block[2] and block[2].endswith("of 1")
         assert re.fullmatch(rf"{stage} per-round B speed-up: lowest x(\d+\.\d{{4}}), "

@@ -1,5 +1,6 @@
-"""Compare the CPU time of ``sim.run`` and of writing its log (``to_jsonl``)
-between two checkouts on one benchmark workload.
+"""Compare the CPU time of ``sim.run``, of writing its log (``to_jsonl``) and
+of reading it back (``log_from_jsonl``) between two checkouts on one
+benchmark workload.
 
     python3 tools/ab_run.py A B --workload W [--seed S] [--rounds R] [--jobs N]
 
@@ -13,12 +14,12 @@ built by this checkout's ``perfbench/workloads.py`` with side A's
 First every job must give the same JSONL on both sides; if one does not,
 the script names the first such job and exits 1.  Then each round runs
 every job on both sides, job by job, alternating which side goes first,
-and sums each side's CPU seconds in ``sim.run`` and in ``to_jsonl`` of
-its result.  For each of the two, it prints each side's median over the
-rounds, the speed-up of B with A's median as its base, and how many
-rounds each side won; then the lowest, median and highest of the rounds'
-own B speed-ups (A's time over B's), the width a verdict near a bar must
-be read with.
+and sums each side's CPU seconds in ``sim.run``, in ``to_jsonl`` of its
+result and in ``log_from_jsonl`` of that text.  For each of the three,
+it prints each side's median over the rounds, the speed-up of B with A's
+median as its base, and how many rounds each side won; then the lowest,
+median and highest of the rounds' own B speed-ups (A's time over B's),
+the width a verdict near a bar must be read with.
 """
 
 from __future__ import annotations
@@ -60,16 +61,19 @@ def load_workloads(sim):
     return module
 
 
-STAGES = ("sim.run", "to_jsonl")
+STAGES = ("sim.run", "to_jsonl", "log_from_jsonl")
 
 
-def cpu_seconds(sim, scenario) -> tuple[float, float]:
-    """CPU seconds of ``sim.run`` of ``scenario`` and of writing its log."""
+def cpu_seconds(sim, scenario) -> tuple[float, float, float]:
+    """CPU seconds of ``sim.run`` of ``scenario``, of writing its log and of
+    reading the log back."""
     start = time.process_time()
     result = sim.run(scenario)
     ran = time.process_time()
-    result.to_jsonl()
-    return ran - start, time.process_time() - ran
+    text = result.to_jsonl()
+    wrote = time.process_time()
+    sim.log_from_jsonl(text)
+    return ran - start, wrote - ran, time.process_time() - wrote
 
 
 def summarise(stage: str, totals: dict, jobs: int, rounds: int) -> None:
