@@ -28,8 +28,8 @@ type name second; ``EventLog.events`` builds their dicts on demand.
 line ``json`` writes for its dict (the event log section gives the rules).
 
 The engine takes shortcuts that leave every byte of the log as it is,
-such as skipping a vehicle no camera can see and queueing in sorted
-batches.  ``docs/shortcuts.md`` lists each one: where it lives, the part
+such as computing motion and sightings a block of ticks at a time and
+queueing in sorted batches.  ``docs/shortcuts.md`` lists each one: where it lives, the part
 of ``tests/reference_engine.py`` that checks it (a plain engine that
 takes none of them and must log the same bytes), and what it is worth.
 Each one's argument for exactness sits next to its code.
@@ -79,6 +79,7 @@ import sys
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import MISSING, dataclass, fields
+from itertools import repeat
 from operator import attrgetter, eq, itemgetter
 from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
@@ -101,12 +102,11 @@ LOG_FORMAT_VERSION = 1
 
 _TIME_EPS = 1e-9
 _DUE = itemgetter(0)  # a queue entry's due time
+_ROW = itemgetter(0)  # a sighting's row in its block
 
-# a radio-less vehicle is skipped while it is farther than this outside the
-# zone and every camera's view, and only while its positions stay below the
-# scale limit, where rounding moves a computed position by far less
-_SPAN_MARGIN_M = 1.0
-_SPAN_SCALE_MAX_M = 1e12
+# the most (tick, camera, vehicle) cells, or (tick, vehicle) cells in a run
+# without cameras, that a block of ticks holds; a block holds one tick at least
+_BLOCK_CELLS = 2 ** 16
 
 _STATION_ID_MAX = 0xFFFFFFFF  # the u32 station_id wire field
 # the most tick-actors a run may take: ticks x (robot + entities + cameras);
@@ -148,6 +148,26 @@ def _rounder(n: int) -> Callable[[float], float]:
 
 # every number the engine and ``series`` log goes through one of these
 _round9, _round6, _round3 = _rounder(9), _rounder(6), _rounder(3)
+
+
+def _round_all(values: np.ndarray, n: int) -> list[float]:
+    """``_rounder(n)`` of each value of a 1-D array, as Python floats.  NumPy's
+    element-wise ``*``, ``+``, ``-`` and ``/`` on float64 round as Python's
+    float operators do, so each step, in ``rounded``'s order, gives the same
+    double, and the values it leaves to ``round`` are the kernel's (an
+    overflow, silent in Python, only sends a value there)."""
+    scale = 10.0 ** n
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = values * scale
+        k = y + 6755399441055744.0 - 6755399441055744.0
+        slow = ~((-5e11 < y) & (y < 5e11) & (-0.4999 < y - k) & (y - k < 0.4999))
+        # on the fast path a nonzero k has the sign of x, which copysign
+        # leaves as it is, and a zero k takes the sign of x, as there
+        out = np.copysign(k / scale, values).tolist()
+    if slow.any():
+        for i, x in zip(np.flatnonzero(slow).tolist(), values[slow].tolist()):
+            out[i] = round(x, n)
+    return out
 
 
 class ScenarioError(Exception):
@@ -195,11 +215,40 @@ def eval_trajectory(segments: Sequence[TrajectorySegment], t_s: float) -> tuple[
     return segments[k - 1].at(t_s)
 
 
-def _pace(segments: Sequence[TrajectorySegment], horizon_s: float,
-          limit_m: float = _SPAN_SCALE_MAX_M) -> float | None:
+class _Motion:
+    """Every vehicle's trajectory as flat arrays, evaluated a block of ticks at once."""
+
+    def __init__(self, entities: Sequence[Entity]):
+        segs = [seg for ent in entities for seg in ent.trajectory]
+        self.start, self.x0, self.speed, self.accel = (
+            np.array([getattr(seg, name) for seg in segs], dtype=float)
+            for name in ("start_time_s", "start_x_m", "speed_mps", "accel_mps2"))
+        counts = [len(ent.trajectory) for ent in entities]
+        self.first = np.cumsum([0, *counts], dtype=np.intp)[:-1]  # each one's first segment
+        # (vehicle index, its segments' start times) of each vehicle with more than one
+        self.multi = [(idx, self.start[first:first + count]) for idx, (first, count)
+                      in enumerate(zip(self.first.tolist(), counts)) if count > 1]
+
+    def at(self, now: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each vehicle's position and signed speed at the times ``now``, a row
+        per time, to the bit ``eval_trajectory``'s: ``searchsorted(starts, t +
+        _TIME_EPS, side="right")`` counts as ``bisect_right`` does, in O(log
+        segments), and the arithmetic is ``TrajectorySegment.at``'s, in its
+        order, which NumPy's float64 ``-``, ``+`` and ``*`` round as Python's."""
+        seg = self.first
+        if self.multi:
+            seg = np.repeat(seg[np.newaxis], len(now), axis=0)
+            after = now + _TIME_EPS
+            for idx, starts in self.multi:
+                seg[:, idx] += np.maximum(np.searchsorted(starts, after, side="right") - 1, 0)
+        dt = now[:, np.newaxis] - self.start[seg]
+        speed, accel = self.speed[seg], self.accel[seg]
+        return self.x0[seg] + speed * dt + 0.5 * accel * dt * dt, speed + accel * dt
+
+
+def _pace(segments: Sequence[TrajectorySegment], horizon_s: float) -> float | None:
     """Seconds per metre at the top speed of a trajectory up to ``horizon_s``
-    (inf if it never moves), or None if its positions may reach ``limit_m``,
-    by default so large that rounding could reach the span margin.
+    (inf if it never moves), or None if its positions may overflow a float.
 
     The speed changes linearly within a segment, so its largest magnitude
     over a piece is at one of the piece's ends.  The terms that
@@ -215,7 +264,7 @@ def _pace(segments: Sequence[TrajectorySegment], horizon_s: float,
         top = max(top, abs(seg.speed_mps),
                   abs(seg.speed_mps + seg.accel_mps2 * (end - seg.start_time_s)))
         start = max(start, abs(seg.start_x_m))
-    if not start + 2.0 * top * horizon_s < limit_m:
+    if not start + 2.0 * top * horizon_s < math.inf:
         return None
     return 1.0 / top if top else math.inf
 
@@ -587,7 +636,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
     # comes back from the wire unchanged
     probes = []
     for i, ent in enumerate(sc.entities):
-        _require(_pace(ent.trajectory, last + _TIME_EPS, math.inf) is not None,
+        _require(_pace(ent.trajectory, last + _TIME_EPS) is not None,
                  f"entities[{i}]: trajectory positions overflow a float during the run")
         if not ent.v2x_equipped:
             continue
@@ -665,36 +714,22 @@ def load_scenario(path) -> Scenario:
 # ---------------------------------------------------------------------------
 # sensor model
 
-# pixel-noise draws per refill of a sensor's buffer, unless one tick needs more
-_NOISE_BLOCK = 1024
-
-
 class SensorModel:
     """Per-vehicle acquisition range plus pixel noise on the line coordinate.
 
     Each vehicle's maximum detection range is drawn once from
     N(mean, std) truncated to [detect_min, detect_max]; a camera sees the
     vehicle whenever its distance lies between the near cutoff and the
-    smaller of that range and the distance at the line's far end, so no
-    camera sees a vehicle outside ``view_span``.  ``observe`` reports
-    each such sighting with the true camera distance and an image point:
-    the true line coordinate plus Gaussian pixel noise, one draw per
-    sighting in camera-then-entity order, whatever the std (a zero std
-    draws zeros, which move no point).  The noise is drawn from the
-    stream in blocks, kept in a buffer that the model owns, and used in
-    stream order, so each sighting gets the value that one scalar draw
-    would give.  The true coordinate is the calibration's inverse at
-    the true distance (``CalibrationModel.inverse``: closed form up to
-    order 2, bisection above).
-
-    Two skips rest on this model and leave every sighting as it was.
-    The engine does not evaluate a radio-less vehicle while it is more
-    than 1 m outside ``view_span`` and the zone, until its top speed could
-    bring it back: before then no camera can see it.  And ``observe`` is
-    told which vehicles to scan, and asks perception's gap rule once per
-    sighting.  A dropped sample still takes its noise draw, so the stream
-    that later sightings read does not change, but it gets no point: its
-    inverse and its point are never computed.
+    smaller of that range and the distance at the line's far end.
+    ``observe`` reports each such sighting of a block of ticks with the
+    true camera distance and its pixel-noise draw, one draw per sighting
+    in tick-camera-entity order, whatever the std (a zero std draws
+    zeros, which move no point).  ``image_point`` turns a sighting into
+    the true line coordinate plus that noise: the calibration's inverse
+    at the true distance (``CalibrationModel.inverse``: closed form up to
+    order 2, bisection above).  A sample that perception's gap rule drops
+    still takes its noise draw, so the stream that later sightings read
+    does not change, but it gets no point: its inverse is never computed.
     """
 
     def __init__(self, config: SensorConfig, cameras: Sequence[CameraSetup],
@@ -705,21 +740,18 @@ class SensorModel:
         ranges = [self._draw_range() for _ in range(n_entities)]
         # (camera, near cutoff, the farthest distance it sees each entity at)
         self._views = []
-        # (lowest, highest) road x that some camera may see, None if none
-        self.view_span: tuple[float, float] | None = None
-        ends = []
         for cam in self.cameras:
             far = cam.calibration.raw(cam.line.s_max)
             near = max(config.detect_near_m, cam.calibration.raw(0.0))
-            reach = [min(r, far) for r in ranges]
-            self._views.append((cam, near, reach))
-            farthest = max(reach, default=-math.inf)
-            if near <= farthest:
-                ends += (cam.road_position_m + cam.direction_sign * d for d in (near, farthest))
-        if ends:
-            self.view_span = (min(ends), max(ends))
-        self._noise: list[float] = []  # drawn from rng, used from _next on
-        self._next = 0
+            self._views.append((cam, near, [min(r, far) for r in ranges]))
+        # the same as arrays, a camera a row, for observe
+        self._ids = np.array([cam.camera_id for cam in self.cameras])
+        self._near = np.array([[near] for _, near, _ in self._views])
+        self._reach = np.array([reach for _, _, reach in self._views])
+        self.sighted = np.zeros(n_entities, dtype=bool)  # seen by a camera in an earlier block
+        # (inverse, s_max, p0, direction) of each camera's line, by camera id
+        self._lines = {cam.camera_id: (cam.calibration.inverse, cam.line.s_max, cam.line.p0,
+                                       cam.line.direction) for cam in self.cameras}
 
     def _draw_range(self) -> float:
         cfg = self.config
@@ -730,40 +762,38 @@ class SensorModel:
             if cfg.detect_min_m <= r <= cfg.detect_max_m:
                 return r
 
-    def observe(self, now_s: float, positions: Sequence[float], indices: Sequence[int],
-                keeps: Callable[[int, int, float], bool]
-                ) -> list[tuple[int, int, float, tuple[float, float] | None]]:
-        """This tick's sightings of the entities in ``indices`` (ascending),
-        cameras in id order, entities in index order: one ``(camera_id,
-        entity_index, distance_m, point)`` per in-view sample, with the true
-        camera distance and the noisy image point, or None for a point when
-        ``keeps(camera_id, entity_index, now_s)``, asked once per sighting,
-        is false.
-        """
-        out, noise, pos = [], self._noise, self._next
-        need = len(self._views) * len(indices)  # at most one draw per camera and entity
-        if pos + need > len(noise):
-            block = self.rng.normal(0.0, self.config.pixel_noise_std,
-                                    max(_NOISE_BLOCK, need)).tolist()
-            noise = self._noise = noise[pos:] + block
-            pos = 0
-        for cam, near, reach in self._views:
-            cam_id, sign, road_x, inverse = (cam.camera_id, cam.direction_sign,
-                                             cam.road_position_m, cam.calibration.inverse)
-            line = cam.line
-            s_max, (x0, y0), (ux, uy) = line.s_max, line.p0, line.direction
-            for idx in indices:
-                dist = sign * (positions[idx] - road_x)
-                if not near <= dist <= reach[idx]:
-                    continue
-                if keeps(cam_id, idx, now_s):
-                    s = min(max(inverse(dist, s_max) + noise[pos], 0.0), s_max)
-                    out.append((cam_id, idx, dist, (x0 + s * ux, y0 + s * uy)))
-                else:
-                    out.append((cam_id, idx, dist, None))
-                pos += 1
-        self._next = pos
-        return out
+    def observe(self, times: Sequence[float], positions: np.ndarray,
+                station_ids: Sequence[int]) -> list[tuple[int, tuple, float, float]]:
+        """The sightings of a block of ticks, ``positions[k]`` holding each
+        entity's road x at the tick logged at ``times[k]``: one ``(k, detection
+        event, distance_m, noise)`` per in-view sample, by tick, camera id and
+        entity index, the order in which ``np.nonzero`` (and a boolean index)
+        walks the mask.  The distance ``sign * (x - road_x)`` rounds as in
+        Python (an int sign converts exactly); one ``normal(0, std, n)`` call
+        gives what n scalar draws give, and nothing for n = 0; ``np.unique``
+        finds each entity's first sighting; logged numbers go through
+        ``_round_all``."""
+        with np.errstate(over="ignore"):  # a distance past the float range is out of view
+            dist = np.stack([cam.direction_sign * (positions - cam.road_position_m)
+                             for cam in self.cameras], axis=1)
+        seen = (self._near <= dist) & (dist <= self._reach)
+        rows, cams, idxs = np.nonzero(seen)
+        dist = dist[seen]
+        first, (ids, at) = np.zeros(len(idxs), dtype=bool), np.unique(idxs, return_index=True)
+        first[at], self.sighted[ids] = ~self.sighted[ids], True
+        noise = self.rng.normal(0.0, self.config.pixel_noise_std, len(idxs)).tolist()
+        rows_k, idx_k = rows.tolist(), idxs.tolist()
+        events = zip(map(times.__getitem__, rows_k), repeat("detection"), repeat("infra"),
+                     self._ids[cams].tolist(), idx_k, map(station_ids.__getitem__, idx_k),
+                     _round_all(dist, 6), _round_all(positions[rows, idxs], 6), first.tolist())
+        return list(zip(rows_k, events, dist.tolist(), noise))
+
+    def image_point(self, camera_id: int, distance_m: float, noise: float) -> tuple[float, float]:
+        """The image point of a sighting: the line coordinate at its true
+        distance plus its noise, clamped to the line."""
+        inverse, s_max, (x0, y0), (ux, uy) = self._lines[camera_id]
+        s = min(max(inverse(distance_m, s_max) + noise, 0.0), s_max)
+        return (x0 + s * ux, y0 + s * uy)
 
 
 # ---------------------------------------------------------------------------
@@ -980,6 +1010,19 @@ class RunResult:
         return log_to_jsonl(self.header, self.log)
 
 
+class _Block(NamedTuple):
+    """What a run of consecutive ticks does in ``world`` and ``sense``, by
+    row: a tick's offset in the block.  Its lists hold only what lasts
+    beyond the block, the events, and a row's values are made into Python
+    objects on its tick, so that the collector has little to walk."""
+    end: int  # the tick after its last
+    x: np.ndarray  # each row's vehicle positions
+    v: np.ndarray  # and signed speeds
+    crossings: dict[int, list[tuple]]  # the zod_enter and zod_exit events of a row
+    sightings: list[tuple[int, tuple, float, float]]  # as observe gives them
+    starts: list[int]  # where each row's sightings start, and their end
+
+
 class _Engine:
     """State of one run; ``run`` calls its stage methods once per tick, in order."""
 
@@ -1054,7 +1097,6 @@ class _Engine:
         self.entity_x = [0.0] * n
         self.entity_v = [0.0] * n
         self.in_zone = [False] * n
-        self.first_detected = [False] * n
         self.classes = [e.object_class for e in scenario.entities]
         self.rsu_sent = 0
 
@@ -1062,33 +1104,30 @@ class _Engine:
         self.n_ticks = int(round(scenario.duration_s / tick))
         self.last_flush_s = self.n_ticks * tick + _TIME_EPS
 
-        # the span where a vehicle can change the log: the zone and every
-        # camera's view, widened by the margin.  world() skips a radio-less
-        # vehicle outside it until ``wake_s``, the earliest time its top
-        # speed (``pace`` is its inverse; None: never skipped) could bring
-        # it back, and lists the vehicles inside it for sense()
-        lo, hi = robot_cfg.zod.x_min, robot_cfg.zod.x_max
-        if self.sensor is not None and self.sensor.view_span is not None:
-            lo, hi = min(lo, self.sensor.view_span[0]), max(hi, self.sensor.view_span[1])
-        self.span = (lo - _SPAN_MARGIN_M, hi + _SPAN_MARGIN_M)
-        self.wake_s = [0.0] * n
-        self.pace = [None if ent.v2x_equipped else _pace(ent.trajectory, self.last_flush_s)
-                     for ent in scenario.entities]
-        self.in_span: list[int] = []
+        # world() computes a block of ticks at a time, as many as hold at
+        # most _BLOCK_CELLS cells, and reads this tick's row of it
+        self.motion = _Motion(scenario.entities)
+        cells = n * (len(infra.cameras) if infra else 1)
+        self.block_ticks = max(1, _BLOCK_CELLS // max(1, cells))
+        self.block, self.row = _Block(0, np.empty((0, n)), np.empty((0, n)), {}, [], [0]), -1
         self.cpm_every = int(round(infra.perception.cpm_period_s / tick)) if infra else 0
         self.decision_every = int(round(robot_cfg.decision_period_s / tick))
 
     def send_at(self, time_s: float, msg: Message) -> None:
-        """Queue the transmission of ``msg`` at the flush due at ``time_s``."""
+        """Queue the transmission of ``msg`` at the flush due at ``time_s``;
+        one due after the last flush would never go out, and is not queued."""
+        if time_s > self.last_flush_s:
+            return
         self.incoming.append((time_s, None, msg))
         if time_s < self.incoming_due:
             self.incoming_due = time_s
 
     def transmit(self, msg: Message, tx_time: float) -> None:
         """Send from ``msg.station_id`` and queue its deliveries, all of the
-        sent message.  It is encoded for its size and its checks, not
-        decoded: a valid message decodes to itself, and the loader spot
-        checks that."""
+        sent message, but for those due after the last flush, which no
+        flush would run; the channel still draws for them.  It is encoded
+        for its size and its checks, not decoded: a valid message decodes
+        to itself, and the loader spot checks that."""
         sender_id = msg.station_id
         type_name = msg.msg_type.name
         data = encode_message(msg, max_hops=self.max_hops)
@@ -1096,9 +1135,11 @@ class _Engine:
                          sender_id, msg.timestamp_ms, len(data)))
         receivers = [r for r in self.receivers if r[0] != sender_id]
         sent = (msg, type_name, sender_id, msg.timestamp_ms, msg.timestamp_ms / 1000.0)
-        incoming, first = self.incoming, self.incoming_due
+        incoming, first, last = self.incoming, self.incoming_due, self.last_flush_s
         for receiver_id, due in self.channel.broadcast(self.positions[sender_id], tx_time,
                                                        receivers):
+            if due > last:
+                continue
             incoming.append((due, receiver_id, sent))
             if due < first:
                 first = due
@@ -1184,33 +1225,39 @@ class _Engine:
         self.incoming_due = math.inf
 
     def world(self, now_s: float, t: float) -> None:
-        # a skipped radio-less vehicle keeps its last position.  Skipping is
-        # exact: until ``wake_s`` it stays more than the margin outside the
-        # span, so it crosses no zone edge and no camera sees it, and the
-        # margin is far larger than the rounding of a computed position
-        # (``pace`` is None where positions could grow past the scale limit)
-        contains, append = self.robot.zod.contains, self.log.append
-        entity_x, entity_v, in_zone = self.entity_x, self.entity_v, self.in_zone
-        wake, pace, (lo, hi) = self.wake_s, self.pace, self.span
-        self.in_span = in_span = []
-        for idx, ent in enumerate(self.scenario.entities):
-            if now_s < wake[idx]:
-                continue
-            x, v = eval_trajectory(ent.trajectory, now_s)
-            entity_x[idx], entity_v[idx] = x, v
-            inside = contains(x)
-            if inside != in_zone[idx]:
-                append((t, "zod_enter" if inside else "zod_exit", self.veh_label[idx],
-                        self.station_ids[idx], _round6(x)))
-                in_zone[idx] = inside
-            if lo <= x <= hi:
-                in_span.append(idx)
-            elif pace[idx] is not None:
-                wake[idx] = now_s + (lo - x if x < lo else x - hi) * pace[idx]
+        block, row = self.block, self.row + 1
+        if row == len(block.x):
+            # the next block's motion, zone crossings (where ``contains``
+            # differs from the tick before) and sightings, of every vehicle,
+            # as one outside the zone and every view logs nothing; ``np.arange(
+            # i0, i1) * tick_s`` is ``run``'s ``i * tick_s`` (ints convert exactly)
+            i0, row, sc = block.end, 0, self.scenario
+            now = np.arange(i0, min(i0 + self.block_ticks, self.n_ticks + 1)) * sc.tick_s
+            times = _round_all(now, 9)
+            x, v = self.motion.at(now)
+            zod, labels, station_ids = self.robot.zod, self.veh_label, self.station_ids
+            inside = (zod.x_min <= x) & (x <= zod.x_max)
+            ks, idxs = np.nonzero(inside != np.vstack([np.array(self.in_zone, dtype=bool),
+                                                       inside[:-1]]))
+            self.in_zone = inside[-1].tolist()
+            crossings = {}
+            for k, idx, entered, at in zip(ks.tolist(), idxs.tolist(),
+                                           inside[ks, idxs].tolist(), x[ks, idxs].tolist()):
+                crossings.setdefault(k, []).append((times[k], ("zod_exit", "zod_enter")[entered],
+                                                    labels[idx], station_ids[idx], _round6(at)))
+            sightings = [] if self.sensor is None else self.sensor.observe(times, x, station_ids)
+            starts = np.searchsorted(np.fromiter(map(_ROW, sightings), np.intp, len(sightings)),
+                                     np.arange(len(now) + 1)).tolist()
+            block = self.block = _Block(i0 + len(now), x, v, crossings, sightings, starts)
+        self.row = row
+        self.entity_x, self.entity_v = block.x[row].tolist(), block.v[row].tolist()
+        for event in block.crossings.get(row, ()):
+            self.log.append(event)
         # radio positions hold until the next tick.  With no V2X vehicle the
         # listeners are the robot alone, where it stands: rebuilding the list
         # would give an equal one and write back the same position
         if self.v2x_vehicles:
+            entity_x = self.entity_x
             self.receivers = receivers = [
                 (self.robot_id, self.robot.position),
                 *((sid, (entity_x[idx], 0.0)) for idx, sid, _ in self.v2x_vehicles)]
@@ -1220,17 +1267,16 @@ class _Engine:
         if self.sensor is None:
             return
         perception = self.perception
-        append, ingest = self.log.append, perception.ingest
-        classes, station_ids = self.classes, self.station_ids
-        entity_x, first_detected = self.entity_x, self.first_detected
-        # a sample that perception drops gets no image point and no ingest
-        for cam_id, idx, dist, point in self.sensor.observe(now_s, entity_x, self.in_span,
-                                                            perception.keeps):
-            append((t, "detection", "infra", cam_id, idx, station_ids[idx], _round6(dist),
-                    _round6(entity_x[idx]), not first_detected[idx]))
-            first_detected[idx] = True
-            if point is not None:
-                ingest(Detection(cam_id, idx, point, classes[idx], now_s))
+        append, keeps, ingest = self.log.append, perception.keeps, perception.ingest
+        point, classes = self.sensor.image_point, self.classes
+        # the gap rule is asked once per sighting, as its tracks change
+        # inside a block; a sample it drops gets no image point and no ingest
+        block, row = self.block, self.row
+        for _, event, dist, noise in block.sightings[block.starts[row]:block.starts[row + 1]]:
+            append(event)
+            cam_id, idx = event[3], event[4]
+            if keeps(cam_id, idx, now_s):
+                ingest(Detection(cam_id, idx, point(cam_id, dist, noise), classes[idx], now_s))
         if i % self.cpm_every == 0:
             cpm = self.perception.assemble_cpm(now_s)
             append((t, "cpm_gen", "infra", cpm.timestamp_ms, len(cpm.payload.objects)))
@@ -1328,18 +1374,21 @@ def series(scenario: Scenario, events: Sequence[dict]) -> list[dict]:
     and each vehicle's position and signed speed from its trajectory."""
     decisions = [(e["t"], e["mode"]) for e in events if e["type"] == "decision"]
     rows, k, mode = [], 0, None
-    for i in range(int(round(scenario.duration_s / scenario.tick_s)) + 1):
-        now = i * scenario.tick_s
-        t = _round9(now)
-        while k < len(decisions) and decisions[k][0] <= t:
-            mode = decisions[k][1]
-            k += 1
-        row = {"time_s": t, "mode": mode, "merging": int(scenario.merging_seen(now))}
-        for idx, ent in enumerate(scenario.entities):
-            x, v = eval_trajectory(ent.trajectory, now)
-            row[f"x_veh{idx}"] = _round6(x)
-            row[f"v_veh{idx}"] = _round6(v)
-        rows.append(row)
+    n_ticks, n = int(round(scenario.duration_s / scenario.tick_s)) + 1, len(scenario.entities)
+    motion, keys = _Motion(scenario.entities), [f"{q}_veh{idx}" for idx in range(n) for q in "xv"]
+    step = max(1, _BLOCK_CELLS // max(1, n))
+    for i0 in range(0, n_ticks, step):  # the motion of a block of ticks, as world() has it
+        x, v = motion.at(np.arange(i0, min(i0 + step, n_ticks)) * scenario.tick_s)
+        values = _round_all(np.stack([x, v], axis=2).ravel(), 6)
+        for i in range(i0, i0 + len(x)):
+            now = i * scenario.tick_s
+            t = _round9(now)
+            while k < len(decisions) and decisions[k][0] <= t:
+                mode = decisions[k][1]
+                k += 1
+            row = {"time_s": t, "mode": mode, "merging": int(scenario.merging_seen(now))}
+            row.update(zip(keys, values[2 * n * (i - i0):2 * n * (i - i0 + 1)]))
+            rows.append(row)
     return rows
 
 

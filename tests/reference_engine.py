@@ -69,6 +69,7 @@ class ReferenceEngine(sim._Engine):
     def __init__(self, scenario, seed, rows):
         super().__init__(scenario, seed)
         self.heap, self.pushed, self.rows = [], itertools.count(), rows
+        self.first_detected = [False] * len(scenario.entities)
 
     def send_at(self, time_s, msg):
         heapq.heappush(self.heap, (time_s, next(self.pushed), None, msg))

@@ -1,6 +1,7 @@
 """Scenario validation, trajectory math and end-to-end engine behaviour."""
 
 import copy
+import dataclasses
 import functools
 import hashlib
 import importlib.util
@@ -13,6 +14,7 @@ import re
 import string
 import subprocess
 import sys
+import types
 import typing
 from unittest import mock
 
@@ -758,44 +760,62 @@ class TestSensorDraws:
         return [(-1.0) ** idx * (24.0 + (idx * 37.0) % 200.0 - 8.0 * now_s)
                 for idx in range(n_entities)]
 
-    @pytest.mark.parametrize("n_entities, n_ticks", [(30, 150), (600, 6)],
-                             ids=["many refills", "one tick needs more than a block"])
-    def test_detections_equal_scalar_draws(self, n_entities, n_ticks):
-        block, scalar = self.sensor(2.0, n_entities), self.sensor(2.0, n_entities)
+    def observe_blocks(self, sensor, n_entities, n_ticks, block_ticks):
+        """``sensor``'s sightings over the ticks, one ``observe`` call per
+        block: (tick, event, distance, image point of its noise)."""
+        ids, out = list(range(1000, 1000 + n_entities)), []
+        for i0 in range(0, n_ticks, block_ticks):
+            ticks = range(i0, min(i0 + block_ticks, n_ticks))
+            got = sensor.observe([round(i * TICK, 9) for i in ticks],
+                                 np.array([self.positions(n_entities, i * TICK) for i in ticks]),
+                                 ids)
+            out += [(i0 + k, event, dist, sensor.image_point(event[3], dist, noise))
+                    for k, event, dist, noise in got]
+        return out
+
+    def scalar_sightings(self, sensor, n_entities, n_ticks):
+        """The same, one scalar draw per sighting, events built one by one."""
+        out, seen = [], set()
         for i in range(n_ticks):
-            now = i * TICK
-            positions = self.positions(n_entities, now)
-            got = block.observe(now, positions, range(n_entities), lambda *_: True)
-            assert got and got == scalar_observe(scalar, positions), now
+            positions = self.positions(n_entities, i * TICK)
+            for cam_id, idx, dist, point in scalar_observe(sensor, positions):
+                event = (round(i * TICK, 9), "detection", "infra", cam_id, idx, 1000 + idx,
+                         round(dist, 6), round(positions[idx], 6), idx not in seen)
+                seen.add(idx)
+                out.append((i, event, dist, point))
+        return out
 
-    def test_a_subset_and_dropped_samples_keep_the_stream(self):
-        # scanning only the vehicles a camera can reach, and building no
-        # point for the samples perception drops, leaves every kept
-        # sample's draw where the full scan puts it
-        lazy, scalar = self.sensor(2.0, 30), self.sensor(2.0, 30)
-
-        def keeps(cam_id, idx, now_s):
-            return (cam_id + idx + round(now_s / TICK)) % 3 == 0
-
-        for i in range(150):
-            now = i * TICK
-            positions = self.positions(30, now)
-            visible = [idx for idx, x in enumerate(positions) if 29.0 <= abs(x) <= 154.0]
-            want = [(cam_id, idx, dist, point if keeps(cam_id, idx, now) else None)
-                    for cam_id, idx, dist, point in scalar_observe(scalar, positions)]
-            assert lazy.observe(now, positions, visible, keeps) == want, now
+    @pytest.mark.parametrize("n_entities, n_ticks, block_ticks",
+                             [(30, 150, 1), (30, 150, 37), (600, 6, 4)],
+                             ids=["a tick a block", "many ticks a block", "many entities"])
+    def test_block_sightings_are_the_scalar_draws(self, n_entities, n_ticks, block_ticks):
+        block, scalar = self.sensor(2.0, n_entities), self.sensor(2.0, n_entities)
+        got = self.observe_blocks(block, n_entities, n_ticks, block_ticks)
+        assert got and got == self.scalar_sightings(scalar, n_entities, n_ticks)
+        assert all(type(value) in (float, int, str, bool) for _, event, _, _ in got
+                   for value in event)
+        assert scalar.rng.bit_generator.state == block.rng.bit_generator.state
 
     def test_zero_noise_draws_one_zero_per_sighting(self):
         block, scalar = self.sensor(0.0, 30), self.sensor(0.0, 30)
-        for i in range(20):
-            positions = self.positions(30, i * TICK)
-            got = block.observe(i * TICK, positions, range(30), lambda *_: True)
-            assert got and got == scalar_observe(scalar, positions), i
-        # the reference drew one value per sighting; drawing the values the
-        # block still holds unused brings it to the block's stream state
-        assert block._next > 0
-        scalar.rng.normal(0.0, 0.0, len(block._noise) - block._next)
+        got = self.observe_blocks(block, 30, 20, 7)
+        assert got and got == self.scalar_sightings(scalar, 30, 20)
+        # the block draws exactly as many values as the scalar form
         assert scalar.rng.bit_generator.state == block.rng.bit_generator.state
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_a_vehicle_at_either_end_of_the_view_is_seen(self, sign):
+        # a camera at road x 0 sees a vehicle at distance |x|; one at the
+        # near cutoff and one at its reach are in view, the next float out
+        # of it is not
+        cameras = scenario_from_dict(with_infra(minimal())).infra.cameras
+        cameras = [dataclasses.replace(cameras[0], road_position_m=0.0, direction_sign=sign)]
+        config = sim.SensorConfig(max_detect_std_m=0.0, pixel_noise_std=0.0)
+        model = sim.SensorModel(config, cameras, 4, np.random.default_rng(0))
+        (_, near, reach), = model._views
+        ends = [near, reach[0], math.nextafter(near, 0.0), math.nextafter(reach[0], math.inf)]
+        got = model.observe([0.0], sign * np.array([ends]), [0, 0, 0, 0])
+        assert [event[4] for _, event, _, _ in got] == [0, 1]
 
 
 ORACLE = {
@@ -1038,7 +1058,7 @@ def stream_draws(seed):
         return out[:N_DRAWS]
 
     return {"channel random": blocks(engine.channel.rng.random, _DRAW_BLOCK),
-            "sensor normal": blocks(lambda n: sensor.normal(0.0, 1.0, n), sim._NOISE_BLOCK),
+            "sensor normal": blocks(lambda n: sensor.normal(0.0, 1.0, n), 1024),
             "moderator-jitter normal": [float(jitter.normal(0.0, 1.0))
                                         for _ in range(N_DRAWS)]}
 
@@ -1546,6 +1566,15 @@ class TestDenmCopies:
         sent = [e for e in res.log.of_type("msg_tx") if e["station_id"] == 200]
         assert len(sent) == int(round(30.0 / 0.05)) + 1
 
+    def test_nothing_is_queued_past_the_end(self, engines):
+        # every delivery and every CPM send falls due after the last flush,
+        # so none is queued; the channel still draws for each delivery
+        obj = with_section(traffic_cell(5), "channel", latency_base_s=24.0)
+        res = run(scenario_from_dict(with_section(obj, "infra", cpm_processing_delay_s=24.0)))
+        assert res.log.of_type("cpm_gen") and res.log.of_type("msg_tx")
+        assert res.log.of_type("msg_rx") == []
+        assert queued(engines[0]) == []
+
     def test_copy_loop_ends_with_the_run(self):
         # repeat_count may grow with period_s, so 10**12 copies validate;
         # only the stop at the last flush keeps the run finite.  It runs in
@@ -1691,7 +1720,7 @@ def parked_far(obj):
 
 
 # two cameras whose every vehicle's reach is 110.1 m, so that a vehicle at
-# the road x below is just outside the widened span
+# the road x below is a metre past the far end of their view
 EDGE = 24.0 + 110.1 + 1.0
 SKIP_DURATION_S = 12.0
 
@@ -1706,8 +1735,8 @@ def skip_world():
 @st.composite
 def skip_trajectories(draw):
     """One to three segments toward the gate from either side: a far start,
-    an accelerating approach, a turn at a turning point, a stop just
-    outside the span, a slow start and a faster later segment, or a crawl
+    an accelerating approach, a turn at a turning point, a stop near the
+    far end of the cameras' view, a slow start and a faster later segment, or a crawl
     in view whose second segment starts just after a tick, as far off the
     first one's end as the loader allows."""
     side = draw(st.sampled_from([-1.0, 1.0]))  # -1: starts at negative x
@@ -1747,44 +1776,109 @@ def skip_trajectories(draw):
              "speed_mps": seg.speed_mps, "accel_mps2": seg.accel_mps2} for seg in segs]
 
 
-class TestSkippedWork:
-    def test_span_is_the_zone_and_every_view_widened(self):
-        obj = skip_world()
-        obj["entities"] = [{"trajectory": [{"start_time_s": 0.0, "start_x_m": -1000.0,
-                                            "speed_mps": 0.0, "accel_mps2": 0.0}]}]
-        engine = sim._Engine(scenario_from_dict(obj), 0)
-        assert engine.span == pytest.approx((-EDGE, EDGE))
-        # without vehicles no camera reaches anywhere: the zone alone is left
-        engine = sim._Engine(scenario_from_dict(skip_world()), 0)
-        assert engine.span == (-26.0, 26.0)
+@st.composite
+def segment_lists(draw):
+    """One to four segments, each starting on a tick, within ``_TIME_EPS``
+    of one or exactly ``_TIME_EPS`` after one, with drawn speeds of either
+    sign and accelerations; not continuous, so that the segment in force
+    shows in every value."""
+    unit = functools.partial(st.floats, allow_nan=False, allow_infinity=False)
+    segs, k = [], 0
+    for n in range(draw(st.integers(1, 4))):
+        if n:
+            k += draw(st.integers(1, 20))
+        start = 0.0 if not n else k * TICK + draw(st.sampled_from(
+            [0.0, sim._TIME_EPS, 0.5e-9, -0.5e-9, 2e-9]))
+        segs.append(TrajectorySegment(start, draw(unit(-500.0, 500.0)), draw(unit(-30.0, 30.0)),
+                                      draw(unit(-8.0, 8.0))))
+    return segs
 
-    def test_a_car_parked_far_away_is_evaluated_a_handful_of_times(self, monkeypatch):
-        obj = skip_world()
-        obj["entities"] = [{"trajectory": [{"start_time_s": 0.0, "start_x_m": -1000.0,
-                                            "speed_mps": 0.0, "accel_mps2": 0.0}]}]
-        sc, calls = scenario_from_dict(obj), {"at": 0}
-        monkeypatch.setattr(TrajectorySegment, "at", counting(calls, "at", TrajectorySegment.at))
-        run(sc)
-        assert 1 <= calls["at"] <= 3  # not one per tick
-        calls["at"] = 0
-        reference_run(sc)
-        assert calls["at"] == int(round(SKIP_DURATION_S / TICK)) + 1
 
-    @given(st.lists(skip_trajectories(), min_size=1, max_size=3))
-    def test_a_skipped_vehicle_lies_outside_the_span(self, trajs):
+class TestBlockMotion:
+    @settings(max_examples=300)
+    @given(st.lists(segment_lists(), min_size=1, max_size=3), st.integers(1, 9))
+    def test_block_motion_is_eval_trajectory(self, trajs, block_ticks):
+        # not Entity, which refuses the jumps
+        motion = sim._Motion([types.SimpleNamespace(trajectory=segs) for segs in trajs])
+        for i0 in range(0, 90, block_ticks):
+            now = np.arange(i0, i0 + block_ticks) * TICK
+            x, v = motion.at(now)
+            for k, i in enumerate(range(i0, i0 + block_ticks)):
+                want = [eval_trajectory(segs, i * TICK) for segs in trajs]
+                assert list(zip(x[k].tolist(), v[k].tolist())) == want, (i, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(skip_trajectories(), min_size=1, max_size=4), st.integers(1, 13))
+    def test_world_reads_eval_trajectory_across_block_edges(self, trajs, block_ticks):
         obj = skip_world()
         obj["entities"] = [{"trajectory": traj} for traj in trajs]
         sc = scenario_from_dict(obj)
-        engine = sim._Engine(sc, 0)
-        lo, hi = engine.span
+        with mock.patch.object(sim, "_BLOCK_CELLS", 2 * len(trajs) * block_ticks):
+            engine = sim._Engine(sc, 0)
+        assert engine.block_ticks == block_ticks
         for i in range(engine.n_ticks + 1):
             now = i * sc.tick_s
-            skipped = [idx for idx, wake in enumerate(engine.wake_s) if now < wake]
             engine.world(now, sim._round9(now))
-            for idx in skipped:
-                x, _ = eval_trajectory(sc.entities[idx].trajectory, now)
-                assert not lo <= x <= hi, (now, idx)
+            assert list(zip(engine.entity_x, engine.entity_v)) == [
+                eval_trajectory(ent.trajectory, now) for ent in sc.entities], i
 
+    def test_a_block_keeps_within_the_cell_bound(self, monkeypatch):
+        # the loader's extremes: 16,384 vehicles and 4 cameras, two ticks
+        obj = with_infra({**minimal(), "duration_s": 0.05})
+        obj["infra"]["cameras"] = [camera(i, -24.0, -1) for i in range(4)]
+        obj["entities"] = [{"trajectory": [{"start_time_s": 0.0, "start_x_m": -30.0 - 0.01 * i,
+                                            "speed_mps": 0.0, "accel_mps2": 0.0}]}
+                           for i in range(16384)]
+        sc, shapes, observe = scenario_from_dict(obj), [], sim.SensorModel.observe
+        monkeypatch.setattr(sim.SensorModel, "observe", lambda model, times, positions, ids:
+                            shapes.append(positions.shape) or observe(model, times, positions, ids))
+        run(sc)
+        assert shapes == [(1, 16384), (1, 16384)]
+        assert all(ticks * 4 * vehicles <= sim._BLOCK_CELLS for ticks, vehicles in shapes)
+
+    def test_a_one_vehicle_pass_is_one_block(self, monkeypatch):
+        sc, calls = scenario_from_dict(make_pass_scenario(3)), {"observe": 0}
+        monkeypatch.setattr(sim.SensorModel, "observe",
+                            counting(calls, "observe", sim.SensorModel.observe))
+        run(sc)
+        assert calls["observe"] == 1
+
+    def test_run_evaluates_no_trajectory_and_observes_once_per_block(self, monkeypatch):
+        sc = scenario_from_dict(traffic_cell(5))
+        plain = run(sc).to_jsonl()
+        calls = {"eval": 0, "at": 0, "observe": 0}
+        monkeypatch.setattr(sim, "eval_trajectory", counting(calls, "eval", sim.eval_trajectory))
+        monkeypatch.setattr(TrajectorySegment, "at", counting(calls, "at", TrajectorySegment.at))
+        monkeypatch.setattr(sim.SensorModel, "observe",
+                            counting(calls, "observe", sim.SensorModel.observe))
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", 2 * 8 * 50)  # 50 ticks a block
+        assert run(sc).to_jsonl() == plain
+        assert calls == {"eval": 0, "at": 0, "observe": math.ceil((12.0 / 0.05 + 1) / 50)}
+
+
+class TestRoundAll:
+    @settings(max_examples=300)
+    @given(st.sampled_from([9, 6, 3]).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        rounding_inputs().filter(lambda case: case[0] == n).map(lambda case: case[1]) |
+        st.integers(-10**12, 10**12).map(lambda k: k / 1e6) |
+        st.sampled_from([0.0, -0.0, 5e11, -6e5, 2.5e-9, 1e300]), max_size=40))))
+    @example((6, [-0.0, 0.0, -1e-12, 12.3456785, 6e5, 5e5 + 0.5e-6, math.nan, -1e308]))
+    def test_round_all_is_the_kernel(self, case):
+        n, values = case
+        calls = []
+        with mock.patch.object(sim, "round", lambda *args: calls.append(args) or round(*args),
+                               create=True):
+            got = sim._round_all(np.array(values, dtype=float), n)
+            slow, calls[:] = calls[:], []
+            want = [KERNELS[n](x) for x in values]
+        assert [repr(x) for x in got] == [repr(round(x, n)) for x in values]
+        assert [repr(x) for x in got] == [repr(x) for x in want]
+        assert all(type(x) is float for x in got)
+        # it leaves to round exactly the values the scalar kernel does
+        assert repr(slow) == repr(calls)
+
+
+class TestSkippedWork:
     @pytest.mark.parametrize("name", ["pass", "rotterdam_run"])
     def test_the_gap_rule_is_asked_once_per_detection(self, monkeypatch, name):
         sc = scenario_from_dict(make_pass_scenario(3) if name == "pass" else SHIPPED[name])
@@ -1899,6 +1993,8 @@ NAMED_REFERENCE_SCENARIOS = {
     "40-vehicle lossy cell": lambda: traffic_cell(11, n_vehicles=40, duration_s=20.0,
                                                   loss_prob=0.4),
     "30-vehicle all-V2X cell": lambda: traffic_cell(13, n_vehicles=30, equipped_share=1.0),
+    "cell sending past the end": lambda: with_section(with_section(
+        traffic_cell(7), "channel", latency_base_s=6.0), "infra", cpm_processing_delay_s=11.9),
 }
 
 

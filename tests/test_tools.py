@@ -1,5 +1,6 @@
 """The scripts under tools/."""
 
+import importlib.util
 import os
 import pathlib
 import re
@@ -9,6 +10,14 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 AB_RUN = ROOT / "tools" / "ab_run.py"
+
+
+def perfbench_module(name):
+    """``perfbench/<name>.py``, imported from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    spec.loader.exec_module(module := importlib.util.module_from_spec(spec))
+    return module
 
 
 def ab_run(tmp_path, a, b, *args):
@@ -47,3 +56,21 @@ def test_ab_run_refuses_a_checkout_whose_log_differs(tmp_path):
     out = ab_run(tmp_path, ROOT, changed.parent.parent, "--jobs", "1")
     assert out.returncode == 1
     assert out.stdout.splitlines()[-1].endswith("the JSONL logs of A and B differ")
+
+
+def test_the_tracer_wraps_names_that_exist_and_sees_every_event():
+    # installing the benchmark's tracer looks up every name it wraps, so a
+    # renamed one raises KeyError here; every event must pass through
+    # EventLog.append one by one, and observe must return every sighting
+    from mergeguard import sim
+
+    tracer_module, workloads = perfbench_module("tracer"), perfbench_module("workloads")
+    scenario = sim.scenario_from_dict(workloads.traffic_scenario(
+        3, name="cell", n_vehicles=8, equipped_share=0.5, platoon_size=2, headway_s=1.0,
+        platoon_gap_s=4.0, first_arrival_s=-2.0, duration_s=12.0, loss_prob=0.2,
+        comm_range_m=150.0, rsu=True, merging=True))
+    with tracer_module.Tracer() as tracer:
+        result = sim.run(scenario)
+    detections = len(result.log.of_type("detection"))
+    assert tracer.totals()["sim.append"][0] == len(result.log) > detections > 0
+    assert tracer.counts["sim.detections"] == detections
